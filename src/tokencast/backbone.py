@@ -135,17 +135,16 @@ class Backbone:
         if cfg.pretrain_mode == "random_frozen":
             self.freeze()
 
-    def forward(self, h0: Tensor, adapters_per_layer=None, gates_per_layer=None
-                ) -> tuple[Tensor, list[Tensor]]:
-        """Run all blocks; also return each block's input state for routing."""
-        h = h0
-        pre_states = []
+    def forward(self, h: Tensor, adapters=None, gates=None) -> Tensor:
+        """Run all blocks over token states.
+
+        `adapters` holds one adapter dict per layer. `gates(layer, h)` returns
+        that layer's gates, chosen from the state h entering the block.
+        """
         for i, block in enumerate(self.blocks):
-            pre_states.append(h)
-            adapters = adapters_per_layer[i] if adapters_per_layer else None
-            gates = gates_per_layer[i] if gates_per_layer else None
-            h = block.forward(h, adapters, gates)
-        return h, pre_states
+            h = block.forward(h, adapters[i] if adapters else None,
+                              gates(i, h) if gates else None)
+        return h
 
     def tensors(self, prefix: str = "backbone") -> dict[str, Tensor]:
         out = {}
@@ -168,9 +167,10 @@ class Backbone:
     def checksum(self) -> str:
         """SHA-256 over all block tensors in name order; detects any drift."""
         digest = hashlib.sha256()
-        for name in sorted(self.tensors()):
+        tensors = self.tensors()
+        for name in sorted(tensors):
             digest.update(name.encode())
-            digest.update(self.tensors()[name].data.tobytes())
+            digest.update(tensors[name].data.tobytes())
         return digest.hexdigest()
 
     def frozen_tensor_count(self) -> int:
@@ -178,17 +178,6 @@ class Backbone:
 
     def parameter_count(self) -> int:
         return sum(t.size for t in self.tensors().values())
-
-
-def expected_tensor_count(layers: int) -> int:
-    # 7 linears carry weight+bias, plus 2 norm gains, per block
-    return layers * (7 * 2 + 2)
-
-
-def expected_parameter_count(cfg: BackboneConfig) -> int:
-    per_block = sum(d_in * d_out + d_out for d_in, d_out in module_dims(cfg).values())
-    per_block += 2 * cfg.dim
-    return cfg.layers * per_block
 
 
 def pretrain_then_freeze(backbone: Backbone, corpus_view, lookback: int,
@@ -223,7 +212,7 @@ def pretrain_then_freeze(backbone: Backbone, corpus_view, lookback: int,
         xn, stats = instance_normalize(batch.x)
         with T.Tape() as tape:
             tokens = emb.embed(Tensor(xn))
-            hL, _ = backbone.forward(tokens)
+            hL = backbone.forward(tokens)
             pred = denormalize(head.project(hL), stats)
             loss = T.mean(T.square(T.sub(pred, Tensor(batch.y))))
             tape.backward(loss)

@@ -22,8 +22,9 @@ import struct
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .model import Forecaster
+from .tensor import ShapeError
 
 MAGIC = b"DLF1"
 VERSION = 1
@@ -75,41 +76,46 @@ def _open_checkpoint(path):
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
+def _read_header(fh) -> dict:
+    """Check magic and version, then parse the header JSON object."""
+    magic = _read_exact(fh, 4, "magic")
+    if magic != MAGIC:
+        raise CheckpointError(
+            f"not a checkpoint file: bad magic {magic!r}, expected {MAGIC!r}"
+        )
+    (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+    if version != VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint version {version}, this build reads {VERSION}"
+        )
+    (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
+    try:
+        header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError("corrupt checkpoint header: not a JSON object")
+    return header
+
+
 def read_header(path) -> dict:
     """Header JSON only; cheap way to inspect a checkpoint's config."""
     with _open_checkpoint(path) as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != MAGIC:
-            raise CheckpointError(
-                f"not a checkpoint file: bad magic {magic!r}, expected {MAGIC!r}"
-            )
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {version}, this build reads {VERSION}"
-            )
-        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-        return json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
+        return _read_header(fh)
 
 
 def load_checkpoint(path) -> tuple[Forecaster, dict]:
     """Rebuild the model a checkpoint describes and restore every tensor."""
     with _open_checkpoint(path) as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != MAGIC:
+        header = _read_header(fh)
+        try:
+            model = Forecaster(RunConfig(**header["config"]).validate())
+            meta = {k: header[k] for k in ("seed", "step", "prng_state")}
+        except (ConfigError, ShapeError, KeyError, TypeError) as exc:
             raise CheckpointError(
-                f"not a checkpoint file: bad magic {magic!r}, expected {MAGIC!r}"
-            )
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {version}, this build reads {VERSION}"
-            )
-        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-        header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
+                f"checkpoint header describes no valid model: {exc}"
+            ) from None
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
-
-        model = Forecaster(RunConfig(**header["config"]))
         tensors = model.named_parameters()
         seen = set()
         for _ in range(count):
@@ -139,5 +145,4 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
         missing = sorted(set(tensors) - seen)
         if missing:
             raise CheckpointError(f"checkpoint is missing tensors: {missing[:5]}")
-    meta = {k: header[k] for k in ("seed", "step", "prng_state")}
     return model, meta

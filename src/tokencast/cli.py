@@ -135,9 +135,7 @@ def predict_blocks(model: Forecaster, windows, batch_size: int = 64):
     if windows.count < 1:
         raise DataError("no evaluation windows; split is too short")
     xs, ys, ps = [], [], []
-    for lo in range(0, windows.count, batch_size):
-        idx = np.arange(lo, min(lo + batch_size, windows.count))
-        batch = windows.batch(idx)
+    for batch in windows.iter_batches(batch_size):
         xs.append(batch.x)
         ys.append(batch.y)
         ps.append(model.predict(batch.x))

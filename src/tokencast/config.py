@@ -70,6 +70,17 @@ class RunConfig:
             raise ConfigError("data_kind=csv requires csv_path")
         if self.lookback < 1 or self.horizon < 1:
             raise ConfigError("lookback and horizon must be positive")
+        if self.layers < 0:
+            raise ConfigError(f"layers must be >= 0, got {self.layers}")
+        for key in ("heads", "align_heads"):
+            heads = getattr(self, key)
+            if self.dim < 1 or heads < 1 or self.dim % heads != 0:
+                raise ConfigError(f"{key} ({heads}) must divide dim ({self.dim})")
+        max_rank = min(self.dim, self.ffn_dim) // 2
+        if not (1 <= self.rank <= max_rank):
+            raise ConfigError(
+                f"rank must be in [1, min(dim, ffn_dim) // 2 = {max_rank}], got {self.rank}"
+            )
         if not (1 <= self.n_active <= 7):
             raise ConfigError(f"n_active must be in [1, 7], got {self.n_active}")
         if self.loss_kind not in ("mse", "smape"):

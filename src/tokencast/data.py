@@ -190,12 +190,10 @@ def chronological_split(series: MultivariateSeries, spec: SplitSpec,
 
 @dataclass
 class WindowBatch:
-    """Batched lookback/target pairs plus per-window channel statistics."""
+    """Batched lookback/target pairs."""
 
     x: np.ndarray  # (B, N, lookback)
     y: np.ndarray  # (B, N, horizon)
-    mean: np.ndarray  # (B, N)
-    std: np.ndarray  # (B, N), clamped to >= 1e-8
 
 
 class WindowSet:
@@ -214,11 +212,6 @@ class WindowSet:
         usable = view.length - lookback - horizon
         self.count = usable // stride + 1 if usable >= 0 else 0
 
-    def start(self, i: int) -> int:
-        if not (0 <= i < self.count):
-            raise DataError(f"window index {i} out of range [0, {self.count})")
-        return i * self.stride
-
     def batch(self, indices) -> WindowBatch:
         indices = np.asarray(indices, dtype=np.int64)
         arr = self.view.array
@@ -228,9 +221,14 @@ class WindowSet:
         # gather rows then put channels first: (B, T, N) -> (B, N, T)
         x = arr[starts[:, None] + offs_x].transpose(0, 2, 1).copy()
         y = arr[(starts + self.lookback)[:, None] + offs_y].transpose(0, 2, 1).copy()
-        mean = x.mean(axis=2)
-        std = np.maximum(x.std(axis=2), 1e-8)
-        return WindowBatch(x=x, y=y, mean=mean, std=std)
+        return WindowBatch(x=x, y=y)
+
+    def iter_batches(self, batch_size: int, order=None):
+        """Batches of up to batch_size windows, in index order or in `order`."""
+        if order is None:
+            order = np.arange(self.count)
+        for lo in range(0, len(order), batch_size):
+            yield self.batch(order[lo : lo + batch_size])
 
 
 def make_windows(view: SeriesView, lookback: int, horizon: int, stride: int = 1) -> WindowSet:

@@ -87,8 +87,6 @@ class LoraRouter:
             raise ShapeError(f"unknown router activation '{activation}'")
         gen = rng.generator(seed, f"router:{layer}")
         self.dim = dim
-        self.n_active = n_active
-        self.layer = layer
         self.activation = activation
         self.weight = T.parameter(rng.gaussian(gen, (dim, N_MODULES), ROUTER_INIT_STD))
 
@@ -110,49 +108,16 @@ def pool_last_token(h: Tensor) -> Tensor:
     return T.reshape(h[:, n - 1 : n, :], (h.shape[0], h.shape[2]))
 
 
-def top_n_gates(probs: np.ndarray, n: int) -> np.ndarray:
-    """Binary gate vector keeping the n most probable modules.
+def top_n_gates_rows(probs: np.ndarray, n: int) -> np.ndarray:
+    """Row-wise binary gates keeping the n most probable modules of each row.
 
     Ties break toward the lower index (stable sort on descending prob),
-    so a uniform distribution opens modules 0..n-1 deterministically.
+    so a uniform row opens modules 0..n-1 deterministically.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1 or probs.shape[0] != N_MODULES:
-        raise ShapeError(f"expected {N_MODULES} probabilities, got shape {probs.shape}")
-    order = np.argsort(-probs, kind="stable")
-    gates = np.zeros(N_MODULES)
-    gates[order[:n]] = 1.0
-    return gates
-
-
-def top_n_gates_rows(probs: np.ndarray, n: int) -> np.ndarray:
-    """Row-wise top-n gates for a (B, N_MODULES) probability matrix."""
     order = np.argsort(-probs, axis=1, kind="stable")
     gates = np.zeros_like(probs)
     np.put_along_axis(gates, order[:, :n], 1.0, axis=1)
     return gates
-
-
-@dataclass
-class RouterDecision:
-    """One sample's routing outcome at one layer."""
-
-    layer: int
-    probs: np.ndarray  # (N_MODULES,)
-    gates: np.ndarray  # (N_MODULES,) binary
-
-    def active_modules(self) -> list[str]:
-        return [MODULE_NAMES[i] for i in range(N_MODULES) if self.gates[i] == 1.0]
-
-
-def route(pooled: np.ndarray, router: LoraRouter) -> RouterDecision:
-    """Route a single pooled vector. Forward-only; never recorded on a tape."""
-    pooled = np.asarray(pooled, dtype=np.float64).reshape(-1)
-    if pooled.shape[0] != router.dim:
-        raise ShapeError(f"pooled dim {pooled.shape[0]} != router dim {router.dim}")
-    probs = router.probs(Tensor(pooled)).data.reshape(-1)
-    return RouterDecision(layer=router.layer, probs=probs,
-                          gates=top_n_gates(probs, router.n_active))
 
 
 @dataclass

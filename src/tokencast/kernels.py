@@ -1,9 +1,4 @@
-"""Hot numeric kernels: numba-jitted fast path with a pure-numpy fallback.
-
-The jitted path is selected automatically when numba imports cleanly.
-Set TOKENCAST_PURE_NUMPY=1 to force the numpy implementations. Both paths
-compute the same quantities; they may differ by float rounding in the
-last couple of ulps because reduction order differs.
+"""Hot numeric kernels in plain numpy.
 
 Matrix products are deliberately absent here: those go through BLAS via
 numpy and a hand loop cannot beat that. The kernels below are the fused
@@ -11,41 +6,25 @@ elementwise/reduction passes that sit inside every forward, backward and
 optimizer step.
 """
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("TOKENCAST_PURE_NUMPY", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-)
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    HAS_NUMBA = False
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------- numpy path
-
-
-def _np_softmax_rows(x):
+def softmax_rows(x):
     """Row-wise softmax of a 2D array, max-subtracted for stability."""
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _np_softmax_rows_grad(y, gout):
+def softmax_rows_grad(y, gout):
     # gin = y * (gout - sum(gout * y, row))
     dot = (y * gout).sum(axis=1, keepdims=True)
     return y * (gout - dot)
 
 
-def _np_rmsnorm_rows(x, weight, eps):
+def rmsnorm_rows(x, weight, eps):
     """Row-wise RMS normalization with a learned per-column gain.
 
     Returns (out, inv_rms); inv_rms is kept for the backward pass.
@@ -54,7 +33,7 @@ def _np_rmsnorm_rows(x, weight, eps):
     return x * inv[:, None] * weight, inv
 
 
-def _np_rmsnorm_rows_grad(x, weight, inv, gout):
+def rmsnorm_rows_grad(x, weight, inv, gout):
     d = x.shape[1]
     gw = (gout * x * inv[:, None]).sum(axis=0)
     proj = (gout * weight * x).sum(axis=1)
@@ -62,17 +41,17 @@ def _np_rmsnorm_rows_grad(x, weight, inv, gout):
     return gx, gw
 
 
-def _np_silu(x):
+def silu(x):
     s = 1.0 / (1.0 + np.exp(-x))
     return x * s
 
 
-def _np_silu_grad(x, gout):
+def silu_grad(x, gout):
     s = 1.0 / (1.0 + np.exp(-x))
     return gout * (s * (1.0 + x * (1.0 - s)))
 
 
-def _np_adamw_update(p, g, m, v, step, lr, beta1, beta2, eps, weight_decay):
+def adamw_update(p, g, m, v, step, lr, beta1, beta2, eps, weight_decay):
     """One decoupled-weight-decay Adam step, in place on flat arrays."""
     m *= beta1
     m += (1.0 - beta1) * g
@@ -81,142 +60,3 @@ def _np_adamw_update(p, g, m, v, step, lr, beta1, beta2, eps, weight_decay):
     mhat = m / (1.0 - beta1**step)
     vhat = v / (1.0 - beta2**step)
     p -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p)
-
-
-# ---------------------------------------------------------------- numba path
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _nb_softmax_rows(x):
-        rows, cols = x.shape
-        out = np.empty((rows, cols), dtype=np.float64)
-        for i in range(rows):
-            mx = x[i, 0]
-            for j in range(1, cols):
-                if x[i, j] > mx:
-                    mx = x[i, j]
-            tot = 0.0
-            for j in range(cols):
-                e = np.exp(x[i, j] - mx)
-                out[i, j] = e
-                tot += e
-            inv = 1.0 / tot
-            for j in range(cols):
-                out[i, j] *= inv
-        return out
-
-    @njit(cache=True)
-    def _nb_softmax_rows_grad(y, gout):
-        rows, cols = y.shape
-        gin = np.empty((rows, cols), dtype=np.float64)
-        for i in range(rows):
-            dot = 0.0
-            for j in range(cols):
-                dot += y[i, j] * gout[i, j]
-            for j in range(cols):
-                gin[i, j] = y[i, j] * (gout[i, j] - dot)
-        return gin
-
-    @njit(cache=True)
-    def _nb_rmsnorm_rows(x, weight, eps):
-        rows, cols = x.shape
-        out = np.empty((rows, cols), dtype=np.float64)
-        inv = np.empty(rows, dtype=np.float64)
-        for i in range(rows):
-            ss = 0.0
-            for j in range(cols):
-                ss += x[i, j] * x[i, j]
-            r = 1.0 / np.sqrt(ss / cols + eps)
-            inv[i] = r
-            for j in range(cols):
-                out[i, j] = x[i, j] * r * weight[j]
-        return out, inv
-
-    @njit(cache=True)
-    def _nb_rmsnorm_rows_grad(x, weight, inv, gout):
-        rows, cols = x.shape
-        gx = np.empty((rows, cols), dtype=np.float64)
-        gw = np.zeros(cols, dtype=np.float64)
-        for i in range(rows):
-            r = inv[i]
-            proj = 0.0
-            for j in range(cols):
-                proj += gout[i, j] * weight[j] * x[i, j]
-                gw[j] += gout[i, j] * x[i, j] * r
-            coef = proj * r * r * r / cols
-            for j in range(cols):
-                gx[i, j] = gout[i, j] * weight[j] * r - x[i, j] * coef
-        return gx, gw
-
-    @njit(cache=True)
-    def _nb_silu(x):
-        n = x.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            s = 1.0 / (1.0 + np.exp(-x[i]))
-            out[i] = x[i] * s
-        return out
-
-    @njit(cache=True)
-    def _nb_silu_grad(x, gout):
-        n = x.shape[0]
-        gin = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            s = 1.0 / (1.0 + np.exp(-x[i]))
-            gin[i] = gout[i] * (s * (1.0 + x[i] * (1.0 - s)))
-        return gin
-
-    @njit(cache=True)
-    def _nb_adamw_update(p, g, m, v, step, lr, beta1, beta2, eps, weight_decay):
-        n = p.shape[0]
-        bc1 = 1.0 - beta1**step
-        bc2 = 1.0 - beta2**step
-        for i in range(n):
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-            v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i]
-            mhat = m[i] / bc1
-            vhat = v[i] / bc2
-            p[i] -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p[i])
-
-
-# ---------------------------------------------------------------- dispatch
-
-if HAS_NUMBA and not _FORCE_NUMPY:
-    BACKEND = "numba"
-    softmax_rows = _nb_softmax_rows
-    softmax_rows_grad = _nb_softmax_rows_grad
-    rmsnorm_rows = _nb_rmsnorm_rows
-    rmsnorm_rows_grad = _nb_rmsnorm_rows_grad
-    silu = _nb_silu
-    silu_grad = _nb_silu_grad
-    adamw_update = _nb_adamw_update
-else:
-    BACKEND = "numpy"
-    softmax_rows = _np_softmax_rows
-    softmax_rows_grad = _np_softmax_rows_grad
-    rmsnorm_rows = _np_rmsnorm_rows
-    rmsnorm_rows_grad = _np_rmsnorm_rows_grad
-    silu = _np_silu
-    silu_grad = _np_silu_grad
-    adamw_update = _np_adamw_update
-
-NUMPY_IMPLS = {
-    "softmax_rows": _np_softmax_rows,
-    "softmax_rows_grad": _np_softmax_rows_grad,
-    "rmsnorm_rows": _np_rmsnorm_rows,
-    "rmsnorm_rows_grad": _np_rmsnorm_rows_grad,
-    "silu": _np_silu,
-    "silu_grad": _np_silu_grad,
-    "adamw_update": _np_adamw_update,
-}
-
-ACTIVE_IMPLS = {
-    "softmax_rows": softmax_rows,
-    "softmax_rows_grad": softmax_rows_grad,
-    "rmsnorm_rows": rmsnorm_rows,
-    "rmsnorm_rows_grad": rmsnorm_rows_grad,
-    "silu": silu,
-    "silu_grad": silu_grad,
-    "adamw_update": adamw_update,
-}

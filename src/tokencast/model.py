@@ -17,15 +17,13 @@ hold bit-identical copies of every component they share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import dlora
 from . import rng
 from . import tensor as T
 from .alignment import CrossAttention, PromptEmbedding
-from .backbone import Backbone, BackboneConfig
+from .backbone import Backbone, BackboneConfig, module_dims
 from .config import RunConfig, VARIANTS
 from .dlora import (
     MODULE_NAMES,
@@ -38,12 +36,6 @@ from .dlora import (
 )
 from .embedding import OutputHead, TsEmbedder, denormalize, instance_normalize
 from .tensor import ShapeError, Tensor
-
-
-@dataclass
-class ForwardOutput:
-    pred: Tensor
-    stats: RoutingStats | None
 
 
 class Forecaster:
@@ -81,19 +73,13 @@ class Forecaster:
             dataset=dataset, horizon=cfg.horizon, frequency=cfg.frequency
         )
 
-        dims = {
-            "q_proj": (cfg.dim, cfg.dim), "k_proj": (cfg.dim, cfg.dim),
-            "v_proj": (cfg.dim, cfg.dim), "o_proj": (cfg.dim, cfg.dim),
-            "gate_proj": (cfg.dim, cfg.ffn_dim), "up_proj": (cfg.dim, cfg.ffn_dim),
-            "down_proj": (cfg.ffn_dim, cfg.dim),
-        }
         self.adapters: list[dict[str, LoraAdapter]] = []
         if self.uses_adapters:
             for layer in range(cfg.layers):
                 gen = rng.generator(cfg.seed, f"adapters:{layer}")
                 self.adapters.append({
                     name: LoraAdapter(f"block{layer}.{name}", d_in, d_out, cfg.rank, gen)
-                    for name, (d_in, d_out) in dims.items()
+                    for name, (d_in, d_out) in module_dims(bb_cfg).items()
                 })
         self.routers: list[LoraRouter] = []
         if self.uses_routers:
@@ -107,10 +93,6 @@ class Forecaster:
 
     def _prompt_rows(self) -> Tensor:
         return self.prompt.encode(self.prompt_text, self.cfg.prompt_max_tokens)
-
-    def forward_batch(self, batch, want_stats: bool = False) -> tuple[Tensor, RoutingStats | None]:
-        """Forecast a WindowBatch; returns de-normalized predictions."""
-        return self.forward_array(batch.x, want_stats)
 
     def forward_array(self, x: np.ndarray, want_stats: bool = False):
         x = np.asarray(x, dtype=np.float64)
@@ -137,19 +119,21 @@ class Forecaster:
 
         prob_rows: list[np.ndarray] = []
         phat_nodes: list[Tensor] = []
-        for i, block in enumerate(self.backbone.blocks):
-            adapters = self.adapters[i] if self.uses_adapters else None
+
+        def route(layer: int, state: Tensor) -> dict:
+            probs = self.routers[layer].probs(pool_last_token(state))  # (B, 7)
+            gate_rows = top_n_gates_rows(probs.data, self.cfg.n_active)
+            prob_rows.append(probs.data)
+            phat_nodes.append(T.mean(probs, axis=0))
+            return {name: gate_rows[:, j] for j, name in enumerate(MODULE_NAMES)}
+
+        if self.uses_routers:
+            gates = route
+        elif self.variant == "v3_static_lora":
+            gates = lambda layer, state: dict.fromkeys(MODULE_NAMES, 1.0)
+        else:
             gates = None
-            if self.uses_routers:
-                pooled = pool_last_token(h)
-                probs = self.routers[i].probs(pooled)  # (B, 7)
-                gate_rows = top_n_gates_rows(probs.data, self.cfg.n_active)
-                gates = {name: gate_rows[:, j] for j, name in enumerate(MODULE_NAMES)}
-                prob_rows.append(probs.data)
-                phat_nodes.append(T.mean(probs, axis=0))
-            elif self.variant == "v3_static_lora":
-                gates = {name: 1.0 for name in MODULE_NAMES}
-            h = block.forward(h, adapters, gates)
+        h = self.backbone.forward(h, self.adapters, gates)
 
         if prefix_len:
             h = h[:, prefix_len:, :]
@@ -178,13 +162,11 @@ class Forecaster:
         f_sum = np.zeros((self.cfg.layers, dlora.N_MODULES))
         p_sum = np.zeros((self.cfg.layers, dlora.N_MODULES))
         samples = 0
-        for lo in range(0, windows.count, batch_size):
-            idx = np.arange(lo, min(lo + batch_size, windows.count))
-            batch = windows.batch(idx)
-            _, stats = self.forward_batch(batch, want_stats=True)
-            f_sum += stats.f * len(idx)
-            p_sum += stats.phat * len(idx)
-            samples += len(idx)
+        for batch in windows.iter_batches(batch_size):
+            _, stats = self.forward_array(batch.x, want_stats=True)
+            f_sum += stats.f * stats.samples
+            p_sum += stats.phat * stats.samples
+            samples += stats.samples
         return RoutingStats(f=f_sum / samples, phat=p_sum / samples,
                             samples=samples, n_active=self.cfg.n_active)
 
@@ -242,24 +224,3 @@ class Forecaster:
             "trainable_fraction": trainable / total if total else 0.0,
         }
 
-
-def trainable_fraction_estimate(cfg: RunConfig) -> float:
-    """Closed-form trainable fraction for a config, no tensors allocated."""
-    d, f, L, r = cfg.dim, cfg.ffn_dim, cfg.layers, cfg.rank
-    backbone = L * (4 * (d * d + d) + 2 * (d * f + f) + (f * d + d) + 2 * d)
-    embedder = cfg.lookback * 2 * d + 2 * d + 2 * d * d + d
-    alignment = 4 * d * d + cfg.prompt_buckets * d
-    adapters = L * (4 * (d * r + r * d) + 2 * (d * r + r * f) + (f * r + r * d))
-    routers = L * d * 7
-    head = d * cfg.horizon + cfg.horizon
-    variant = cfg.variant
-    if variant == "v1_no_align":
-        alignment = 0
-    if variant == "v2_prefix_prompt":
-        alignment = cfg.prompt_buckets * d
-    if variant == "v4_frozen":
-        adapters = routers = 0
-    if variant == "v3_static_lora":
-        routers = 0
-    trainable = embedder + alignment + adapters + routers + head
-    return trainable / (trainable + backbone)

@@ -1,8 +1,8 @@
 """Loss assembly, the AdamW optimizer, and the training loop.
 
 The loop is single-threaded and fully deterministic for a given seed:
-batch order comes from one seeded generator, parameters update in sorted
-name order, and both kernel paths are sequential.
+batch order comes from one seeded generator and parameters update in sorted
+name order.
 """
 
 from __future__ import annotations
@@ -132,9 +132,7 @@ def evaluate_mse(model, windows, batch_size: int = 64) -> float:
         raise ValueError("no windows to evaluate")
     total_se = 0.0
     count = 0
-    for lo in range(0, windows.count, batch_size):
-        idx = np.arange(lo, min(lo + batch_size, windows.count))
-        batch = windows.batch(idx)
+    for batch in windows.iter_batches(batch_size):
         pred = model.predict(batch.x)
         total_se += float(((pred - batch.y) ** 2).sum())
         count += batch.y.size
@@ -145,9 +143,7 @@ def naive_repeat_last_mse(windows, batch_size: int = 64) -> float:
     """Baseline that repeats each window's final observation across the horizon."""
     total_se = 0.0
     count = 0
-    for lo in range(0, windows.count, batch_size):
-        idx = np.arange(lo, min(lo + batch_size, windows.count))
-        batch = windows.batch(idx)
+    for batch in windows.iter_batches(batch_size):
         pred = np.repeat(batch.x[:, :, -1:], batch.y.shape[2], axis=2)
         total_se += float(((pred - batch.y) ** 2).sum())
         count += batch.y.size
@@ -177,12 +173,11 @@ def train(model, train_windows, val_windows, cfg: TrainConfig) -> TrainResult:
         epoch_loss = 0.0
         epoch_lb = 0.0
         steps = 0
-        phat_sums = np.zeros((layers, 7)) if layers else None
-        for lo in range(0, len(order), cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            batch = train_windows.batch(idx)
+        f_sums = np.zeros((layers, N_MODULES))
+        phat_sums = np.zeros((layers, N_MODULES))
+        for batch in train_windows.iter_batches(cfg.batch_size, order):
             with Tape() as tape:
-                pred, stats = model.forward_batch(batch, want_stats=True)
+                pred, stats = model.forward_array(batch.x, want_stats=True)
                 task = task_loss(cfg.loss_kind, pred, batch.y)
                 loss = total_loss(task, stats, cfg.lambda_lb)
                 loss_val = loss.item()
@@ -210,6 +205,7 @@ def train(model, train_windows, val_windows, cfg: TrainConfig) -> TrainResult:
             epoch_loss += task.item()
             if stats is not None:
                 epoch_lb += float(N_MODULES * (stats.f * stats.phat).sum())
+                f_sums += stats.f
                 phat_sums += stats.phat
             steps += 1
 
@@ -220,8 +216,10 @@ def train(model, train_windows, val_windows, cfg: TrainConfig) -> TrainResult:
             "lb_loss": epoch_lb / steps if layers else 0.0,
         }
         if layers:
-            mean_phat = np.clip(phat_sums / steps, 1e-300, 1.0)
-            ent = -(mean_phat * np.log2(mean_phat)).sum(axis=1)
+            epoch_stats = RoutingStats(f=f_sums / steps, phat=phat_sums / steps,
+                                       samples=train_windows.count,
+                                       n_active=model.cfg.n_active)
+            ent = epoch_stats.entropy_bits()
         else:
             ent = np.zeros(model.layer_count())
         row["entropy"] = [float(e) for e in ent]

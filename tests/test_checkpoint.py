@@ -1,5 +1,8 @@
 """Binary snapshot format: round trips, corruption, version gates."""
 
+import dataclasses
+import hashlib
+import json
 import struct
 
 import numpy as np
@@ -84,6 +87,56 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(CheckpointError, match="bad magic"):
         load_checkpoint(path)
+
+
+def with_header(tmp_path, header_bytes: bytes):
+    """A saved tiny checkpoint whose header JSON is replaced by header_bytes."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, trained_model())
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    edited = tmp_path / "edited.ckpt"
+    edited.write_bytes(raw[:8] + struct.pack("<I", len(header_bytes)) + header_bytes
+                       + raw[12 + hlen:])
+    return edited
+
+
+def test_corrupt_header_json_rejected(tmp_path):
+    path = with_header(tmp_path, b'{"config": {')
+    with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
+        read_header(path)
+    with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("config_edit, match", [
+    ({"bogus": 1}, "bogus"),  # key RunConfig does not have
+    ({"heads": 3}, "heads"),  # fails RunConfig.validate()
+], ids=["unknown_key", "heads_not_dividing_dim"])
+def test_invalid_header_config_rejected(tmp_path, config_edit, match):
+    header = {"config": {**dataclasses.asdict(tiny_cfg()), **config_edit}, "seed": 5, "step": 0,
+              "prng_state": None}
+    path = with_header(tmp_path, json.dumps(header).encode())
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+# The bytes depend only on PCG64 normals and the header JSON, never on BLAS,
+# so they pin tensor names, shapes, order and initialization.
+GOLDEN = {
+    "full": (2830638, "39ff1df43a0da7605772581019ddaebe8dcae6e361bfe3e3e505ac1bdb8d6db5"),
+    "v2_prefix_prompt": (
+        2699470, "dd870ee890591625c4610a13e5925cd631ad610625f1dc7ace9a3f672d95b86c"
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN))
+def test_golden_checkpoint_bytes(tmp_path, variant):
+    path = tmp_path / "golden.ckpt"
+    save_checkpoint(path, Forecaster(RunConfig(variant=variant, seed=0).validate()))
+    raw = path.read_bytes()
+    assert (len(raw), hashlib.sha256(raw).hexdigest()) == GOLDEN[variant]
 
 
 def test_version_mismatch_rejected(tmp_path):

@@ -64,6 +64,17 @@ def test_unknown_key_exits_2_listing_valid_keys(tmp_path, capsys):
     assert "unknown config key" in err and "lookback" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--heads", "3"), ("--align-heads", "3"), ("--rank", "40"),
+])
+def test_structural_config_error_exits_2(tmp_path, capsys, flag, value):
+    # TINY has dim 8 and ffn_dim 16: 3 heads cannot split it, rank caps at 4
+    code = cli.main(["train", *TINY, flag, value, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert cli.main(["train", "--config", str(tmp_path / "nope.ini")]) == 2
 
@@ -118,6 +129,16 @@ def test_eval_missing_checkpoint_exits_3(tmp_path):
     code = cli.main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                      "--out", str(tmp_path)])
     assert code == 3
+
+
+def test_eval_corrupt_checkpoint_header_exits_3(tmp_path, capsys):
+    ckpt = train_tiny(tmp_path / "run")
+    raw = ckpt.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw[:12] + b"!" + raw[13:])  # first header byte: '{' -> '!'
+    code = cli.main(["eval", "--checkpoint", str(bad), *TINY, "--out", str(tmp_path)])
+    assert code == 3
+    assert "corrupt checkpoint header" in capsys.readouterr().err
 
 
 def test_eval_daily_frequency_reports_mase_owa(tmp_path):

@@ -125,12 +125,15 @@ def test_window_adjacency_and_content():
         np.testing.assert_array_equal(b.y[i, 0], np.arange(i + 8.0, i + 10.0))
 
 
-def test_batch_stats_clamped():
-    s = MultivariateSeries(name="x", values=np.ones((10, 1)))
-    view, _, _ = chronological_split(s, SplitSpec(10, 0, 0), lookback=8)
-    b = make_windows(view, 8, 2).batch([0])
-    assert b.std[0, 0] == 1e-8
-    assert b.mean[0, 0] == 1.0
+def test_iter_batches_chunks_in_index_or_given_order():
+    s = MultivariateSeries(name="x", values=np.arange(16.0).reshape(16, 1))
+    view, _, _ = chronological_split(s, SplitSpec(16, 0, 0), lookback=4)
+    ws = make_windows(view, 4, 2)  # 11 windows; window i starts at row i
+    firsts = [b.x[:, 0, 0].tolist() for b in ws.iter_batches(4)]
+    assert firsts == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10]]
+    order = np.array([10, 3, 7, 0, 5])
+    firsts = [b.x[:, 0, 0].tolist() for b in ws.iter_batches(2, order)]
+    assert firsts == [[10, 3], [7, 0], [5]]
 
 
 def test_few_shot_exact_count():

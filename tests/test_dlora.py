@@ -15,8 +15,6 @@ from tokencast.dlora import (
     apply,
     load_balance_loss,
     pool_last_token,
-    route,
-    top_n_gates,
     top_n_gates_rows,
 )
 from tokencast.tensor import ShapeError, Tensor
@@ -105,53 +103,54 @@ def test_pool_last_token_batched():
 
 
 def test_top_n_hand_example():
-    probs = np.array([0.40, 0.30, 0.15, 0.05, 0.04, 0.03, 0.03])
-    np.testing.assert_array_equal(top_n_gates(probs, 2), [1, 1, 0, 0, 0, 0, 0])
+    probs = np.array([[0.40, 0.30, 0.15, 0.05, 0.04, 0.03, 0.03]])
+    np.testing.assert_array_equal(top_n_gates_rows(probs, 2), [[1, 1, 0, 0, 0, 0, 0]])
 
 
 def test_top_n_full_open():
-    np.testing.assert_array_equal(top_n_gates(np.full(7, 1 / 7), 7), np.ones(7))
+    uniform = np.full((1, 7), 1 / 7)
+    np.testing.assert_array_equal(top_n_gates_rows(uniform, 7), np.ones((1, 7)))
 
 
 def test_top_n_uniform_tie_breaks_low_indices():
-    probs = np.full(7, 1.0 / 7.0)
+    probs = np.full((3, 7), 1.0 / 7.0)
     for n in range(1, 8):
-        gates = top_n_gates(probs, n)
-        np.testing.assert_array_equal(gates, [1.0] * n + [0.0] * (7 - n))
+        gates = top_n_gates_rows(probs, n)
+        np.testing.assert_array_equal(gates, [[1.0] * n + [0.0] * (7 - n)] * 3)
 
 
 def test_top_n_exactly_n_and_dominance_sweep():
     gen = np.random.Generator(np.random.PCG64(99))
-    for _ in range(1000):
-        logits = gen.normal(0, 3, size=7)
-        probs = np.exp(logits - logits.max())
-        probs /= probs.sum()
-        n = int(gen.integers(1, 8))
-        gates = top_n_gates(probs, n)
-        assert gates.sum() == n
-        kept = probs[gates == 1.0]
-        dropped = probs[gates == 0.0]
-        if dropped.size:
-            assert kept.min() >= dropped.max()
+    logits = gen.normal(0, 3, size=(1000, 7))
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    for n in range(1, 8):
+        gates = top_n_gates_rows(probs, n)
+        np.testing.assert_array_equal(gates.sum(axis=1), np.full(1000, n))
+        if n < 7:
+            kept = np.where(gates == 1.0, probs, np.inf).min(axis=1)
+            dropped = np.where(gates == 0.0, probs, -np.inf).max(axis=1)
+            assert np.all(kept >= dropped)
 
 
 def test_top_n_rows_matches_single():
+    # rows never interact: gating a batch equals gating each row alone
     gen = np.random.Generator(np.random.PCG64(7))
     probs = gen.dirichlet(np.ones(7), size=32)
     rows = top_n_gates_rows(probs, 3)
     for i in range(32):
-        np.testing.assert_array_equal(rows[i], top_n_gates(probs[i], 3))
+        np.testing.assert_array_equal(rows[i], top_n_gates_rows(probs[i : i + 1], 3)[0])
 
 
 def test_gates_invariant_to_logit_shift():
     # softmax is shift-invariant, so adding a constant never reroutes
     router = LoraRouter(dim=8, n_active=3, layer=0, seed=21)
-    pooled = rand((8,), 22)
-    d1 = route(pooled, router)
+    pooled = rand((4, 8), 22)
+    gates = top_n_gates_rows(router.probs(Tensor(pooled)).data, 3)
     probs_shifted = T.softmax(
         Tensor((np.tanh(pooled) @ router.weight.data) + 13.7), axis=-1
     ).data
-    np.testing.assert_array_equal(d1.gates, top_n_gates(probs_shifted, 3))
+    np.testing.assert_array_equal(gates, top_n_gates_rows(probs_shifted, 3))
 
 
 # ------------------------------------------------------------------- router
@@ -160,9 +159,9 @@ def test_gates_invariant_to_logit_shift():
 def test_route_zero_weight_uniform():
     router = LoraRouter(dim=8, n_active=2, layer=0, seed=23)
     router.weight.data[...] = 0.0
-    d = route(rand((8,), 24), router)
-    np.testing.assert_allclose(d.probs, np.full(7, 1.0 / 7.0), atol=1e-15)
-    np.testing.assert_array_equal(d.gates, [1, 1, 0, 0, 0, 0, 0])
+    probs = router.probs(Tensor(rand((3, 8), 24))).data
+    np.testing.assert_allclose(probs, np.full((3, 7), 1.0 / 7.0), atol=1e-15)
+    np.testing.assert_array_equal(top_n_gates_rows(probs, 2), [[1, 1, 0, 0, 0, 0, 0]] * 3)
 
 
 def test_route_is_input_dependent():
@@ -171,17 +170,10 @@ def test_route_is_input_dependent():
     router.weight.data[...] = 0.0
     router.weight.data[0, 0] = 5.0
     router.weight.data[1, 3] = 5.0
-    d_a = route(np.array([3.0, 0.0]), router)
-    d_b = route(np.array([0.0, 3.0]), router)
-    assert d_a.gates[0] == 1.0 and d_b.gates[3] == 1.0
-    assert not np.array_equal(d_a.gates, d_b.gates)
-
-
-def test_route_decision_module_names():
-    router = LoraRouter(dim=4, n_active=2, layer=1, seed=26)
-    router.weight.data[...] = 0.0
-    d = route(rand((4,), 27), router)
-    assert d.active_modules() == ["q_proj", "k_proj"]
+    probs = router.probs(Tensor(np.array([[3.0, 0.0], [0.0, 3.0]]))).data
+    gates = top_n_gates_rows(probs, 1)
+    assert gates[0, 0] == 1.0 and gates[1, 3] == 1.0
+    assert not np.array_equal(gates[0], gates[1])
 
 
 def test_router_rejects_bad_n():

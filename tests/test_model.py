@@ -6,7 +6,7 @@ import pytest
 from tokencast import tensor as T
 from tokencast.config import RunConfig, build_config
 from tokencast.dlora import N_MODULES
-from tokencast.model import Forecaster, trainable_fraction_estimate
+from tokencast.model import Forecaster
 from tokencast.tensor import Tensor
 
 from helpers import finite_difference
@@ -217,15 +217,18 @@ def test_parameter_report_sums():
     assert report["trainable_fraction"] == pytest.approx(
         report["trainable"] / report["total"]
     )
-    est = trainable_fraction_estimate(m.cfg)
-    assert est == pytest.approx(report["trainable_fraction"])
+    # closed forms at dim 8, ffn 16, rank 2, 2 layers, lookback 12, horizon 4
+    assert {g: report[g] for g in ["backbone", *groups]} == {
+        "backbone": 2 * 728, "embedder": 344, "alignment": 384,
+        "adapters": 2 * 272, "routers": 2 * 8 * 7, "head": 8 * 4 + 4,
+    }
 
 
 def test_adapter_budget_small_at_reference_scale():
     # the pinned desk config trades budget for runtime; the reference-scale
     # preset must stay under a tenth of total parameters
-    cfg = build_config(preset="appendix")
-    assert trainable_fraction_estimate(cfg) < 0.10
+    report = Forecaster(build_config(preset="appendix")).parameter_report()
+    assert report["trainable_fraction"] < 0.10
 
 
 def test_trainable_excludes_backbone():
