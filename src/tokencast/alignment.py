@@ -2,9 +2,11 @@
 
 The prompt is embedded by hashing whitespace-split lowercased words into a
 small trainable bucket table (FNV-1a, so ids are stable across processes).
-Queries come from the series tokens, keys and values from the prompt rows,
-and the attended result is added back residually. The output projection
-starts at zero, making the whole module an exact identity at init.
+Queries come from the series tokens, keys and values from the prompt rows;
+`tensor.attention` runs all heads at once, with the prompt rows shared by
+the whole batch, and the attended result is added back residually. The
+output projection starts at zero, making the whole module an exact
+identity at init.
 
 The prompt never enters the backbone on the default path; it only shapes
 the token states through this module.
@@ -60,7 +62,6 @@ class CrossAttention:
         gen = rng.generator(seed, "alignment")
         self.dim = dim
         self.heads = heads
-        self.head_dim = dim // heads
         self.wq = T.parameter(rng.gaussian(gen, (dim, dim), INIT_STD))
         self.wk = T.parameter(rng.gaussian(gen, (dim, dim), INIT_STD))
         self.wv = T.parameter(rng.gaussian(gen, (dim, dim), INIT_STD))
@@ -79,18 +80,7 @@ class CrossAttention:
         q = T.matmul(ts_tokens, self.wq)
         k = T.matmul(prompt_tokens, self.wk)
         v = T.matmul(prompt_tokens, self.wv)
-        scale = 1.0 / np.sqrt(self.head_dim)
-        heads = []
-        for h in range(self.heads):
-            cols = slice(h * self.head_dim, (h + 1) * self.head_dim)
-            full = (slice(None),) * (q.ndim - 1)
-            qh = q[full + (cols,)]
-            kh = k[:, cols]
-            vh = v[:, cols]
-            scores = T.scale(T.matmul(qh, T.transpose(kh)), scale)
-            attn = T.softmax(scores, axis=-1)
-            heads.append(T.matmul(attn, vh))
-        merged = T.concat(heads, axis=-1)
+        merged = T.attention(q, k, v, self.heads)
         return T.add(ts_tokens, T.matmul(merged, self.wo))
 
     def params(self, prefix: str = "align") -> dict[str, Tensor]:

@@ -1,7 +1,8 @@
 """Frozen transformer stack operating on channel tokens.
 
 Each block is pre-norm: RMS-normalized multi-head self-attention over the
-token axis, then an RMS-normalized gated feed-forward, both residual.
+token axis (`tensor.attention`, all heads in one batched product), then an
+RMS-normalized gated feed-forward, both residual.
 Attention is bidirectional by default because channel tokens carry no
 temporal order; a causal flag exists for ablation. Any of the seven
 linears can carry a low-rank adapter chosen per sample by a router.
@@ -21,6 +22,7 @@ import numpy as np
 from . import dlora
 from . import rng
 from . import tensor as T
+from .config import PRETRAIN_MODES
 from .tensor import ShapeError, Tensor
 
 INIT_STD = 0.02
@@ -35,7 +37,7 @@ class BackboneConfig:
     heads: int = 4
     ffn_dim: int = 256
     causal_mask: bool = False
-    pretrain_mode: str = "random_frozen"  # or "pretrain_then_freeze"
+    pretrain_mode: str = "random_frozen"  # one of PRETRAIN_MODES
 
     def __post_init__(self):
         if self.layers < 0:
@@ -44,7 +46,7 @@ class BackboneConfig:
             raise ShapeError(f"heads ({self.heads}) must divide dim ({self.dim})")
         if self.ffn_dim < 1:
             raise ShapeError(f"ffn_dim must be positive, got {self.ffn_dim}")
-        if self.pretrain_mode not in ("random_frozen", "pretrain_then_freeze"):
+        if self.pretrain_mode not in PRETRAIN_MODES:
             raise ShapeError(f"unknown pretrain_mode '{self.pretrain_mode}'")
 
 
@@ -64,7 +66,6 @@ def module_dims(cfg: BackboneConfig) -> dict[str, tuple[int, int]]:
 class TransformerBlock:
     def __init__(self, cfg: BackboneConfig, gen: np.random.Generator):
         self.cfg = cfg
-        self.head_dim = cfg.dim // cfg.heads
         self.weights: dict[str, Tensor] = {}
         self.biases: dict[str, Tensor] = {}
         for name, (d_in, d_out) in module_dims(cfg).items():
@@ -87,24 +88,10 @@ class TransformerBlock:
         k = self._linear(x, "k_proj", adapters, gates)
         v = self._linear(x, "v_proj", adapters, gates)
         n = h.shape[-2]
-        scale = 1.0 / np.sqrt(self.head_dim)
         mask = None
         if self.cfg.causal_mask and n > 1:
             mask = Tensor(np.triu(np.full((n, n), MASK_FILL), k=1))
-        full = (slice(None),) * (h.ndim - 1)
-        ctx_heads = []
-        for i in range(self.cfg.heads):
-            cols = slice(i * self.head_dim, (i + 1) * self.head_dim)
-            qh = q[full + (cols,)]
-            kh = k[full + (cols,)]
-            vh = v[full + (cols,)]
-            kt = T.transpose(kh, (0, 2, 1)) if h.ndim == 3 else T.transpose(kh)
-            scores = T.scale(T.matmul(qh, kt), scale)
-            if mask is not None:
-                scores = T.add(scores, mask)
-            attn = T.softmax(scores, axis=-1)
-            ctx_heads.append(T.matmul(attn, vh))
-        ctx = T.concat(ctx_heads, axis=-1)
+        ctx = T.attention(q, k, v, self.cfg.heads, mask)
         h = T.add(h, self._linear(ctx, "o_proj", adapters, gates))
 
         x2 = T.rmsnorm(h, self.ffn_norm, NORM_EPS)

@@ -12,6 +12,8 @@ class ConfigError(Exception):
 
 
 VARIANTS = ("full", "v1_no_align", "v2_prefix_prompt", "v3_static_lora", "v4_frozen")
+PRETRAIN_MODES = ("random_frozen", "pretrain_then_freeze")
+ROUTER_ACTIVATIONS = ("tanh", "identity")
 
 
 @dataclass
@@ -62,16 +64,18 @@ class RunConfig:
     clip_norm: float = 5.0
 
     def validate(self) -> "RunConfig":
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got '{self.variant}'")
-        if self.data_kind not in ("synthetic", "csv"):
-            raise ConfigError(f"data_kind must be synthetic or csv, got '{self.data_kind}'")
+        for key, allowed in (("variant", VARIANTS), ("data_kind", ("synthetic", "csv")),
+                             ("loss_kind", ("mse", "smape")),
+                             ("pretrain_mode", PRETRAIN_MODES),
+                             ("router_activation", ROUTER_ACTIVATIONS)):
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"{key} must be one of {allowed}, got '{getattr(self, key)}'")
         if self.data_kind == "csv" and not self.csv_path:
             raise ConfigError("data_kind=csv requires csv_path")
-        if self.lookback < 1 or self.horizon < 1:
-            raise ConfigError("lookback and horizon must be positive")
-        if self.layers < 0:
-            raise ConfigError(f"layers must be >= 0, got {self.layers}")
+        for key, low in (("lookback", 1), ("horizon", 1), ("layers", 0), ("batch_size", 1),
+                         ("epochs", 1), ("prompt_buckets", 1), ("prompt_max_tokens", 1)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         for key in ("heads", "align_heads"):
             heads = getattr(self, key)
             if self.dim < 1 or heads < 1 or self.dim % heads != 0:
@@ -83,13 +87,29 @@ class RunConfig:
             )
         if not (1 <= self.n_active <= 7):
             raise ConfigError(f"n_active must be in [1, 7], got {self.n_active}")
-        if self.loss_kind not in ("mse", "smape"):
-            raise ConfigError(f"loss_kind must be mse or smape, got '{self.loss_kind}'")
         if not (0.0 < self.few_shot <= 1.0):
             raise ConfigError(f"few_shot must be in (0, 1], got {self.few_shot}")
         if self.lambda_lb < 0:
             raise ConfigError(f"lambda_lb must be >= 0, got {self.lambda_lb}")
+        try:
+            words = self.prompt_text().split()
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
+            raise ConfigError(
+                f"prompt_template '{self.prompt_template}' does not format ({e!r}); "
+                "it may use {dataset}, {horizon} and {frequency}"
+            ) from None
+        if not words:
+            raise ConfigError(f"prompt_template '{self.prompt_template}' renders an empty prompt")
         return self
+
+    def prompt_text(self) -> str:
+        """The prompt the template renders for this run's data."""
+        dataset = self.dataset_name or (
+            self.synthetic if self.data_kind == "synthetic" else "series"
+        )
+        return self.prompt_template.format(
+            dataset=dataset, horizon=self.horizon, frequency=self.frequency
+        )
 
 
 # Named starting points. desk is the dataclass default; main_text and

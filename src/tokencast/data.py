@@ -96,7 +96,11 @@ def load_csv(path, date_column: str | None = None, name: str | None = None,
     float; the first offending cell aborts the load with its line number.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import rng
 from . import tensor as T
+from .config import ROUTER_ACTIVATIONS
 from .tensor import ShapeError, Tensor
 
 MODULE_NAMES = ("q_proj", "k_proj", "v_proj", "o_proj", "gate_proj", "up_proj", "down_proj")
@@ -83,7 +84,7 @@ class LoraRouter:
                  activation: str = "tanh"):
         if not (1 <= n_active <= N_MODULES):
             raise ShapeError(f"n_active must be in [1, {N_MODULES}], got {n_active}")
-        if activation not in ("tanh", "identity"):
+        if activation not in ROUTER_ACTIVATIONS:
             raise ShapeError(f"unknown router activation '{activation}'")
         gen = rng.generator(seed, f"router:{layer}")
         self.dim = dim

@@ -66,12 +66,7 @@ class Forecaster:
             PromptEmbedding(cfg.dim, cfg.prompt_buckets, cfg.seed)
             if self.uses_prompt else None
         )
-        dataset = cfg.dataset_name or (
-            cfg.synthetic if cfg.data_kind == "synthetic" else "series"
-        )
-        self.prompt_text = cfg.prompt_template.format(
-            dataset=dataset, horizon=cfg.horizon, frequency=cfg.frequency
-        )
+        self.prompt_text = cfg.prompt_text()
 
         self.adapters: list[dict[str, LoraAdapter]] = []
         if self.uses_adapters:

@@ -112,38 +112,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    # arithmetic sugar; scalars fold into scale/shift
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return slice_(self, key)
 
@@ -154,12 +122,6 @@ def parameter(data) -> Tensor:
 
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
-
-
-def _wrap(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _emit(data, inputs, pull) -> Tensor:
@@ -335,26 +297,25 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. Supports 2Dx2D, 3Dx2D (stacked rows) and 3Dx3D (batched)."""
+    """Matrix product over the last two axes; the leading axes broadcast."""
     ad, bd = a.data, b.data
-    na, nb = ad.ndim, bd.ndim
-    if (na, nb) not in ((2, 2), (3, 2), (3, 3)):
-        raise ShapeError(f"matmul: unsupported ranks {ad.shape} @ {bd.shape}")
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise ShapeError(f"matmul: operands need at least 2 dims, got {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
-    if (na, nb) == (3, 3) and ad.shape[0] != bd.shape[0]:
-        raise ShapeError(f"matmul: batch dims differ, {ad.shape} @ {bd.shape}")
-    data = ad @ bd
+    try:
+        data = ad @ bd
+    except ValueError as e:
+        raise ShapeError(f"matmul: leading dims do not broadcast, {ad.shape} @ {bd.shape}") from e
 
     def pull(g):
-        if (na, nb) == (2, 2):
-            return g @ bd.T, ad.T @ g
-        if (na, nb) == (3, 2):
-            k = ad.shape[-1]
-            p = bd.shape[-1]
-            gb = ad.reshape(-1, k).T @ g.reshape(-1, p)
-            return g @ bd.T, gb
-        return g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g
+        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
+        if bd.ndim == 2:
+            # a weight shared by every row: one product over all stacked rows
+            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, bd.shape[-1])
+        else:
+            gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
+        return ga, gb
 
     return _emit(data, (a, b), pull)
 
@@ -475,3 +436,37 @@ def rmsnorm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
         return gx.reshape(x.data.shape), gw
 
     return _emit(data, (x, weight), pull)
+
+
+# -------------------------------------------------------------- attention
+
+
+def _permute_last3(x: Tensor, order) -> Tensor:
+    """Permute the last three axes of x by `order`."""
+    lead = x.ndim - 3
+    return transpose(x, tuple(range(lead)) + tuple(lead + i for i in order))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Tensor | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention; head h owns columns [h*dh, (h+1)*dh).
+
+    q is (.., N, d) and k, v are (.., M, d) with broadcasting leading axes;
+    the output has q's shape. All heads run as one batched scores product,
+    one softmax and one batched context product. An optional additive mask
+    broadcasts against the (.., H, N, M) scores; 2-D k and v are shared by
+    every query row, and the scores are then (H, rows of q, M).
+    """
+    shape, d = q.shape, q.shape[-1]
+    if d % heads != 0 or k.shape[-1] != d or v.shape[-1] != d:
+        raise ShapeError(f"attention: {heads} heads over q {q.shape}, k {k.shape}, v {v.shape}")
+    if k.ndim == 2:
+        # keys shared by every query: fold the batch into the query rows so
+        # each head's key and value grads stay one product over all rows
+        q = reshape(q, (-1, d))
+    q, k, v = (reshape(t, t.shape[:-1] + (heads, d // heads)) for t in (q, k, v))
+    scores = matmul(_permute_last3(q, (1, 0, 2)), _permute_last3(k, (1, 2, 0)))  # (.., H, N, M)
+    scores = scale(scores, 1.0 / np.sqrt(d // heads))
+    if mask is not None:
+        scores = add(scores, mask)
+    ctx = matmul(softmax(scores, axis=-1), _permute_last3(v, (1, 0, 2)))  # (.., H, N, dh)
+    return reshape(_permute_last3(ctx, (1, 0, 2)), shape)

@@ -15,6 +15,7 @@ import numpy as np
 from . import kernels
 from . import rng
 from . import tensor as T
+from .data import DataError
 from .dlora import N_MODULES, RoutingStats, load_balance_loss
 from .tensor import Tape, Tensor
 
@@ -158,7 +159,7 @@ def train(model, train_windows, val_windows, cfg: TrainConfig) -> TrainResult:
     loop always runs the full epoch budget.
     """
     if train_windows.count < 1:
-        raise ValueError("training split has no usable windows")
+        raise DataError("training split has no usable windows")
     params = model.trainable()
     opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     gen = rng.generator(cfg.seed, "batch_order")

@@ -64,12 +64,15 @@ def np_block(h, block, adapters=None, gate=0.0):
 
     x = np_rmsnorm(h, block.attn_norm.data)
     q, k, v = lin(x, "q_proj"), lin(x, "k_proj"), lin(x, "v_proj")
-    dh = block.head_dim
+    n = h.shape[-2]
+    dh = block.cfg.dim // block.cfg.heads
     heads = []
     for i in range(block.cfg.heads):
         s = slice(i * dh, (i + 1) * dh)
-        attn = np_softmax((q[:, s] @ k[:, s].T) / np.sqrt(dh))
-        heads.append(attn @ v[:, s])
+        scores = (q[..., s] @ np.swapaxes(k[..., s], -1, -2)) / np.sqrt(dh)
+        if block.cfg.causal_mask:
+            scores = np.where(np.triu(np.ones((n, n), dtype=bool), k=1), -np.inf, scores)
+        heads.append(np_softmax(scores) @ v[..., s])
     h = h + lin(np.concatenate(heads, axis=-1), "o_proj")
     x2 = np_rmsnorm(h, block.ffn_norm.data)
     ffn = lin(np_silu(lin(x2, "gate_proj")) * lin(x2, "up_proj"), "down_proj")
@@ -115,6 +118,17 @@ def test_block_matches_numpy_oracle():
     ours = block.forward(Tensor(h), adapters, gates).data
     oracle = np_block(h, block, adapters, gate=1.0)
     np.testing.assert_allclose(ours, oracle, atol=1e-10)
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_batched_multi_head_block_matches_numpy_oracle(causal):
+    bb = Backbone(small_cfg(heads=4, causal_mask=causal), seed=32)
+    block = bb.blocks[0]
+    adapters = make_adapters(block, seed=33)
+    h = rand((3, 6, 8), 34)
+    gates = {name: 1.0 for name in MODULE_NAMES}
+    ours = block.forward(Tensor(h), adapters, gates).data
+    np.testing.assert_allclose(ours, np_block(h, block, adapters, gate=1.0), atol=1e-10)
 
 
 def test_block_single_token_attention_is_identity_weight():

@@ -66,13 +66,45 @@ def test_unknown_key_exits_2_listing_valid_keys(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--heads", "3"), ("--align-heads", "3"), ("--rank", "40"),
+    ("--pretrain-mode", "bogus"), ("--router-activation", "bogus"),
+    ("--batch-size", "0"), ("--epochs", "-1"), ("--epochs", "0"), ("--prompt-buckets", "0"),
+    ("--prompt-max-tokens", "0"), ("--prompt-template", "{bogus}"),
 ])
 def test_structural_config_error_exits_2(tmp_path, capsys, flag, value):
-    # TINY has dim 8 and ffn_dim 16: 3 heads cannot split it, rank caps at 4
+    # TINY has dim 8 and ffn_dim 16: 3 heads cannot split it, rank caps at 4;
+    # the rest would otherwise fail later, inside a component or the verb
     code = cli.main(["train", *TINY, flag, value, "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "Traceback" not in err
+
+
+def assert_data_error(code, capsys):
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "data error:" in err and "Traceback" not in err
+    return err
+
+
+def test_missing_csv_exits_3(tmp_path, capsys):
+    code = cli.main(["train", *TINY, "--data-kind", "csv",
+                     "--csv-path", str(tmp_path / "missing.csv"), "--out", str(tmp_path)])
+    assert_data_error(code, capsys)
+
+
+def test_forecast_missing_input_exits_3(tmp_path, capsys):
+    ckpt = train_tiny(tmp_path)
+    code = cli.main(["forecast", "--checkpoint", str(ckpt),
+                     "--input", str(tmp_path / "missing.csv"),
+                     "--output", str(tmp_path / "fc.csv")])
+    assert_data_error(code, capsys)
+
+
+def test_training_split_without_windows_exits_3(tmp_path, capsys):
+    # 200 training rows cannot hold one 300-step lookback
+    code = cli.main(["train", *TINY, "--length", "400", "--train-frac", "0.5",
+                     "--val-frac", "0", "--lookback", "300", "--out", str(tmp_path)])
+    assert "no usable windows" in assert_data_error(code, capsys)
 
 
 def test_missing_config_file_exits_2(tmp_path):

@@ -132,6 +132,19 @@ def test_prediction_scales_with_input_level():
     np.testing.assert_allclose(shifted, base * 2.0 + 10.0, atol=1e-8)
 
 
+@pytest.mark.parametrize("variant", ["v3_static_lora", "v4_frozen"])
+def test_tape_records_do_not_grow_with_head_count(variant):
+    # no routers, so gate skipping cannot move the count; only the head
+    # count differs between the two models
+    counts = []
+    for heads in (1, 8):
+        cfg = tiny_cfg(variant=variant, dim=64, heads=heads, align_heads=heads)
+        with T.Tape() as tape:
+            Forecaster(cfg).forward_array(batch(cfg))
+        counts.append(len(tape))
+    assert counts[0] == counts[1] > 0
+
+
 def test_composed_gradients_match_finite_differences():
     # end-to-end check through embed, align, route, adapt, project;
     # gate decisions must not flip under the probe step, so verify margins

@@ -1,0 +1,66 @@
+"""The benchmark tracer's contract with the package it patches.
+
+perfbench/tracing.py wraps tokencast functions by attribute name and reads
+the flops of a tape pull whose qualified name starts with `matmul`. If a
+rename or a rewrite of those functions breaks either, the benchmark's
+per-layer counts silently drop to zero; this test fails instead.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from tokencast import dlora, tensor
+from tokencast import training as tr
+from tokencast.config import RunConfig
+from tokencast.data import SplitSpec, WindowSet, chronological_split, synth_generate
+from tokencast.model import Forecaster
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    # import by path without leaving a __pycache__ under perfbench/
+    keep = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = keep
+    return module
+
+
+def test_tracer_counts_a_train_step_and_restores_every_patch():
+    tracing = load_tracing()
+    targets = [(tensor.Tape, "record"), (dlora, "apply")] + [
+        (owner, attr) for owner, attr, _ in tracing.SPAN_TARGETS
+    ]
+    originals = [getattr(owner, attr) for owner, attr in targets]
+
+    cfg = RunConfig(lookback=16, horizon=4, dim=8, layers=2, heads=2, ffn_dim=16,
+                    align_heads=2, rank=2, n_active=3, prompt_buckets=16, seed=5)
+    series = synth_generate("sine_mixture", 2, 40, 0)
+    view, _, _ = chronological_split(series, SplitSpec(40, 0, 0), cfg.lookback)
+    windows = WindowSet(view, cfg.lookback, cfg.horizon)
+    model = Forecaster(cfg)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.counting = True
+        result = tr.train(model, windows, None,
+                          tr.TrainConfig(epochs=1, batch_size=windows.count))
+    finally:
+        tracer.remove()
+
+    assert result.steps_run == 1
+    for key in ("tape_records", "pulled_records", "matmul_flop"):
+        assert tracer.counts[key] > 0, key
+    assert tracer.counts["calls:backbone.block"] == cfg.layers
+    assert np.isfinite(result.history[0]["train_loss"])
+    for (owner, attr), original in zip(targets, originals):
+        assert getattr(owner, attr) is original, f"{owner}.{attr} left patched"

@@ -35,6 +35,16 @@ def test_matmul_shape_mismatch():
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((3,), (3, 2)),  # 1-D left operand
+    ((2, 3), (3,)),  # 1-D right operand
+    ((2, 4, 3), (3, 4, 5)),  # leading dims 2 and 3 do not broadcast
+])
+def test_matmul_rejects_bad_ranks_and_leading_dims(a_shape, b_shape):
+    with pytest.raises(ShapeError):
+        T.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
+
+
 def test_softmax_uniform_on_zeros():
     out = T.softmax(Tensor(np.zeros(3)), axis=-1)
     np.testing.assert_allclose(out.data, np.full(3, 1.0 / 3.0), atol=1e-15)
@@ -190,6 +200,47 @@ def test_matmul_3d_by_3d_gradient():
     a = T.parameter(rand((2, 3, 4), 23))
     b = T.parameter(rand((2, 4, 5), 24))
     assert_grads_match(lambda: T.total(T.square(T.matmul(a, b))), [a, b])
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((2, 3, 4, 2), (2, 3, 2, 5)),  # (B, H, N, dh) @ (B, H, dh, M)
+    ((3, 4, 2), (3, 2, 5)),  # (H, R, dh) @ (H, dh, P)
+    ((4, 3), (2, 3, 5)),  # one left matrix against a stack
+    ((2, 1, 4, 3), (3, 3, 5)),  # leading dims broadcast both ways
+])
+def test_matmul_broadcast_gradient(a_shape, b_shape):
+    a = T.parameter(rand(a_shape, 36))
+    b = T.parameter(rand(b_shape, 37))
+    assert_grads_match(lambda: T.total(T.square(T.matmul(a, b))), [a, b])
+
+
+def np_attention(q, k, v, heads, mask=None):
+    """Per-head numpy loop, the reference for the batched helper."""
+    dh = q.shape[-1] // heads
+    out = []
+    for i in range(heads):
+        s = slice(i * dh, (i + 1) * dh)
+        scores = q[..., s] @ np.swapaxes(k[..., s], -1, -2) / math.sqrt(dh)
+        if mask is not None:
+            scores = scores + mask
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        out.append(e / e.sum(axis=-1, keepdims=True) @ v[..., s])
+    return np.concatenate(out, axis=-1)
+
+
+@pytest.mark.parametrize("kv_shape, causal", [
+    ((5, 4), False),  # (M, d) keys shared by the batch, as in alignment
+    ((2, 3, 4), True),  # per-sample keys under a causal mask, as in a block
+])
+def test_attention_matches_per_head_loop_and_gradients(kv_shape, causal):
+    q = T.parameter(rand((2, 3, 4), 38))
+    k = T.parameter(rand(kv_shape, 39))
+    v = T.parameter(rand(kv_shape, 40))
+    mask = Tensor(np.triu(np.full((3, 3), -1e30), k=1)) if causal else None
+    out = T.attention(q, k, v, 2, mask)
+    ref = np_attention(q.data, k.data, v.data, 2, None if mask is None else mask.data)
+    np.testing.assert_allclose(out.data, ref, atol=1e-12)
+    assert_grads_match(lambda: T.total(T.square(T.attention(q, k, v, 2, mask))), [q, k, v])
 
 
 def test_broadcast_add_bias_gradient():

@@ -7,6 +7,7 @@ from tokencast import training as tr
 from tokencast import tensor as T
 from tokencast.config import RunConfig
 from tokencast.data import (
+    DataError,
     SplitSpec,
     WindowSet,
     chronological_split,
@@ -242,7 +243,7 @@ def test_empty_training_split_rejected():
     ws = WindowSet(view, lookback=16, horizon=4)
     assert ws.count == 0
     m = Forecaster(tiny_cfg())
-    with pytest.raises(ValueError, match="no usable windows"):
+    with pytest.raises(DataError, match="no usable windows"):
         tr.train(m, ws, None, tr.TrainConfig(epochs=1))
 
 
