@@ -89,8 +89,11 @@ class RunConfig:
             raise ConfigError(f"n_active must be in [1, 7], got {self.n_active}")
         if not (0.0 < self.few_shot <= 1.0):
             raise ConfigError(f"few_shot must be in (0, 1], got {self.few_shot}")
-        if self.lambda_lb < 0:
-            raise ConfigError(f"lambda_lb must be >= 0, got {self.lambda_lb}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        for key in ("weight_decay", "clip_norm", "lambda_lb"):
+            if not getattr(self, key) >= 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         try:
             words = self.prompt_text().split()
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:

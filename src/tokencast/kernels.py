@@ -34,11 +34,15 @@ def rmsnorm_rows(x, weight, eps):
 
 
 def rmsnorm_rows_grad(x, weight, inv, gout):
+    """Grad of rmsnorm_rows with respect to its input rows."""
     d = x.shape[1]
-    gw = (gout * x * inv[:, None]).sum(axis=0)
     proj = (gout * weight * x).sum(axis=1)
-    gx = gout * weight * inv[:, None] - x * (proj * inv**3 / d)[:, None]
-    return gx, gw
+    return gout * weight * inv[:, None] - x * (proj * inv**3 / d)[:, None]
+
+
+def rmsnorm_gain_grad(x, inv, gout):
+    """Grad of rmsnorm_rows with respect to its per-column gain."""
+    return (gout * x * inv[:, None]).sum(axis=0)
 
 
 def silu(x):

@@ -50,13 +50,3 @@ def state_dict(gen: np.random.Generator) -> dict:
         "uinteger": int(st["uinteger"]),
     }
 
-
-def restore_state(snapshot: dict) -> np.random.Generator:
-    gen = np.random.Generator(np.random.PCG64())
-    gen.bit_generator.state = {
-        "bit_generator": snapshot["bit_generator"],
-        "state": {"state": int(snapshot["state"]), "inc": int(snapshot["inc"])},
-        "has_uint32": int(snapshot["has_uint32"]),
-        "uinteger": int(snapshot["uinteger"]),
-    }
-    return gen

@@ -1,9 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Operations executed inside an active Tape are recorded in execution order;
-Tape.backward walks the record list once, in reverse, accumulating grads
-with += so a tensor used twice receives the sum of both contributions.
-Outside a tape every op is forward-only, which is what inference wants.
+Tape.backward walks the record list once, in reverse, and leaves grads on
+leaf tensors only: a tensor used twice receives the sum of both
+contributions, and an op output's grad is dropped once its pull has run.
+Each pull forms only the grads of inputs that require them, so frozen
+weights and constant inputs cost no backward work. A matmul against a 2-D
+weight folds the leading axes of its left operand into rows and runs as one
+GEMM, forward and backward. Outside a tape every op is forward-only, which
+is what inference wants.
 
 A Tape and the tensors recorded on it belong to one thread. Independent
 model instances may run on separate threads, each with its own tape.
@@ -52,30 +57,40 @@ class Tape:
         self._records.append((out, inputs, pull))
 
     def backward(self, loss: "Tensor") -> None:
-        """Populate .grad on every recorded tensor that requires it.
+        """Populate .grad on every leaf tensor that requires it and reaches the loss.
 
         The loss must be a single-element tensor produced under this tape.
+        Records whose output got no grad are off the loss path and skipped,
+        so a leaf reached only off the path keeps grad None. Pulls return
+        None for inputs that need no grad. An op output's grad is dropped
+        once its pull has run; leaves keep theirs. A grad's first
+        contribution is stored as is, since nothing else holds it, unless it
+        is read-only or shares memory with another array the same pull
+        handed over (add gives one array to both inputs); then it is copied.
+        No two grads share memory, so later contributions add in place.
         """
         if loss.data.size != 1:
             raise ShapeError(
                 f"backward() needs a scalar loss, got shape {loss.data.shape}"
             )
-        loss._ensure_grad()
-        loss.grad[...] = 1.0
+        loss.grad = np.ones_like(loss.data)
         for out, inputs, pull in reversed(self._records):
-            if out.grad is None:
-                # Not on the path to the loss: contributes zero gradient,
-                # but inputs still get buffers so grads are always populated.
-                for t in inputs:
-                    if t.requires_grad:
-                        t._ensure_grad()
+            g = out.grad
+            if g is None:
                 continue
-            grads = pull(out.grad)
-            for t, g in zip(inputs, grads):
-                if not t.requires_grad or g is None:
+            out.grad = None
+            kept = []  # arrays this pull handed over without a copy
+            for t, gt in zip(inputs, pull(g)):
+                if gt is None or not t.requires_grad:
                     continue
-                t._ensure_grad()
-                t.grad += g
+                if t.grad is not None:
+                    t.grad += gt
+                elif (isinstance(gt, np.ndarray) and gt.flags.writeable
+                      and not any(np.may_share_memory(gt, k) for k in kept)):
+                    t.grad = gt
+                    kept.append(gt)
+                else:
+                    t.grad = np.array(gt, order="C")
 
 
 class Tensor:
@@ -100,10 +115,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def _ensure_grad(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -156,7 +167,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from e
 
     def pull(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _emit(data, (a, b), pull)
 
@@ -168,7 +180,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from e
 
     def pull(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _emit(data, (a, b), pull)
 
@@ -181,7 +194,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def pull(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return (_unbroadcast(g * bd, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * ad, b.shape) if b.requires_grad else None)
 
     return _emit(data, (a, b), pull)
 
@@ -194,9 +208,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def pull(g):
-        ga = _unbroadcast(g / bd, a.shape)
-        gb = _unbroadcast(-g * ad / (bd * bd), b.shape)
-        return ga, gb
+        return (_unbroadcast(g / bd, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g * ad / (bd * bd), b.shape) if b.requires_grad else None)
 
     return _emit(data, (a, b), pull)
 
@@ -269,9 +282,9 @@ def total(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def pull(g):
         if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
+            return (np.broadcast_to(g, x.shape),)
         ge = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(ge, x.shape).copy(),)
+        return (np.broadcast_to(ge, x.shape),)
 
     return _emit(data, (a,), pull)
 
@@ -286,9 +299,9 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def pull(g):
         if axis is None:
-            return (np.broadcast_to(g / count, x.shape).copy(),)
+            return (np.broadcast_to(g / count, x.shape),)
         ge = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(ge / count, x.shape).copy(),)
+        return (np.broadcast_to(ge / count, x.shape),)
 
     return _emit(data, (a,), pull)
 
@@ -297,25 +310,36 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; the leading axes broadcast."""
+    """Matrix product over the last two axes; the leading axes broadcast.
+
+    A 2-D right operand is a weight shared by every row: the leading axes of
+    a fold into rows, so the product and both grads are single 2-D GEMMs
+    instead of one small GEMM per matrix of a.
+    """
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul: operands need at least 2 dims, got {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
+    if bd.ndim == 2:
+        k, p = bd.shape
+        data = (ad.reshape(-1, k) @ bd).reshape(ad.shape[:-1] + (p,))
+
+        def pull(g):
+            g2 = g.reshape(-1, p)
+            return ((g2 @ bd.T).reshape(ad.shape) if a.requires_grad else None,
+                    ad.reshape(-1, k).T @ g2 if b.requires_grad else None)
+
+        return _emit(data, (a, b), pull)
     try:
         data = ad @ bd
     except ValueError as e:
         raise ShapeError(f"matmul: leading dims do not broadcast, {ad.shape} @ {bd.shape}") from e
 
+    # stacked right operands: the batched (.., H, N, dh) attention products
     def pull(g):
-        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
-        if bd.ndim == 2:
-            # a weight shared by every row: one product over all stacked rows
-            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, bd.shape[-1])
-        else:
-            gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
-        return ga, gb
+        return (_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if a.requires_grad else None,
+                _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if b.requires_grad else None)
 
     return _emit(data, (a, b), pull)
 
@@ -369,7 +393,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def pull(g):
-        return (np.ascontiguousarray(g.transpose(inverse)),)
+        return (g.transpose(inverse),)
 
     return _emit(np.ascontiguousarray(a.data.transpose(axes)), (a,), pull)
 
@@ -432,8 +456,12 @@ def rmsnorm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
 
     def pull(g):
         g2 = np.ascontiguousarray(g.reshape(-1, d))
-        gx, gw = kernels.rmsnorm_rows_grad(flat, weight.data, inv, g2)
-        return gx.reshape(x.data.shape), gw
+        gx = gw = None
+        if x.requires_grad:
+            gx = kernels.rmsnorm_rows_grad(flat, weight.data, inv, g2).reshape(x.data.shape)
+        if weight.requires_grad:
+            gw = kernels.rmsnorm_gain_grad(flat, inv, g2)
+        return gx, gw
 
     return _emit(data, (x, weight), pull)
 

@@ -69,6 +69,7 @@ def test_unknown_key_exits_2_listing_valid_keys(tmp_path, capsys):
     ("--pretrain-mode", "bogus"), ("--router-activation", "bogus"),
     ("--batch-size", "0"), ("--epochs", "-1"), ("--epochs", "0"), ("--prompt-buckets", "0"),
     ("--prompt-max-tokens", "0"), ("--prompt-template", "{bogus}"),
+    ("--lr", "0"), ("--lr", "-1"), ("--weight-decay", "-1"), ("--clip-norm", "-1"),
 ])
 def test_structural_config_error_exits_2(tmp_path, capsys, flag, value):
     # TINY has dim 8 and ffn_dim 16: 3 heads cannot split it, rank caps at 4;

@@ -178,6 +178,13 @@ def test_rmsnorm_gradient():
     assert_grads_match(lambda: T.total(T.square(T.rmsnorm(x, w, eps=1e-6))), [x, w])
 
 
+def test_rmsnorm_gradient_with_frozen_gain():
+    x = T.parameter(rand((2, 3, 4), 50))
+    w = T.constant(rand((4,), 51, 0.5, 1.5))
+    assert_grads_match(lambda: T.total(T.square(T.rmsnorm(x, w, eps=1e-6))), [x])
+    assert w.grad is None
+
+
 def test_concat_gradient():
     a = T.parameter(rand((2, 3), 18))
     b = T.parameter(rand((2, 2), 19))
@@ -212,6 +219,65 @@ def test_matmul_broadcast_gradient(a_shape, b_shape):
     a = T.parameter(rand(a_shape, 36))
     b = T.parameter(rand(b_shape, 37))
     assert_grads_match(lambda: T.total(T.square(T.matmul(a, b))), [a, b])
+
+
+@pytest.mark.parametrize("a_shape", [(2, 3, 4), (2, 2, 3, 4), (1, 3, 4), (3, 4)])  # (B, N, k), (B, H, N, k), one matrix
+@pytest.mark.parametrize("trainable", ["both", "frozen_weight", "constant_input"])
+def test_matmul_shared_weight_gradient(a_shape, trainable):
+    a = Tensor(rand(a_shape, 41), requires_grad=trainable != "constant_input")
+    w = Tensor(rand((4, 5), 42), requires_grad=trainable != "frozen_weight")
+    learn = [t for t in (a, w) if t.requires_grad]
+    assert_grads_match(lambda: T.total(T.square(T.matmul(a, w))), learn)
+    assert all(t.grad is None for t in (a, w) if not t.requires_grad)
+
+
+def test_matmul_pull_skips_frozen_weight():
+    x = T.parameter(rand((2, 3, 4), 43))
+    w = T.constant(rand((4, 5), 44))
+    with Tape() as tape:
+        y = T.matmul(x, w)
+        ((out, inputs, pull),) = tape._records
+        assert out is y and inputs == (x, w)
+        gx, gw = pull(np.ones(y.shape))
+        assert gw is None
+        np.testing.assert_allclose(gx, np.ones((2, 3, 5)) @ w.data.T, atol=1e-15)
+        tape.backward(T.total(y))
+    assert w.grad is None
+    np.testing.assert_allclose(x.grad, gx, atol=1e-15)
+
+
+@pytest.mark.parametrize("first_use", ["add", "square"])
+def test_add_grads_do_not_share_memory(first_use):
+    # add hands one array to both inputs; a later contribution to a must not
+    # leak into b, whichever use of a the tape pulls first
+    a = T.parameter(rand((3, 4), 45))
+    b = T.parameter(rand((3, 4), 46))
+    c = Tensor(rand((3, 4), 47))
+    with Tape() as tape:
+        if first_use == "add":
+            y = T.add(a, b)
+            u = T.square(a)
+        else:
+            u = T.square(a)
+            y = T.add(a, b)
+        tape.backward(T.add(T.total(T.mul(y, c)), T.total(u)))
+    np.testing.assert_allclose(a.grad, c.data + 2.0 * a.data, atol=1e-15)
+    np.testing.assert_allclose(b.grad, c.data, atol=1e-15)
+    assert not np.shares_memory(a.grad, b.grad)
+
+
+def test_backward_keeps_grads_on_leaves_only():
+    x = T.parameter(rand((3, 4), 48))
+    w = T.parameter(rand((4, 2), 49))
+    with Tape() as tape:
+        h = T.matmul(x, w)
+        s = T.silu(h)
+        loss = T.add(T.mean(T.square(s)), T.total(w))
+        tape.backward(loss)
+    assert all(t.grad is None for t in (h, s, loss))
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+    # sum's pull hands over a read-only broadcast; the stored grad is writable
+    assert x.grad.flags.writeable and w.grad.flags.writeable
 
 
 def np_attention(q, k, v, heads, mask=None):

@@ -119,6 +119,32 @@ def test_adamw_skips_frozen_params():
     assert frozen.data[0] == 1.0 and p.data[0] != 1.0
 
 
+def test_off_path_router_gets_no_grad_and_step_matches_zero_grads():
+    # at lambda_lb = 0 the routers feed only constant gates and the unused
+    # balance statistics, so their weights are off the loss path
+    train_ws, _ = sine_windows()
+    batch = train_ws.batch(np.arange(8))
+
+    def step(fill_zeros):
+        m = Forecaster(tiny_cfg())
+        params = m.trainable()
+        with T.Tape() as tape:
+            pred, stats = m.forward_array(batch.x, want_stats=True)
+            tape.backward(tr.total_loss(tr.task_loss("mse", pred, batch.y), stats, 0.0))
+        assert all(r.weight.grad is None for r in m.routers)
+        if fill_zeros:
+            for p in params.values():
+                if p.grad is None:
+                    p.grad = np.zeros_like(p.data)
+        tr.clip_gradients(params, 5.0)
+        tr.AdamW(params, lr=1e-2, weight_decay=0.1).step()
+        return {k: p.data.copy() for k, p in params.items()}
+
+    left, right = step(False), step(True)
+    for k in left:
+        np.testing.assert_array_equal(left[k], right[k], err_msg=k)
+
+
 def test_clip_reports_norm_and_rescales():
     a = T.parameter(np.zeros(1)); a.grad = np.array([3.0])
     b = T.parameter(np.zeros(1)); b.grad = np.array([4.0])
