@@ -4,12 +4,14 @@ Each block is pre-norm: RMS-normalized multi-head self-attention over the
 token axis (`tensor.attention`, all heads in one batched product), then an
 RMS-normalized gated feed-forward, both residual.
 Attention is bidirectional by default because channel tokens carry no
-temporal order; a causal flag exists for ablation. Any of the seven
-linears can carry a low-rank adapter chosen per sample by a router.
+temporal order; a causal flag exists for ablation. The seven linears have
+no bias, as in LLaMA, and each can carry a low-rank adapter chosen per
+sample by a router: every one is x W + ((x A) g) B (`dlora.apply`).
 
 The stack is a stand-in for a pretrained language-model trunk at desk
 scale: either randomly initialized and frozen, or briefly pretrained on
-synthetic next-window prediction and then frozen.
+synthetic next-window prediction and then frozen. Either way the stack is
+frozen from construction on; pretraining unfreezes it for its own steps.
 """
 
 from __future__ import annotations
@@ -66,18 +68,17 @@ def module_dims(cfg: BackboneConfig) -> dict[str, tuple[int, int]]:
 class TransformerBlock:
     def __init__(self, cfg: BackboneConfig, gen: np.random.Generator):
         self.cfg = cfg
-        self.weights: dict[str, Tensor] = {}
-        self.biases: dict[str, Tensor] = {}
-        for name, (d_in, d_out) in module_dims(cfg).items():
-            self.weights[name] = T.parameter(rng.gaussian(gen, (d_in, d_out), INIT_STD))
-            self.biases[name] = T.parameter(np.zeros(d_out))
+        self.weights = {
+            name: T.parameter(rng.gaussian(gen, (d_in, d_out), INIT_STD))
+            for name, (d_in, d_out) in module_dims(cfg).items()
+        }
         self.attn_norm = T.parameter(np.ones(cfg.dim))
         self.ffn_norm = T.parameter(np.ones(cfg.dim))
 
     def _linear(self, x, name, adapters, gates):
         adapter = adapters.get(name) if adapters else None
         gate = gates.get(name) if gates else None
-        return dlora.apply(x, self.weights[name], self.biases[name], adapter, gate)
+        return dlora.apply(x, self.weights[name], None, adapter, gate)
 
     def forward(self, h: Tensor, adapters=None, gates=None) -> Tensor:
         """One block pass over (.., N, dim) token states."""
@@ -104,23 +105,20 @@ class TransformerBlock:
         out = {}
         for name in dlora.MODULE_NAMES:
             out[f"{prefix}.{name}.weight"] = self.weights[name]
-            out[f"{prefix}.{name}.bias"] = self.biases[name]
         out[f"{prefix}.attn_norm"] = self.attn_norm
         out[f"{prefix}.ffn_norm"] = self.ffn_norm
         return out
 
 
 class Backbone:
-    """A stack of blocks, frozen after construction or after pretraining."""
+    """A stack of blocks, frozen from construction on."""
 
     def __init__(self, cfg: BackboneConfig, seed: int):
         self.cfg = cfg
         self.seed = seed
         gen = rng.generator(seed, "backbone")
         self.blocks = [TransformerBlock(cfg, gen) for _ in range(cfg.layers)]
-        self.frozen = False
-        if cfg.pretrain_mode == "random_frozen":
-            self.freeze()
+        self.freeze()
 
     def forward(self, h: Tensor, adapters=None, gates=None) -> Tensor:
         """Run all blocks over token states.

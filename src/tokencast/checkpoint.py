@@ -3,7 +3,8 @@
 Layout, all integers little-endian:
 
     magic    4 bytes  b"DLF1"
-    version  u32      currently 1
+    version  u32      currently 2; version 1 files, which also held a
+                      zero bias per trunk linear, are rejected
     header   u32 length + UTF-8 JSON: config dict, seed, step, prng_state
     count    u32      number of tensor records
     record   u16 name length + name bytes
@@ -27,7 +28,7 @@ from .model import Forecaster
 from .tensor import ShapeError
 
 MAGIC = b"DLF1"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(Exception):

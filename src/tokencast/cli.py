@@ -24,6 +24,7 @@ from .backbone import pretrain_then_freeze
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import (
     PRESETS,
+    ROUTED_VARIANTS,
     VARIANTS,
     ConfigError,
     RunConfig,
@@ -42,7 +43,7 @@ from .data import (
     synth_generate,
     write_series_csv,
 )
-from .metrics import MetricError, build_report, seasonality_for
+from .metrics import MetricError, build_report, naive_seasonal_forecast, seasonality_for
 from .model import Forecaster
 from .training import (
     NumericError,
@@ -142,15 +143,6 @@ def predict_blocks(model: Forecaster, windows, batch_size: int = 64):
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(ps)
 
 
-def seasonal_naive_blocks(x: np.ndarray, s: int, horizon: int) -> np.ndarray | None:
-    """Vectorized seasonal-naive forecasts, or None when lookback < s."""
-    lookback = x.shape[2]
-    if lookback < s:
-        return None
-    h = np.arange(horizon)
-    return x[:, :, lookback - s + (h % s)]
-
-
 # ------------------------------------------------------------------- verbs
 
 
@@ -164,7 +156,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _, views, (train_ws, val_ws, test_ws) = prepare_data(cfg)
     model = build_model(cfg, views[0])
-    result = train(model, train_ws, val_ws if val_ws.count else None, train_config(cfg))
+    result = train(model, train_ws, val_ws, train_config(cfg))
 
     save_checkpoint(out / "checkpoint.ckpt", model,
                     step=result.steps_run, prng_state=result.rng_state)
@@ -203,7 +195,7 @@ def cmd_eval(args) -> int:
     x, y_true, y_pred = predict_blocks(model, test_ws)
 
     s = seasonality_for(cfg.frequency)
-    naive_pred = seasonal_naive_blocks(x, s, cfg.horizon)
+    naive_pred = naive_seasonal_forecast(x, s, cfg.horizon) if x.shape[2] >= s else None
     insample = views[0].array if args.mase_convention == "m4" else None
     report = build_report(
         y_true, y_pred, seasonality=s, channel_names=series.channel_names,
@@ -254,8 +246,7 @@ def cmd_ablate(args) -> int:
         vcfg = dataclasses.replace(cfg, variant=variant).validate()
         model = build_model(vcfg, views[0])
         checksums.add(model.backbone.checksum())
-        result = train(model, train_ws, val_ws if val_ws.count else None,
-                       train_config(vcfg))
+        result = train(model, train_ws, val_ws, train_config(vcfg))
         report = model.parameter_report()
         if model.uses_routers and test_ws.count:
             entropy = float(np.mean(model.collect_routing_stats(test_ws).entropy_bits()))
@@ -291,7 +282,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep_n(args) -> int:
     cfg = config_from_args(args)
-    if cfg.variant not in ("full", "v1_no_align", "v2_prefix_prompt"):
+    if cfg.variant not in ROUTED_VARIANTS:
         raise ConfigError(
             f"sweep-n requires a routed variant, got '{cfg.variant}'"
         )
@@ -304,7 +295,7 @@ def cmd_sweep_n(args) -> int:
     for n in n_values:
         ncfg = dataclasses.replace(cfg, n_active=n).validate()
         model = build_model(ncfg, views[0])
-        train(model, train_ws, val_ws if val_ws.count else None, train_config(ncfg))
+        train(model, train_ws, val_ws, train_config(ncfg))
         stats = model.collect_routing_stats(test_ws if test_ws.count else train_ws)
         payload = stats.to_json_dict()
         payload["n_active"] = n

@@ -12,6 +12,7 @@ class ConfigError(Exception):
 
 
 VARIANTS = ("full", "v1_no_align", "v2_prefix_prompt", "v3_static_lora", "v4_frozen")
+ROUTED_VARIANTS = ("full", "v1_no_align", "v2_prefix_prompt")  # adapters gated by routers
 PRETRAIN_MODES = ("random_frozen", "pretrain_then_freeze")
 ROUTER_ACTIVATIONS = ("tanh", "identity")
 

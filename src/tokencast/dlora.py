@@ -1,11 +1,12 @@
 """Low-rank adapters with per-sample top-n routing over the seven linears.
 
-Every block linear can carry an adapter: x' = x W + g * (x A) B + b, with
-g a binary gate chosen per sample by that layer's router. The product A B
-is never materialized; the adapter path is two thin matmuls. Gates are
-constants to the gradient tape, so router weights learn only through the
-load-balance term, which is built from the differentiable mean gate
-probabilities.
+Every block linear can carry an adapter: x' = x W + ((x A) g) B, with
+g a binary gate chosen per sample by that layer's router and applied to the
+rank-r intermediate x A, so a closed gate zeroes r columns, not d_out. The
+product A B is never materialized; the adapter path is two thin matmuls.
+Gates are constants to the gradient tape, so router weights learn only
+through the load-balance term, which is built from the differentiable mean
+gate probabilities.
 """
 
 from __future__ import annotations
@@ -41,37 +42,27 @@ class LoraAdapter:
         self.down = T.parameter(rng.gaussian(gen, (d_in, r), ADAPTER_INIT_STD))
         self.up = T.parameter(np.zeros((r, d_out)))
 
-    def delta(self, x: Tensor) -> Tensor:
-        """The low-rank correction (x @ down) @ up, shaped like x @ W."""
-        return T.matmul(T.matmul(x, self.down), self.up)
-
     def param_count(self) -> int:
         return self.down.size + self.up.size
 
 
 def apply(x: Tensor, weight: Tensor, bias: Tensor | None,
           adapter: LoraAdapter | None, gate) -> Tensor:
-    """Adapted linear map: x W + g * (x A) B + b.
+    """Adapted linear map: x W + ((x A) g) B, plus b when a bias is given.
 
-    `gate` may be None (no adapter path), a scalar, or a per-sample array
-    broadcastable against the output; it is always a constant to the tape.
+    `gate` is None (no adapter path) or a 0/1 constant that broadcasts from
+    the leading axes of x: a scalar or one value per sample. An all-closed
+    gate skips the adapter; an all-open one skips the gate product.
     """
     out = T.matmul(x, weight)
     if adapter is not None and gate is not None:
         mask = np.asarray(gate, dtype=np.float64)
-        if mask.size == 1 and float(mask.reshape(-1)[0]) == 0.0:
-            pass  # fully closed gate contributes exactly zero
-        elif mask.ndim == 1 and np.all(mask == 0.0):
-            pass
-        else:
-            delta = adapter.delta(x)
-            if mask.ndim == 0:
-                gated = T.scale(delta, float(mask))
-            else:
-                # per-sample gates lead, singleton axes broadcast over the rest
-                mask = mask.reshape(mask.shape + (1,) * (delta.ndim - mask.ndim))
-                gated = T.mul(delta, Tensor(mask))
-            out = T.add(out, gated)
+        if mask.any():
+            low = T.matmul(x, adapter.down)
+            if not mask.all():
+                mask = mask.reshape(mask.shape + (1,) * (low.ndim - mask.ndim))
+                low = T.mul(low, Tensor(mask))
+            out = T.add(out, T.matmul(low, adapter.up))
     if bias is not None:
         out = T.add(out, bias)
     return out

@@ -111,12 +111,16 @@ def mase(y, y_hat, s: int, convention: str = "window", insample=None) -> float:
 
 
 def naive_seasonal_forecast(lookback, s: int, horizon: int) -> np.ndarray:
-    """Repeat the last observed seasonal cycle across the horizon."""
-    lb = np.asarray(lookback, dtype=np.float64).reshape(-1)
-    if s < 1 or lb.size < s:
-        raise MetricError(f"lookback length {lb.size} shorter than seasonality {s}")
+    """Repeat the last observed seasonal cycle across the horizon.
+
+    Indexes the last axis, so (.., lookback) in gives (.., horizon) out.
+    """
+    lb = np.asarray(lookback, dtype=np.float64)
+    n = lb.shape[-1]
+    if s < 1 or n < s:
+        raise MetricError(f"lookback length {n} shorter than seasonality {s}")
     h = np.arange(horizon)
-    return lb[lb.size - s + (h % s)]
+    return lb[..., n - s + (h % s)]
 
 
 @dataclass

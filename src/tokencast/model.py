@@ -24,7 +24,7 @@ from . import rng
 from . import tensor as T
 from .alignment import CrossAttention, PromptEmbedding
 from .backbone import Backbone, BackboneConfig, module_dims
-from .config import RunConfig, VARIANTS
+from .config import ROUTED_VARIANTS, RunConfig, VARIANTS
 from .dlora import (
     MODULE_NAMES,
     LoraAdapter,
@@ -54,9 +54,8 @@ class Forecaster:
 
         self.uses_alignment = self.variant in ("full", "v3_static_lora", "v4_frozen")
         self.uses_prompt = self.variant != "v1_no_align"
-        self.uses_adapters = self.variant in ("full", "v1_no_align", "v2_prefix_prompt",
-                                              "v3_static_lora")
-        self.uses_routers = self.variant in ("full", "v1_no_align", "v2_prefix_prompt")
+        self.uses_adapters = self.variant in (*ROUTED_VARIANTS, "v3_static_lora")
+        self.uses_routers = self.variant in ROUTED_VARIANTS
 
         self.cross = (
             CrossAttention(cfg.dim, cfg.align_heads, cfg.seed)
@@ -112,14 +111,12 @@ class Forecaster:
         else:
             h = tokens
 
-        prob_rows: list[np.ndarray] = []
-        phat_nodes: list[Tensor] = []
+        probs_by_layer: list[Tensor] = []
 
         def route(layer: int, state: Tensor) -> dict:
             probs = self.routers[layer].probs(pool_last_token(state))  # (B, 7)
             gate_rows = top_n_gates_rows(probs.data, self.cfg.n_active)
-            prob_rows.append(probs.data)
-            phat_nodes.append(T.mean(probs, axis=0))
+            probs_by_layer.append(probs)
             return {name: gate_rows[:, j] for j, name in enumerate(MODULE_NAMES)}
 
         if self.uses_routers:
@@ -138,7 +135,8 @@ class Forecaster:
 
         stats = None
         if want_stats and self.uses_routers:
-            stats = accumulate_stats(prob_rows, self.cfg.n_active, phat_nodes)
+            stats = accumulate_stats([p.data for p in probs_by_layer], self.cfg.n_active,
+                                     [T.mean(p, axis=0) for p in probs_by_layer])
         return pred, stats
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -56,3 +56,8 @@ def assert_grads_match(build_loss, params, rtol=1e-5, atol=1e-7, h=1e-5):
             a, n, rtol=rtol, atol=atol,
             err_msg=f"gradient mismatch for parameter of shape {p.data.shape}",
         )
+
+
+def tape_ops(tape):
+    """Op names of a tape's records, read off their pull closures."""
+    return [pull.__qualname__.split(".")[0] for _, _, pull in tape._records]

@@ -56,7 +56,7 @@ def np_block(h, block, adapters=None, gate=0.0):
     """Plain-numpy replica of one block used as an equivalence oracle."""
 
     def lin(z, name):
-        out = z @ block.weights[name].data + block.biases[name].data
+        out = z @ block.weights[name].data
         if adapters is not None and gate != 0.0:
             ad = adapters[name]
             out = out + gate * ((z @ ad.down.data) @ ad.up.data)
@@ -205,15 +205,15 @@ def test_random_frozen_freezes_at_construction():
 def test_frozen_tensor_count_expectation():
     for layers in (1, 2, 4):
         bb = Backbone(small_cfg(layers=layers), seed=23)
-        # 7 linears carry weight + bias, plus 2 norm gains, per block
-        assert bb.frozen_tensor_count() == layers * 16
+        # 7 bias-free linear weights plus 2 norm gains per block
+        assert bb.frozen_tensor_count() == layers * 9
 
 
 def test_parameter_count_arithmetic():
-    # per block: 4 (d*d + d) + 2 (d*f + f) + (f*d + d) + 2d
-    assert Backbone(small_cfg(layers=2), seed=24).parameter_count() == 2 * 728
+    # per block: 4 d*d + 2 d*f + f*d + 2d
+    assert Backbone(small_cfg(layers=2), seed=24).parameter_count() == 2 * 656
     desk = BackboneConfig(layers=4, dim=64, heads=4, ffn_dim=256)
-    assert Backbone(desk, seed=24).parameter_count() == 4 * 66496
+    assert Backbone(desk, seed=24).parameter_count() == 4 * 65664
 
 
 def test_frozen_params_never_gain_grads():
@@ -248,7 +248,7 @@ def test_pretrain_then_freeze_runs_and_freezes():
     view, _, _ = chronological_split(series, SplitSpec(400, 0, 0), lookback=16)
     cfg = small_cfg(pretrain_mode="pretrain_then_freeze")
     bb = Backbone(cfg, seed=30)
-    assert not bb.frozen  # pretraining mode defers the freeze
+    assert bb.frozen  # frozen at construction; pretraining unfreezes for its steps
     losses = pretrain_then_freeze(bb, view, lookback=16, horizon=4, steps=12, seed=30)
     assert bb.frozen and len(losses) == 12
     assert np.mean(losses[-4:]) < np.mean(losses[:4])

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from tokencast.backbone import pretrain_then_freeze
 from tokencast.checkpoint import (
     MAGIC,
     VERSION,
@@ -17,6 +18,7 @@ from tokencast.checkpoint import (
     save_checkpoint,
 )
 from tokencast.config import RunConfig
+from tokencast.data import MultivariateSeries, SplitSpec, chronological_split
 from tokencast.model import Forecaster
 
 
@@ -62,6 +64,19 @@ def test_round_trip_every_tensor_bit_identical(tmp_path):
     # frozen state carried over with the rebuilt backbone
     assert loaded.backbone.frozen
     assert loaded.backbone.checksum() == m.backbone.checksum()
+
+
+def test_pretrained_trunk_loads_frozen(tmp_path):
+    m = Forecaster(tiny_cfg(pretrain_mode="pretrain_then_freeze"))
+    series = MultivariateSeries(name="p", values=np.sin(np.arange(200.0) / 5.0)[:, None])
+    view, _, _ = chronological_split(series, SplitSpec(200, 0, 0), lookback=12)
+    pretrain_then_freeze(m.backbone, view, lookback=12, horizon=4, steps=2, seed=5)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, m)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.backbone.frozen
+    assert set(loaded.trainable()) == set(m.trainable())
+    assert loaded.parameter_report() == m.parameter_report()
 
 
 def test_save_is_deterministic(tmp_path):
@@ -122,11 +137,12 @@ def test_invalid_header_config_rejected(tmp_path, config_edit, match):
 
 
 # The bytes depend only on PCG64 normals and the header JSON, never on BLAS,
-# so they pin tensor names, shapes, order and initialization.
+# so they pin tensor names, shapes, order and initialization. Version 2
+# values: the trunk linears have no bias records.
 GOLDEN = {
-    "full": (2830638, "39ff1df43a0da7605772581019ddaebe8dcae6e361bfe3e3e505ac1bdb8d6db5"),
+    "full": (2802810, "4d878a381d507175479ca32d199f276a2dbb1052b762abc2341d213c486429bc"),
     "v2_prefix_prompt": (
-        2699470, "dd870ee890591625c4610a13e5925cd631ad610625f1dc7ace9a3f672d95b86c"
+        2671642, "b808647baedc8e9f7b943a637538297a9c07f253dc327541ea02eef08f51e48d"
     ),
 }
 
@@ -139,9 +155,10 @@ def test_golden_checkpoint_bytes(tmp_path, variant):
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == GOLDEN[variant]
 
 
-def test_version_mismatch_rejected(tmp_path):
-    path = tmp_path / "future.ckpt"
-    path.write_bytes(MAGIC + struct.pack("<I", VERSION + 1) + b"\x00" * 16)
+@pytest.mark.parametrize("version", [1, VERSION + 1], ids=["v1", "future"])
+def test_version_mismatch_rejected(tmp_path, version):
+    path = tmp_path / "other.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", version) + b"\x00" * 16)
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
 

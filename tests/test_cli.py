@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit-code contract."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -216,6 +217,22 @@ def test_forecast_short_history_exits_3(tmp_path, capsys):
                      "--date-column", "date", "--output", str(tmp_path / "x.csv")])
     assert code == 3
     assert "at least 16 rows" in capsys.readouterr().err
+
+
+def test_forecast_version_1_checkpoint_exits_3(tmp_path, capsys):
+    # version 1 files also held a zero bias per trunk linear
+    ckpt = train_tiny(tmp_path / "run")
+    raw = ckpt.read_bytes()
+    old = tmp_path / "v1.ckpt"
+    old.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    hist = tmp_path / "hist.csv"
+    assert cli.main(["synth", "--length", "40", "--output", str(hist)]) == 0
+    capsys.readouterr()
+    code = cli.main(["forecast", "--checkpoint", str(old), "--input", str(hist),
+                     "--date-column", "date", "--output", str(tmp_path / "fc.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "version" in err and "Traceback" not in err
 
 
 def test_ablate_table_contract(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import autograd_gradients
+from helpers import assert_grads_match, autograd_gradients, tape_ops
 from tokencast import dlora
 from tokencast import rng
 from tokencast import tensor as T
@@ -73,6 +73,40 @@ def test_apply_per_sample_mask():
     np.testing.assert_allclose(out.data[0], base[0] + delta[0], atol=1e-14)
     np.testing.assert_array_equal(out.data[1], base[1])
     np.testing.assert_allclose(out.data[2], base[2] + delta[2], atol=1e-14)
+
+
+def test_apply_gate_at_rank_r_matches_numpy_oracle():
+    ad = make_adapter()
+    ad.up.data[...] = rand((2, 6), 10)
+    x, w = rand((3, 5, 6), 11), rand((6, 6), 12)
+    g = np.array([1.0, 0.0, 1.0])
+    out = apply(Tensor(x), Tensor(w), None, ad, g)
+    oracle = x @ w + ((x @ ad.down.data) * g[:, None, None]) @ ad.up.data
+    np.testing.assert_allclose(out.data, oracle, rtol=0, atol=1e-14)
+
+
+def test_apply_gate_at_rank_r_gradients():
+    ad = make_adapter()
+    ad.up.data[...] = rand((2, 6), 13)
+    x, w = T.parameter(rand((3, 5, 6), 14)), T.parameter(rand((6, 6), 15))
+    g = np.array([1.0, 0.0, 1.0])
+    assert_grads_match(lambda: T.total(T.square(apply(x, w, None, ad, g))),
+                       [x, w, ad.down, ad.up])
+
+
+@pytest.mark.parametrize("gate, ops", [
+    (1.0, ["matmul", "matmul", "matmul", "add"]),
+    (np.ones(3), ["matmul", "matmul", "matmul", "add"]),
+    (np.array([1.0, 0.0, 1.0]), ["matmul", "matmul", "mul", "matmul", "add"]),
+    (np.zeros(3), ["matmul"]),
+    (0.0, ["matmul"]),
+], ids=["open_scalar", "open_rows", "mixed_rows", "closed_rows", "closed_scalar"])
+def test_apply_gate_records(gate, ops):
+    # an all-open gate records no gate product; an all-closed one no adapter
+    ad = make_adapter()
+    with T.Tape() as tape:
+        apply(Tensor(rand((3, 5, 6), 16)), T.parameter(rand((6, 6), 17)), None, ad, gate)
+    assert tape_ops(tape) == ops
 
 
 def test_adapter_rank_cap_enforced():

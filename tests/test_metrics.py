@@ -116,6 +116,18 @@ def test_seasonal_naive_forecast_indexing():
     ]
 
 
+def test_seasonal_naive_indexes_last_axis():
+    # (windows, channels, lookback) blocks forecast each row on its own
+    blocks = np.arange(60.0).reshape(2, 3, 10)
+    pred = naive_seasonal_forecast(blocks, s=4, horizon=6)
+    assert pred.shape == (2, 3, 6)
+    for i in range(2):
+        for j in range(3):
+            np.testing.assert_array_equal(
+                pred[i, j], naive_seasonal_forecast(blocks[i, j], s=4, horizon=6)
+            )
+
+
 def test_seasonal_naive_exact_on_periodic_series():
     cycle = np.array([3.0, -1.0, 4.0, 1.0])
     series = np.tile(cycle, 6)

@@ -9,7 +9,7 @@ from tokencast.dlora import N_MODULES
 from tokencast.model import Forecaster
 from tokencast.tensor import Tensor
 
-from helpers import finite_difference
+from helpers import finite_difference, tape_ops
 
 
 def tiny_cfg(**kw):
@@ -145,6 +145,18 @@ def test_tape_records_do_not_grow_with_head_count(variant):
     assert counts[0] == counts[1] > 0
 
 
+def test_phat_nodes_built_only_for_stats():
+    cfg = tiny_cfg()
+    m = Forecaster(cfg)
+    ops = {}
+    for want_stats in (False, True):
+        with T.Tape() as tape:
+            m.forward_array(batch(cfg), want_stats=want_stats)
+        ops[want_stats] = tape_ops(tape)
+    assert "mean" not in ops[False]
+    assert ops[True] == ops[False] + ["mean"] * cfg.layers
+
+
 def test_composed_gradients_match_finite_differences():
     # end-to-end check through embed, align, route, adapt, project;
     # gate decisions must not flip under the probe step, so verify margins
@@ -232,7 +244,7 @@ def test_parameter_report_sums():
     )
     # closed forms at dim 8, ffn 16, rank 2, 2 layers, lookback 12, horizon 4
     assert {g: report[g] for g in ["backbone", *groups]} == {
-        "backbone": 2 * 728, "embedder": 344, "alignment": 384,
+        "backbone": 2 * 656, "embedder": 344, "alignment": 384,
         "adapters": 2 * 272, "routers": 2 * 8 * 7, "head": 8 * 4 + 4,
     }
 
