@@ -13,16 +13,25 @@ Layout, all integers little-endian:
 
 Every trainable and frozen tensor of the model is stored by its stable
 name, so load(save(model)) reproduces forward outputs bit for bit.
+
+A load never redraws the initialization: it builds the model's tensors
+empty and fills each from the file. It validates each record (name, shape
+and payload length) before reading its payload straight into the
+tensor's own buffer, and it restores every tensor or raises
+CheckpointError.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
+import sys
 
 import numpy as np
 
+from . import rng
 from .config import ConfigError, RunConfig
 from .model import Forecaster
 from .tensor import ShapeError
@@ -35,11 +44,23 @@ class CheckpointError(Exception):
     pass
 
 
+def _truncated(n: int, what: str) -> CheckpointError:
+    return CheckpointError(f"truncated checkpoint: expected {n} bytes for {what}")
+
+
 def _read_exact(fh, n: int, what: str) -> bytes:
     buf = fh.read(n)
     if len(buf) != n:
-        raise CheckpointError(f"truncated checkpoint: expected {n} bytes for {what}")
+        raise _truncated(n, what)
     return buf
+
+
+def _read_into(fh, arr: np.ndarray, what: str) -> None:
+    """Fill arr's own buffer with its little-endian payload, copied once."""
+    if fh.readinto(arr) != arr.nbytes:
+        raise _truncated(arr.nbytes, what)
+    if sys.byteorder == "big":
+        arr.byteswap(inplace=True)
 
 
 def save_checkpoint(path, model: Forecaster, *, step: int = 0,
@@ -59,15 +80,14 @@ def save_checkpoint(path, model: Forecaster, *, step: int = 0,
         fh.write(header_bytes)
         fh.write(struct.pack("<I", len(tensors)))
         for name in sorted(tensors):
-            data = tensors[name].data
-            payload = np.ascontiguousarray(data, dtype="<f8").tobytes()
+            data = np.ascontiguousarray(tensors[name].data, dtype="<f8")
             name_b = name.encode("utf-8")
             fh.write(struct.pack("<H", len(name_b)))
             fh.write(name_b)
             fh.write(struct.pack("<B", data.ndim))
             fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            fh.write(struct.pack("<Q", len(payload)))
-            fh.write(payload)
+            fh.write(struct.pack("<Q", data.nbytes))
+            fh.write(data)  # the array's own buffer, no bytes copy
 
 
 def _open_checkpoint(path):
@@ -90,6 +110,8 @@ def _read_header(fh) -> dict:
             f"unsupported checkpoint version {version}, this build reads {VERSION}"
         )
     (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
+    if hlen > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise _truncated(hlen, "header")  # before allocating a corrupt length
     try:
         header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
     except ValueError as exc:  # bad UTF-8 or bad JSON
@@ -110,7 +132,10 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
     with _open_checkpoint(path) as fh:
         header = _read_header(fh)
         try:
-            model = Forecaster(RunConfig(**header["config"]).validate())
+            # Every tensor is overwritten below or the load raises, so the
+            # model is built without drawing its initialization.
+            with rng.no_draws():
+                model = Forecaster(RunConfig(**header["config"]).validate())
             meta = {k: header[k] for k in ("seed", "step", "prng_state")}
         except (ConfigError, ShapeError, KeyError, TypeError) as exc:
             raise CheckpointError(
@@ -121,11 +146,13 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
         seen = set()
         for _ in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            name = _read_exact(fh, nlen, "tensor name").decode("utf-8")
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "rank"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "shape"))
-            (plen,) = struct.unpack("<Q", _read_exact(fh, 8, "payload length"))
-            payload = _read_exact(fh, plen, f"tensor '{name}'")
+            name_b = _read_exact(fh, nlen, "tensor name")
+            try:
+                name = name_b.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(
+                    f"corrupt tensor name {name_b!r} in checkpoint: not UTF-8"
+                ) from None
             if name in seen:
                 raise CheckpointError(f"duplicate tensor '{name}' in checkpoint")
             seen.add(name)
@@ -134,15 +161,20 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
                     f"unknown tensor '{name}' not present in the rebuilt model"
                 )
             target = tensors[name]
+            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "rank"))
+            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "shape"))
             if tuple(shape) != target.shape:
                 raise CheckpointError(
                     f"tensor '{name}' shape {tuple(shape)} does not match "
                     f"model shape {target.shape}"
                 )
-            arr = np.frombuffer(payload, dtype="<f8")
-            if arr.size != target.size:
-                raise CheckpointError(f"tensor '{name}' payload size mismatch")
-            target.data[...] = arr.reshape(shape)
+            (plen,) = struct.unpack("<Q", _read_exact(fh, 8, "payload length"))
+            if plen != target.data.nbytes:
+                raise CheckpointError(
+                    f"tensor '{name}' payload size mismatch: {plen} bytes, "
+                    f"expected {target.data.nbytes}"
+                )
+            _read_into(fh, target.data, f"tensor '{name}'")
         missing = sorted(set(tensors) - seen)
         if missing:
             raise CheckpointError(f"checkpoint is missing tensors: {missing[:5]}")

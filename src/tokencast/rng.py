@@ -9,6 +9,9 @@ Python's builtin hash() is salted per process and is never used here.
 
 from __future__ import annotations
 
+import contextlib
+import threading
+
 import numpy as np
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -35,7 +38,28 @@ def generator(seed: int, component: str | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+_LOCAL = threading.local()
+
+
+@contextlib.contextmanager
+def no_draws():
+    """Within this context, on this thread only, gaussian() draws nothing.
+
+    It returns an uninitialized array and leaves the generator untouched.
+    Only a checkpoint load enters it: the load overwrites every tensor or
+    raises, so no undrawn array outlives a successful load.
+    """
+    outer = getattr(_LOCAL, "no_draws", False)
+    _LOCAL.no_draws = True
+    try:
+        yield
+    finally:
+        _LOCAL.no_draws = outer
+
+
 def gaussian(gen: np.random.Generator, shape, std: float) -> np.ndarray:
+    if getattr(_LOCAL, "no_draws", False):
+        return np.empty(shape)
     return gen.normal(0.0, std, size=shape)
 
 

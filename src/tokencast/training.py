@@ -21,7 +21,7 @@ from .tensor import Tape, Tensor
 
 
 class NumericError(RuntimeError):
-    """Training produced a non-finite loss; carries a diagnostic dump."""
+    """Training produced a non-finite loss or gradient norm; carries a diagnostic dump."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
@@ -151,6 +151,28 @@ def naive_repeat_last_mse(windows, batch_size: int = 64) -> float:
     return total_se / count
 
 
+def _numeric_failure(what: str, epoch: int, step: int, loss: float, task: Tensor,
+                     batch, pred: Tensor, lr: float, **extra) -> NumericError:
+    """The error for a non-finite `what`, with the step's input and output ranges."""
+    return NumericError(
+        f"non-finite {what} at epoch {epoch} step {step}",
+        diagnostics={
+            "epoch": epoch,
+            "step": step,
+            "loss": loss,
+            "task_loss": task.item(),
+            "x_min": float(batch.x.min()),
+            "x_max": float(batch.x.max()),
+            "y_min": float(batch.y.min()),
+            "y_max": float(batch.y.max()),
+            "pred_min": float(pred.data.min()),
+            "pred_max": float(pred.data.max()),
+            "lr": lr,
+            **extra,
+        },
+    )
+
+
 def train(model, train_windows, val_windows, cfg: TrainConfig) -> TrainResult:
     """Fit the model's trainable parameters; returns per-epoch history.
 
@@ -183,24 +205,13 @@ def train(model, train_windows, val_windows, cfg: TrainConfig) -> TrainResult:
                 loss = total_loss(task, stats, cfg.lambda_lb)
                 loss_val = loss.item()
                 if not np.isfinite(loss_val):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch} step {steps}",
-                        diagnostics={
-                            "epoch": epoch,
-                            "step": steps,
-                            "loss": loss_val,
-                            "task_loss": task.item(),
-                            "x_min": float(batch.x.min()),
-                            "x_max": float(batch.x.max()),
-                            "y_min": float(batch.y.min()),
-                            "y_max": float(batch.y.max()),
-                            "pred_min": float(pred.data.min()),
-                            "pred_max": float(pred.data.max()),
-                            "lr": cfg.lr,
-                        },
-                    )
+                    raise _numeric_failure("loss", epoch, steps, loss_val, task,
+                                           batch, pred, cfg.lr)
                 tape.backward(loss)
-            clip_gradients(params, cfg.clip_norm)
+            grad_norm = clip_gradients(params, cfg.clip_norm)
+            if not np.isfinite(grad_norm):
+                raise _numeric_failure("gradient norm", epoch, steps, loss_val, task,
+                                       batch, pred, cfg.lr, grad_norm=grad_norm)
             opt.step()
             opt.zero_grad()
             epoch_loss += task.item()

@@ -4,10 +4,15 @@ import dataclasses
 import hashlib
 import json
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tokencast import rng
 from tokencast.backbone import pretrain_then_freeze
 from tokencast.checkpoint import (
     MAGIC,
@@ -197,3 +202,143 @@ def test_variant_and_config_survive(tmp_path):
     assert loaded.cfg.rank == 3
     x = np.random.Generator(np.random.PCG64(1)).normal(size=(2, 2, 12))
     np.testing.assert_array_equal(m.predict(x), loaded.predict(x))
+
+
+def record_fields(raw: bytes) -> list[dict]:
+    """Offsets of each tensor record's fields in a saved checkpoint."""
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    (count,) = struct.unpack_from("<I", raw, 12 + hlen)
+    pos = 12 + hlen + 4
+    records = []
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<H", raw, pos)
+        name_at = pos + 2
+        ndim = raw[name_at + nlen]
+        plen_at = name_at + nlen + 1 + 4 * ndim
+        (plen,) = struct.unpack_from("<Q", raw, plen_at)
+        records.append({"start": pos, "name_at": name_at, "plen_at": plen_at,
+                        "payload_at": plen_at + 8})
+        pos = plen_at + 8 + plen
+    assert pos == len(raw)
+    return records
+
+
+def framing_offsets(raw: bytes) -> list[int]:
+    """Every byte of the binary framing; header JSON and payloads carry no checksum."""
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    offsets = [*range(12), *range(12 + hlen, 12 + hlen + 4)]  # magic..hlen, count
+    for rec in record_fields(raw):
+        offsets += range(rec["start"], rec["payload_at"])
+    return offsets
+
+
+@pytest.fixture(scope="module")
+def tiny_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "model.ckpt"
+    save_checkpoint(path, trained_model())
+    return path.read_bytes()
+
+
+def test_corrupt_tensor_name_rejected(tmp_path, tiny_bytes):
+    raw = bytearray(tiny_bytes)
+    raw[record_fields(raw)[0]["name_at"]] = 0xFF  # never valid in UTF-8
+    path = tmp_path / "bad_name.ckpt"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="tensor name"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("plen", [2**40, 2**64 - 1], ids=["1TiB", "u64_max"])
+def test_corrupt_payload_length_rejected_before_reading(tmp_path, tiny_bytes, plen):
+    raw = bytearray(tiny_bytes)
+    at = record_fields(raw)[0]["plen_at"]
+    raw[at : at + 8] = struct.pack("<Q", plen)
+    path = tmp_path / "bad_plen.ckpt"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="payload size mismatch"):
+        load_checkpoint(path)
+
+
+def test_corrupt_header_length_rejected_before_allocating(tmp_path, tiny_bytes):
+    raw = bytearray(tiny_bytes)
+    raw[8:12] = struct.pack("<I", 0xFFFFFFFF)
+    path = tmp_path / "bad_hlen.ckpt"
+    path.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="truncated"):
+            read_header(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def golden_full_bytes(path):
+    save_checkpoint(path, Forecaster(RunConfig(variant="full", seed=0).validate()))
+    raw = path.read_bytes()
+    return len(raw), hashlib.sha256(raw).hexdigest()
+
+
+def test_no_draws_leaves_generator_untouched():
+    gen = rng.generator(3, "probe")
+    before = gen.bit_generator.state
+    with rng.no_draws():
+        out = rng.gaussian(gen, (4, 5), 0.02)
+    assert out.shape == (4, 5) and out.dtype == np.float64
+    assert gen.bit_generator.state == before
+    rng.gaussian(gen, (4, 5), 0.02)
+    assert gen.bit_generator.state != before
+
+
+def test_no_draws_stays_on_its_own_thread(tmp_path):
+    got = {}
+
+    def build():
+        got["full"] = golden_full_bytes(tmp_path / "thread.ckpt")
+
+    with rng.no_draws():
+        worker = threading.Thread(target=build)
+        worker.start()
+        worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert got["full"] == GOLDEN["full"]
+
+
+def test_failed_load_leaves_draws_on(tmp_path):
+    # validate() raises inside the load's no-draws block
+    header = {"config": {**dataclasses.asdict(tiny_cfg()), "heads": 3}, "seed": 5,
+              "step": 0, "prng_state": None}
+    with pytest.raises(CheckpointError):
+        load_checkpoint(with_header(tmp_path, json.dumps(header).encode()))
+    assert golden_full_bytes(tmp_path / "after.ckpt") == GOLDEN["full"]
+
+
+@pytest.fixture(scope="module")
+def scratch_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("edited") / "edited.ckpt"
+
+
+# Derandomized, so tier-1 runs the same examples every time.
+FUZZ = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@FUZZ
+@given(data=st.data())
+def test_every_strict_prefix_rejected(tiny_bytes, scratch_path, data):
+    cut = data.draw(st.integers(0, len(tiny_bytes) - 1), label="prefix length")
+    scratch_path.write_bytes(tiny_bytes[:cut])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(scratch_path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_every_framing_byte_flip_rejected(tiny_bytes, scratch_path, data):
+    at = data.draw(st.sampled_from(framing_offsets(tiny_bytes)), label="offset")
+    flip = data.draw(st.integers(1, 255), label="xor mask")
+    raw = bytearray(tiny_bytes)
+    raw[at] ^= flip
+    scratch_path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(scratch_path)

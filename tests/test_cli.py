@@ -136,6 +136,16 @@ def test_numeric_overflow_exits_4(tmp_path, capsys):
     assert "numeric failure" in err and "pred_max" in err
 
 
+def test_diverging_gradient_norm_exits_4(tmp_path, capsys):
+    # the loss stays finite (about 1e104) while the squared grad norm overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["train", "--synthetic", "sine", "--length", "300",
+                         "--epochs", "1", "--lr", "1e9", "--out", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "grad" in err and "Traceback" not in err
+
+
 def test_eval_writes_reports(tmp_path, capsys):
     ckpt = train_tiny(tmp_path)
     out = tmp_path / "eval"
@@ -233,6 +243,23 @@ def test_forecast_version_1_checkpoint_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "version" in err and "Traceback" not in err
+
+
+def test_forecast_corrupt_tensor_name_exits_3(tmp_path, capsys):
+    ckpt = train_tiny(tmp_path / "run")
+    raw = bytearray(ckpt.read_bytes())
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    raw[12 + hlen + 4 + 2] = 0xFF  # first byte of the first tensor name
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(raw))
+    hist = tmp_path / "hist.csv"
+    assert cli.main(["synth", "--length", "40", "--output", str(hist)]) == 0
+    capsys.readouterr()
+    code = cli.main(["forecast", "--checkpoint", str(bad), "--input", str(hist),
+                     "--date-column", "date", "--output", str(tmp_path / "fc.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "tensor name" in err and "Traceback" not in err
 
 
 def test_ablate_table_contract(tmp_path, capsys):
