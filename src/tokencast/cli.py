@@ -420,7 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # overflow on the way to a non-finite loss or grad norm is reported
+        # by the numeric guards (exit 4), not as numpy warnings on stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ConfigError, MetricError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

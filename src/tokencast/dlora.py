@@ -3,7 +3,9 @@
 Every block linear can carry an adapter: x' = x W + ((x A) g) B, with
 g a binary gate chosen per sample by that layer's router and applied to the
 rank-r intermediate x A, so a closed gate zeroes r columns, not d_out. The
-product A B is never materialized; the adapter path is two thin matmuls.
+product A B is never materialized; the delta is one tape op
+(`tensor.lora_linear`) of two thin matmuls, added in place into the base
+product x W, which never escapes it.
 Gates are constants to the gradient tape, so router weights learn only
 through the load-balance term, which is built from the differentiable mean
 gate probabilities.
@@ -52,17 +54,15 @@ def apply(x: Tensor, weight: Tensor, bias: Tensor | None,
 
     `gate` is None (no adapter path) or a 0/1 constant that broadcasts from
     the leading axes of x: a scalar or one value per sample. An all-closed
-    gate skips the adapter; an all-open one skips the gate product.
+    gate skips the adapter; an all-open one skips the gate product. Any open
+    gate records the base matmul and one `lora_linear` delta op.
     """
-    out = T.matmul(x, weight)
-    if adapter is not None and gate is not None:
+    if adapter is None or gate is None or not np.any(gate):
+        out = T.matmul(x, weight)
+    else:
         mask = np.asarray(gate, dtype=np.float64)
-        if mask.any():
-            low = T.matmul(x, adapter.down)
-            if not mask.all():
-                mask = mask.reshape(mask.shape + (1,) * (low.ndim - mask.ndim))
-                low = T.mul(low, Tensor(mask))
-            out = T.add(out, T.matmul(low, adapter.up))
+        mask = None if mask.all() else mask.reshape(mask.shape + (1,) * (x.ndim - mask.ndim))
+        out = T.lora_linear(x, weight, adapter.down, adapter.up, mask)
     if bias is not None:
         out = T.add(out, bias)
     return out

@@ -55,12 +55,27 @@ def silu_grad(x, gout):
     return gout * (s * (1.0 + x * (1.0 - s)))
 
 
-def adamw_update(p, g, m, v, step, lr, beta1, beta2, eps, weight_decay):
-    """One decoupled-weight-decay Adam step, in place on flat arrays."""
+def adamw_update(p, g, m, v, step, lr, beta1, beta2, eps, weight_decay, scratch):
+    """One decoupled-weight-decay Adam step, in place on flat arrays.
+
+    `scratch` is a float64 array of shape (2, >= p.size) that the step
+    overwrites instead of allocating its temporaries; the operations and
+    their order are those of the textbook formula, so results are unchanged.
+    """
+    a, b = scratch[0, : p.size], scratch[1, : p.size]
     m *= beta1
-    m += (1.0 - beta1) * g
+    np.multiply(g, 1.0 - beta1, out=a)
+    m += a
     v *= beta2
-    v += (1.0 - beta2) * (g * g)
-    mhat = m / (1.0 - beta1**step)
-    vhat = v / (1.0 - beta2**step)
-    p -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p)
+    np.multiply(g, g, out=a)
+    a *= 1.0 - beta2
+    v += a
+    np.divide(m, 1.0 - beta1**step, out=a)  # mhat
+    np.divide(v, 1.0 - beta2**step, out=b)  # vhat
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    np.multiply(p, weight_decay, out=b)
+    a += b
+    a *= lr
+    p -= a

@@ -7,8 +7,9 @@ contributions, and an op output's grad is dropped once its pull has run.
 Each pull forms only the grads of inputs that require them, so frozen
 weights and constant inputs cost no backward work. A matmul against a 2-D
 weight folds the leading axes of its left operand into rows and runs as one
-GEMM, forward and backward. Outside a tape every op is forward-only, which
-is what inference wants.
+GEMM, forward and backward. A low-rank adapter delta is one op, lora_linear,
+written in place into a base product that never leaves it. Outside a tape
+every op is forward-only, which is what inference wants.
 
 A Tape and the tensors recorded on it belong to one thread. Independent
 model instances may run on separate threads, each with its own tape.
@@ -342,6 +343,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if b.requires_grad else None)
 
     return _emit(data, (a, b), pull)
+
+
+def lora_linear(x: Tensor, w: Tensor, down: Tensor, up: Tensor, mask) -> Tensor:
+    """x W + ((x A) mask) B with the low-rank delta as one op.
+
+    The base product x W is its own matmul record; the delta is added in
+    place into that fresh buffer, which never leaves this function, so the
+    tape keeps one out-sized array per adapted linear. `mask` is None (all
+    open) or an array that broadcasts against the rank-r intermediate
+    x A of shape (.., r). The delta's pull hands g on to the base product,
+    so grads match the unfused matmul, mul and add records bit for bit.
+    """
+    if (w.ndim != 2 or down.ndim != 2 or up.ndim != 2 or down.shape[0] != w.shape[0]
+            or up.shape != (down.shape[1], w.shape[1])):
+        raise ShapeError(f"lora_linear: factors {down.shape}, {up.shape} do not fit weight {w.shape}")
+    base = matmul(x, w)
+    (k, p), r = w.shape, down.shape[1]
+    x2, ad, ud = x.data.reshape(-1, k), down.data, up.data
+    low = (x2 @ ad).reshape(x.shape[:-1] + (r,))
+    if mask is not None:
+        low = low * mask
+    low2 = low.reshape(-1, r)
+    base.data += (low2 @ ud).reshape(base.shape)
+
+    def pull(g):
+        g2 = np.ascontiguousarray(g).reshape(-1, p)
+        gx = gd = None
+        if x.requires_grad or down.requires_grad:
+            glow = (g2 @ ud.T).reshape(low.shape)
+            if mask is not None:
+                glow = glow * mask
+            glow2 = glow.reshape(-1, r)
+            gx = (glow2 @ ad.T).reshape(x.shape) if x.requires_grad else None
+            gd = x2.T @ glow2 if down.requires_grad else None
+        return (g, gx, gd, low2.T @ g2 if up.requires_grad else None)
+
+    return _emit(base.data, (base, x, down, up), pull)
 
 
 def take_rows(a: Tensor, ids) -> Tensor:

@@ -85,6 +85,7 @@ class AdamW:
         self.step_count = 0
         self._m = {name: np.zeros(p.size) for name, p in self.params.items()}
         self._v = {name: np.zeros(p.size) for name, p in self.params.items()}
+        self._scratch = np.empty((2, max((p.size for p in self.params.values()), default=0)))
 
     def step(self) -> None:
         self.step_count += 1
@@ -94,6 +95,7 @@ class AdamW:
                 p.data.reshape(-1), np.ascontiguousarray(g),
                 self._m[name], self._v[name], self.step_count,
                 self.lr, self.beta1, self.beta2, self.eps, self.weight_decay,
+                self._scratch,
             )
 
     def zero_grad(self) -> None:

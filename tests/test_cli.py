@@ -4,6 +4,7 @@ import json
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,18 @@ def test_diverging_gradient_norm_exits_4(tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert "grad" in err and "Traceback" not in err
+
+
+def test_numeric_failure_emits_no_runtime_warning(tmp_path, capsys):
+    # stderr holds the message and the diagnostics, no numpy warning lines
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["train", "--synthetic", "sine", "--length", "120", "--lookback", "16",
+                         "--horizon", "4", "--epochs", "1", "--lr", "1e200", "--clip-norm", "0",
+                         "--out", str(tmp_path)])
+    assert code == 4
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err.startswith("numeric failure")
 
 
 def test_eval_writes_reports(tmp_path, capsys):

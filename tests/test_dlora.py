@@ -95,18 +95,40 @@ def test_apply_gate_at_rank_r_gradients():
 
 
 @pytest.mark.parametrize("gate, ops", [
-    (1.0, ["matmul", "matmul", "matmul", "add"]),
-    (np.ones(3), ["matmul", "matmul", "matmul", "add"]),
-    (np.array([1.0, 0.0, 1.0]), ["matmul", "matmul", "mul", "matmul", "add"]),
+    (1.0, ["matmul", "lora_linear"]),
+    (np.ones(3), ["matmul", "lora_linear"]),
+    (np.array([1.0, 0.0, 1.0]), ["matmul", "lora_linear"]),
     (np.zeros(3), ["matmul"]),
     (0.0, ["matmul"]),
 ], ids=["open_scalar", "open_rows", "mixed_rows", "closed_rows", "closed_scalar"])
 def test_apply_gate_records(gate, ops):
-    # an all-open gate records no gate product; an all-closed one no adapter
+    # an open gate adds one delta op on the base product; an all-closed one none
     ad = make_adapter()
     with T.Tape() as tape:
         apply(Tensor(rand((3, 5, 6), 16)), T.parameter(rand((6, 6), 17)), None, ad, gate)
     assert tape_ops(tape) == ops
+
+
+def _open_gate_run(linear):
+    ad = make_adapter()
+    ad.up.data[...] = rand((2, 6), 18)
+    x, w = T.parameter(rand((3, 5, 6), 19)), T.parameter(rand((6, 6), 20))
+    with T.Tape() as tape:
+        out = linear(x, w, ad)
+        tape.backward(T.total(T.square(out)))
+    return [out.data, x.grad, w.grad, ad.down.grad, ad.up.grad]
+
+
+@pytest.mark.parametrize("gate", [1.0, np.ones(3)], ids=["open_scalar", "open_rows"])
+def test_apply_open_gate_skips_gate_product(gate, monkeypatch):
+    # an all-open gate passes no mask, and gives what a gate of ones gives
+    fused, masks = T.lora_linear, []
+    monkeypatch.setattr(T, "lora_linear", lambda *args: masks.append(args[-1]) or fused(*args))
+    open_run = _open_gate_run(lambda x, w, ad: apply(x, w, None, ad, gate))
+    assert masks == [None]
+    ones_run = _open_gate_run(lambda x, w, ad: fused(x, w, ad.down, ad.up, np.ones((3, 1, 1))))
+    for a, b in zip(open_run, ones_run):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_adapter_rank_cap_enforced():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import assert_grads_match
 from tokencast import tensor as T
@@ -350,3 +352,105 @@ def test_gradients_are_deterministic():
     gx1, gw1 = run()
     gx2, gw2 = run()
     assert np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
+
+
+# ------------------------------------------------------------- lora_linear
+
+
+def unfused_lora(x, w, down, up, mask):
+    """The delta as separate matmul, mul and add records: the oracle."""
+    base = T.matmul(x, w)
+    low = T.matmul(x, down)
+    if mask is not None:
+        low = T.mul(low, Tensor(mask))
+    return T.add(base, T.matmul(low, up))
+
+
+def sibling_run(linear, masks, trunk_trainable, seed=60):
+    """One normed x through three adapted linears, as q, k and v see it.
+
+    Returns the output and every grad in a fixed order, so two runs over the
+    same data compare element for element.
+    """
+    x0 = T.parameter(rand((3, 5, 8), seed))
+    gain = T.parameter(rand((8,), seed + 1))
+    leaves = [x0, gain]
+    with Tape() as tape:
+        x = T.rmsnorm(x0, gain)
+        outs = []
+        for i, mask in enumerate(masks):
+            w = Tensor(rand((8, 8), seed + 10 + i), requires_grad=trunk_trainable)
+            down = T.parameter(rand((8, 2), seed + 20 + i))
+            up = T.parameter(rand((2, 8), seed + 30 + i))
+            leaves += [w, down, up]
+            outs.append(linear(x, w, down, up, mask))
+        y = T.attention(*outs, heads=2)
+        tape.backward(T.total(T.square(y)))
+    return [y.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("masks", [
+    [None] * 3,
+    [np.array(1.0)] * 3,
+    [np.array([1.0, 0.0, 1.0]).reshape(3, 1, 1), np.array([0.0, 1.0, 1.0]).reshape(3, 1, 1),
+     np.array([1.0, 1.0, 0.0]).reshape(3, 1, 1)],
+], ids=["all_open", "scalar", "mixed_rows"])
+@pytest.mark.parametrize("trunk_trainable", [False, True], ids=["frozen_trunk", "pretrain"])
+def test_lora_linear_bit_identical_to_unfused_records(masks, trunk_trainable):
+    fused = sibling_run(T.lora_linear, masks, trunk_trainable)
+    oracle = sibling_run(unfused_lora, masks, trunk_trainable)
+    assert (fused[3] is None) == (not trunk_trainable)
+    for a, b in zip(fused, oracle):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("trainable", ["frozen_weight", "constant_input"])
+def test_lora_linear_gradients(trainable):
+    x = Tensor(rand((3, 4, 6), 70), requires_grad=trainable != "constant_input")
+    w = Tensor(rand((6, 5), 71), requires_grad=trainable != "frozen_weight")
+    down, up = T.parameter(rand((6, 2), 72)), T.parameter(rand((2, 5), 73))
+    mask = np.array([1.0, 0.0, 1.0]).reshape(3, 1, 1)
+    learn = [t for t in (x, w, down, up) if t.requires_grad]
+    assert_grads_match(lambda: T.total(T.square(T.lora_linear(x, w, down, up, mask))), learn)
+    assert all(t.grad is None for t in (x, w) if not t.requires_grad)
+
+
+def test_lora_linear_rejects_factors_that_do_not_fit():
+    x, w = Tensor(np.zeros((2, 6))), Tensor(np.zeros((6, 5)))
+    with pytest.raises(ShapeError):
+        T.lora_linear(x, w, Tensor(np.zeros((6, 2))), Tensor(np.zeros((2, 4))), None)
+    with pytest.raises(ShapeError):
+        T.lora_linear(x, w, Tensor(np.zeros((5, 2))), Tensor(np.zeros((2, 5))), None)
+
+
+@st.composite
+def lora_cases(draw):
+    lead = draw(st.lists(st.integers(1, 3), min_size=0, max_size=3), label="leading shape")
+    rows = draw(st.integers(1, 4), label="rows")
+    d_in, d_out = draw(st.integers(1, 6), label="d_in"), draw(st.integers(1, 6), label="d_out")
+    r = draw(st.integers(1, 3), label="rank")
+    mask = None
+    if draw(st.booleans(), label="gated"):
+        shape = tuple(draw(st.sampled_from([1, n])) for n in lead) + (1, 1)
+        mask = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape)))), dtype=np.float64).reshape(shape)
+    return tuple(lead) + (rows, d_in), d_out, r, mask, draw(st.integers(0, 2**16), label="seed")
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(case=lora_cases())
+def test_lora_linear_matches_unfused_records_property(case):
+    x_shape, d_out, r, mask, seed = case
+    d_in = x_shape[-1]
+
+    def run(linear):
+        x = T.parameter(rand(x_shape, seed))
+        w, down, up = (T.parameter(rand(s, seed + i + 1))
+                       for i, s in enumerate([(d_in, d_out), (d_in, r), (r, d_out)]))
+        with Tape() as tape:
+            y = linear(x, w, down, up, mask)
+            tape.backward(T.total(T.square(y)))
+        return [y.data, x.grad, w.grad, down.grad, up.grad]
+
+    for a, b in zip(run(T.lora_linear), run(unfused_lora)):
+        np.testing.assert_array_equal(a, b)

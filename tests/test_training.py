@@ -1,5 +1,7 @@
 """Optimizer laws, loss oracles, and training-loop behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,21 @@ def test_adamw_descends_against_gradient_sign():
     p.grad = np.array([3.0, -3.0])
     tr.AdamW({"p": p}, lr=0.01).step()
     assert p.data[0] < 0 < p.data[1]
+
+
+def test_adamw_step_allocates_no_array_sized_block():
+    p = T.parameter(np.linspace(-1.0, 1.0, 50_000))
+    small = T.parameter(np.ones(7))
+    opt = tr.AdamW({"p": p, "small": small}, lr=0.1, weight_decay=0.1)
+    p.grad, small.grad = np.full(p.shape, 0.5), np.ones(7)
+    opt.step()
+    tracemalloc.start()
+    try:
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p.data.nbytes // 10
 
 
 def test_adamw_skips_frozen_params():
