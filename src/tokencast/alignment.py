@@ -36,8 +36,6 @@ class PromptEmbedding:
     """Trainable bucket table plus the hashed ids of one prompt."""
 
     def __init__(self, dim: int, buckets: int, seed: int):
-        if buckets < 1:
-            raise ShapeError(f"need at least one bucket, got {buckets}")
         gen = rng.generator(seed, "prompt_table")
         self.dim = dim
         self.buckets = buckets
@@ -57,8 +55,6 @@ class CrossAttention:
     """Multi-head cross-attention; head k owns columns [k*dh, (k+1)*dh)."""
 
     def __init__(self, dim: int, heads: int, seed: int):
-        if heads < 1 or dim % heads != 0:
-            raise ShapeError(f"heads ({heads}) must divide dim ({dim})")
         gen = rng.generator(seed, "alignment")
         self.dim = dim
         self.heads = heads

@@ -12,19 +12,23 @@ The stack is a stand-in for a pretrained language-model trunk at desk
 scale: either randomly initialized and frozen, or briefly pretrained on
 synthetic next-window prediction and then frozen. Either way the stack is
 frozen from construction on; pretraining unfreezes it for its own steps.
+
+Every shape comes straight from the run's RunConfig (dim, heads, ffn_dim,
+layers, causal_mask, pretrain_mode) and the trunk draws from `cfg.seed`.
+Nothing here re-checks the config: `RunConfig.validate()` holds the bounds,
+and `Forecaster` calls it before building the trunk.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import dlora
 from . import rng
 from . import tensor as T
-from .config import PRETRAIN_MODES
+from .config import RunConfig
 from .tensor import ShapeError, Tensor
 
 INIT_STD = 0.02
@@ -32,27 +36,7 @@ NORM_EPS = 1e-6
 MASK_FILL = -1e30
 
 
-@dataclass
-class BackboneConfig:
-    layers: int = 4
-    dim: int = 64
-    heads: int = 4
-    ffn_dim: int = 256
-    causal_mask: bool = False
-    pretrain_mode: str = "random_frozen"  # one of PRETRAIN_MODES
-
-    def __post_init__(self):
-        if self.layers < 0:
-            raise ShapeError(f"layers must be >= 0, got {self.layers}")
-        if self.dim < 1 or self.heads < 1 or self.dim % self.heads != 0:
-            raise ShapeError(f"heads ({self.heads}) must divide dim ({self.dim})")
-        if self.ffn_dim < 1:
-            raise ShapeError(f"ffn_dim must be positive, got {self.ffn_dim}")
-        if self.pretrain_mode not in PRETRAIN_MODES:
-            raise ShapeError(f"unknown pretrain_mode '{self.pretrain_mode}'")
-
-
-def module_dims(cfg: BackboneConfig) -> dict[str, tuple[int, int]]:
+def module_dims(cfg: RunConfig) -> dict[str, tuple[int, int]]:
     d, f = cfg.dim, cfg.ffn_dim
     return {
         "q_proj": (d, d),
@@ -66,7 +50,7 @@ def module_dims(cfg: BackboneConfig) -> dict[str, tuple[int, int]]:
 
 
 class TransformerBlock:
-    def __init__(self, cfg: BackboneConfig, gen: np.random.Generator):
+    def __init__(self, cfg: RunConfig, gen: np.random.Generator):
         self.cfg = cfg
         self.weights = {
             name: T.parameter(rng.gaussian(gen, (d_in, d_out), INIT_STD))
@@ -113,10 +97,9 @@ class TransformerBlock:
 class Backbone:
     """A stack of blocks, frozen from construction on."""
 
-    def __init__(self, cfg: BackboneConfig, seed: int):
+    def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.seed = seed
-        gen = rng.generator(seed, "backbone")
+        gen = rng.generator(cfg.seed, "backbone")
         self.blocks = [TransformerBlock(cfg, gen) for _ in range(cfg.layers)]
         self.freeze()
 

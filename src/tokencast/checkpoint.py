@@ -18,7 +18,8 @@ A load never redraws the initialization: it builds the model's tensors
 empty and fills each from the file. It validates each record (name, shape
 and payload length) before reading its payload straight into the
 tensor's own buffer, and it restores every tensor or raises
-CheckpointError.
+CheckpointError. A header config that `Forecaster` rejects (its one
+`RunConfig.validate()` call) is a CheckpointError too.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 from . import rng
 from .config import ConfigError, RunConfig
 from .model import Forecaster
-from .tensor import ShapeError
 
 MAGIC = b"DLF1"
 VERSION = 2
@@ -135,9 +135,9 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
             # Every tensor is overwritten below or the load raises, so the
             # model is built without drawing its initialization.
             with rng.no_draws():
-                model = Forecaster(RunConfig(**header["config"]).validate())
+                model = Forecaster(RunConfig(**header["config"]))
             meta = {k: header[k] for k in ("seed", "step", "prng_state")}
-        except (ConfigError, ShapeError, KeyError, TypeError) as exc:
+        except (ConfigError, KeyError, TypeError) as exc:
             raise CheckpointError(
                 f"checkpoint header describes no valid model: {exc}"
             ) from None

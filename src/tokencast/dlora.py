@@ -9,6 +9,10 @@ product x W, which never escapes it.
 Gates are constants to the gradient tape, so router weights learn only
 through the load-balance term, which is built from the differentiable mean
 gate probabilities.
+
+Adapters and routers take their shapes from a RunConfig that `Forecaster`
+has already validated (rank within min(dim, ffn_dim) // 2, n_active within
+[1, 7], a known router activation), so they do not check them again.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import numpy as np
 
 from . import rng
 from . import tensor as T
-from .config import ROUTER_ACTIVATIONS
 from .tensor import ShapeError, Tensor
 
 MODULE_NAMES = ("q_proj", "k_proj", "v_proj", "o_proj", "gate_proj", "up_proj", "down_proj")
@@ -31,16 +34,7 @@ ROUTER_INIT_STD = 0.02
 class LoraAdapter:
     """Rank-r factors for one linear: down (d_in, r) Gaussian, up (r, d_out) zero."""
 
-    def __init__(self, name: str, d_in: int, d_out: int, r: int, gen: np.random.Generator):
-        if r < 1:
-            raise ShapeError(f"adapter '{name}': rank must be positive, got {r}")
-        if r > min(d_in, d_out) // 2:
-            raise ShapeError(
-                f"adapter '{name}': rank {r} exceeds min({d_in}, {d_out})/2; "
-                "a low-rank update must stay thin"
-            )
-        self.name = name
-        self.rank = r
+    def __init__(self, d_in: int, d_out: int, r: int, gen: np.random.Generator):
         self.down = T.parameter(rng.gaussian(gen, (d_in, r), ADAPTER_INIT_STD))
         self.up = T.parameter(np.zeros((r, d_out)))
 
@@ -71,12 +65,7 @@ def apply(x: Tensor, weight: Tensor, bias: Tensor | None,
 class LoraRouter:
     """Per-layer gate chooser: probs = softmax(tanh(pooled) @ weight)."""
 
-    def __init__(self, dim: int, n_active: int, layer: int, seed: int,
-                 activation: str = "tanh"):
-        if not (1 <= n_active <= N_MODULES):
-            raise ShapeError(f"n_active must be in [1, {N_MODULES}], got {n_active}")
-        if activation not in ROUTER_ACTIVATIONS:
-            raise ShapeError(f"unknown router activation '{activation}'")
+    def __init__(self, dim: int, layer: int, seed: int, activation: str = "tanh"):
         gen = rng.generator(seed, f"router:{layer}")
         self.dim = dim
         self.activation = activation

@@ -44,8 +44,6 @@ class TsEmbedder:
     """Two linear layers with SiLU between, applied per channel token."""
 
     def __init__(self, lookback: int, dim: int, seed: int):
-        if lookback < 1 or dim < 1:
-            raise ShapeError(f"embedder needs positive dims, got {lookback}, {dim}")
         self.lookback = lookback
         self.dim = dim
         hidden = 2 * dim

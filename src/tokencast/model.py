@@ -13,6 +13,9 @@ horizon, de-normalization. Variants switch parts of that pipeline:
 Every component draws its initialization from a generator keyed by the run
 seed and the component's name, so two variants built from the same seed
 hold bit-identical copies of every component they share.
+
+The constructor validates the RunConfig once; the components it builds
+take their shapes from it unchecked.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from . import dlora
 from . import rng
 from . import tensor as T
 from .alignment import CrossAttention, PromptEmbedding
-from .backbone import Backbone, BackboneConfig, module_dims
-from .config import ROUTED_VARIANTS, RunConfig, VARIANTS
+from .backbone import Backbone, module_dims
+from .config import ROUTED_VARIANTS, RunConfig
 from .dlora import (
     MODULE_NAMES,
     LoraAdapter,
@@ -40,15 +43,9 @@ from .tensor import ShapeError, Tensor
 
 class Forecaster:
     def __init__(self, cfg: RunConfig):
-        if cfg.variant not in VARIANTS:
-            raise ShapeError(f"unknown variant '{cfg.variant}'")
-        self.cfg = cfg
+        self.cfg = cfg.validate()  # the one check of every shape below
         self.variant = cfg.variant
-        bb_cfg = BackboneConfig(
-            layers=cfg.layers, dim=cfg.dim, heads=cfg.heads, ffn_dim=cfg.ffn_dim,
-            causal_mask=cfg.causal_mask, pretrain_mode=cfg.pretrain_mode,
-        )
-        self.backbone = Backbone(bb_cfg, cfg.seed)
+        self.backbone = Backbone(cfg)
         self.embedder = TsEmbedder(cfg.lookback, cfg.dim, cfg.seed)
         self.head = OutputHead(cfg.dim, cfg.horizon, cfg.seed)
 
@@ -72,14 +69,13 @@ class Forecaster:
             for layer in range(cfg.layers):
                 gen = rng.generator(cfg.seed, f"adapters:{layer}")
                 self.adapters.append({
-                    name: LoraAdapter(f"block{layer}.{name}", d_in, d_out, cfg.rank, gen)
-                    for name, (d_in, d_out) in module_dims(bb_cfg).items()
+                    name: LoraAdapter(d_in, d_out, cfg.rank, gen)
+                    for name, (d_in, d_out) in module_dims(cfg).items()
                 })
         self.routers: list[LoraRouter] = []
         if self.uses_routers:
             self.routers = [
-                LoraRouter(cfg.dim, cfg.n_active, layer, cfg.seed,
-                           activation=cfg.router_activation)
+                LoraRouter(cfg.dim, layer, cfg.seed, activation=cfg.router_activation)
                 for layer in range(cfg.layers)
             ]
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from tokencast import cli, rng, training
 from tokencast import tensor as T
-from tokencast.backbone import Backbone, BackboneConfig, module_dims
+from tokencast.backbone import Backbone, module_dims
 from tokencast.config import RunConfig, build_config
 from tokencast.data import DataError, SeriesView, few_shot_subset, synth_generate
 from tokencast.dlora import (
@@ -139,12 +139,12 @@ def test_criterion_01_gradient_suite():
 
 
 def test_criterion_02_gate_laws():
-    cfg = BackboneConfig(layers=2, dim=8, heads=2, ffn_dim=16)
-    bb = Backbone(cfg, seed=3)
+    cfg = tiny_cfg(seed=3)
+    bb = Backbone(cfg)
     gen = np.random.Generator(np.random.PCG64(21))
     dims = module_dims(cfg)
     adapters = [
-        {name: LoraAdapter(name, d_in, d_out, 2, gen)
+        {name: LoraAdapter(d_in, d_out, 2, gen)
          for name, (d_in, d_out) in dims.items()}
         for _ in range(cfg.layers)
     ]
@@ -168,7 +168,7 @@ def test_criterion_02_gate_laws():
     assert gap_up <= 1e-12
 
     # rank-1 hand example: x=[2,3], W=I, correction is [0, x0] -> [2, 5]
-    ad = LoraAdapter("t", 2, 2, 1, gen)
+    ad = LoraAdapter(2, 2, 1, gen)
     ad.down.data[...] = [[1.0], [0.0]]
     ad.up.data[...] = [[0.0, 1.0]]
     out = apply(Tensor([[2.0, 3.0]]), Tensor(np.eye(2)), None, ad, 1.0)

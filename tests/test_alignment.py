@@ -47,11 +47,6 @@ def test_alignment_identity_at_init():
     np.testing.assert_array_equal(out.data, ts.data)
 
 
-def test_alignment_heads_must_divide():
-    with pytest.raises(ShapeError, match="divide"):
-        CrossAttention(dim=8, heads=3, seed=0)
-
-
 def test_alignment_single_prompt_token_attends_fully():
     # one key: every attention weight is exactly 1, so each head adds V
     ca = CrossAttention(dim=4, heads=2, seed=4)

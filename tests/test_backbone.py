@@ -5,11 +5,8 @@ import pytest
 
 from tokencast import rng
 from tokencast import tensor as T
-from tokencast.backbone import (
-    Backbone,
-    BackboneConfig,
-    pretrain_then_freeze,
-)
+from tokencast.backbone import Backbone, pretrain_then_freeze
+from tokencast.config import RunConfig
 from tokencast.data import MultivariateSeries, SplitSpec, chronological_split
 from tokencast.dlora import MODULE_NAMES, LoraAdapter
 from tokencast.tensor import ShapeError, Tensor
@@ -20,9 +17,9 @@ def rand(shape, seed):
 
 
 def small_cfg(**kw):
-    base = dict(layers=2, dim=8, heads=2, ffn_dim=16)
+    base = dict(layers=2, dim=8, heads=2, ffn_dim=16, align_heads=2, rank=2)
     base.update(kw)
-    return BackboneConfig(**base)
+    return RunConfig(**base)
 
 
 def make_adapters(block, r=2, seed=0):
@@ -30,7 +27,7 @@ def make_adapters(block, r=2, seed=0):
     out = {}
     for name in MODULE_NAMES:
         w = block.weights[name]
-        out[name] = LoraAdapter(name, w.shape[0], w.shape[1], r, gen)
+        out[name] = LoraAdapter(w.shape[0], w.shape[1], r, gen)
         out[name].up.data[...] = rand((r, w.shape[1]), seed + hash(name) % 97) * 0.1
     return out
 
@@ -83,7 +80,7 @@ def np_block(h, block, adapters=None, gate=0.0):
 
 
 def test_closed_gates_match_plain_block_exactly():
-    bb = Backbone(small_cfg(), seed=1)
+    bb = Backbone(small_cfg(seed=1))
     block = bb.blocks[0]
     adapters = make_adapters(block)
     h = Tensor(rand((5, 8), 2))
@@ -94,12 +91,11 @@ def test_closed_gates_match_plain_block_exactly():
 
 
 def test_zero_up_factors_match_plain_block_exactly():
-    bb = Backbone(small_cfg(), seed=3)
+    bb = Backbone(small_cfg(seed=3))
     block = bb.blocks[0]
     gen = rng.generator(0, "zero_up")
     adapters = {
-        name: LoraAdapter(name, block.weights[name].shape[0],
-                          block.weights[name].shape[1], 2, gen)
+        name: LoraAdapter(block.weights[name].shape[0], block.weights[name].shape[1], 2, gen)
         for name in MODULE_NAMES
     }  # up factors start at zero
     h = Tensor(rand((5, 8), 4))
@@ -110,7 +106,7 @@ def test_zero_up_factors_match_plain_block_exactly():
 
 
 def test_block_matches_numpy_oracle():
-    bb = Backbone(small_cfg(), seed=5)
+    bb = Backbone(small_cfg(seed=5))
     block = bb.blocks[0]
     adapters = make_adapters(block, seed=6)
     h = rand((6, 8), 7)
@@ -122,7 +118,7 @@ def test_block_matches_numpy_oracle():
 
 @pytest.mark.parametrize("causal", [False, True])
 def test_batched_multi_head_block_matches_numpy_oracle(causal):
-    bb = Backbone(small_cfg(heads=4, causal_mask=causal), seed=32)
+    bb = Backbone(small_cfg(heads=4, causal_mask=causal, seed=32))
     block = bb.blocks[0]
     adapters = make_adapters(block, seed=33)
     h = rand((3, 6, 8), 34)
@@ -133,7 +129,7 @@ def test_batched_multi_head_block_matches_numpy_oracle(causal):
 
 def test_block_single_token_attention_is_identity_weight():
     # one token: softmax over a single key is exactly 1
-    bb = Backbone(small_cfg(), seed=8)
+    bb = Backbone(small_cfg(seed=8))
     block = bb.blocks[0]
     h = rand((1, 8), 9)
     ours = block.forward(Tensor(h)).data
@@ -141,7 +137,7 @@ def test_block_single_token_attention_is_identity_weight():
 
 
 def test_zero_layer_backbone_is_identity():
-    bb = Backbone(small_cfg(layers=0), seed=10)
+    bb = Backbone(small_cfg(layers=0, seed=10))
     h = Tensor(rand((4, 8), 11))
     assert bb.forward(h) is h
 
@@ -149,7 +145,7 @@ def test_zero_layer_backbone_is_identity():
 def test_gate_source_sees_each_layer_input():
     # routing reads the state entering each block: layer 0 sees the input
     # itself, later layers see the previous block's output
-    bb = Backbone(small_cfg(layers=3), seed=12)
+    bb = Backbone(small_cfg(layers=3, seed=12))
     h = Tensor(rand((2, 4, 8), 13))
     seen = []
     # the recording gate source returns None: every adapter stays off
@@ -162,7 +158,7 @@ def test_gate_source_sees_each_layer_input():
 
 
 def test_batched_matches_per_sample():
-    bb = Backbone(small_cfg(), seed=14)
+    bb = Backbone(small_cfg(seed=14))
     x = rand((3, 5, 8), 15)
     batched = bb.forward(Tensor(x))
     for b in range(3):
@@ -171,8 +167,7 @@ def test_batched_matches_per_sample():
 
 
 def test_causal_mask_blocks_future_tokens():
-    cfg = small_cfg(causal_mask=True)
-    bb = Backbone(cfg, seed=16)
+    bb = Backbone(small_cfg(causal_mask=True, seed=16))
     x = rand((4, 8), 17)
     base = bb.forward(Tensor(x))
     bumped = x.copy()
@@ -181,22 +176,22 @@ def test_causal_mask_blocks_future_tokens():
     # first token cannot see the change under the causal mask
     np.testing.assert_array_equal(base.data[0], out.data[0])
     # bidirectional attention does propagate it
-    bb2 = Backbone(small_cfg(), seed=16)
+    bb2 = Backbone(small_cfg(seed=16))
     base2 = bb2.forward(Tensor(x))
     out2 = bb2.forward(Tensor(bumped))
     assert not np.array_equal(base2.data[0], out2.data[0])
 
 
 def test_construction_is_deterministic():
-    a = Backbone(small_cfg(), seed=20)
-    b = Backbone(small_cfg(), seed=20)
+    a = Backbone(small_cfg(seed=20))
+    b = Backbone(small_cfg(seed=20))
     assert a.checksum() == b.checksum()
-    c = Backbone(small_cfg(), seed=21)
+    c = Backbone(small_cfg(seed=21))
     assert a.checksum() != c.checksum()
 
 
 def test_random_frozen_freezes_at_construction():
-    bb = Backbone(small_cfg(), seed=22)
+    bb = Backbone(small_cfg(seed=22))
     assert bb.frozen
     assert all(not t.requires_grad for t in bb.tensors().values())
     assert all(t.grad is None for t in bb.tensors().values())
@@ -204,20 +199,19 @@ def test_random_frozen_freezes_at_construction():
 
 def test_frozen_tensor_count_expectation():
     for layers in (1, 2, 4):
-        bb = Backbone(small_cfg(layers=layers), seed=23)
+        bb = Backbone(small_cfg(layers=layers, seed=23))
         # 7 bias-free linear weights plus 2 norm gains per block
         assert bb.frozen_tensor_count() == layers * 9
 
 
 def test_parameter_count_arithmetic():
     # per block: 4 d*d + 2 d*f + f*d + 2d
-    assert Backbone(small_cfg(layers=2), seed=24).parameter_count() == 2 * 656
-    desk = BackboneConfig(layers=4, dim=64, heads=4, ffn_dim=256)
-    assert Backbone(desk, seed=24).parameter_count() == 4 * 65664
+    assert Backbone(small_cfg(layers=2, seed=24)).parameter_count() == 2 * 656
+    assert Backbone(RunConfig(seed=24)).parameter_count() == 4 * 65664  # desk
 
 
 def test_frozen_params_never_gain_grads():
-    bb = Backbone(small_cfg(), seed=25)
+    bb = Backbone(small_cfg(seed=25))
     h = Tensor(rand((3, 8), 26))
     with T.Tape() as tape:
         out = bb.forward(h)
@@ -228,7 +222,7 @@ def test_frozen_params_never_gain_grads():
 def test_optimizer_step_leaves_frozen_backbone_unchanged():
     from tokencast.training import AdamW
 
-    bb = Backbone(small_cfg(), seed=27)
+    bb = Backbone(small_cfg(seed=27))
     before = bb.checksum()
     extra = T.parameter(rand((4, 4), 28))
     opt = AdamW({**bb.tensors(), "extra": extra}, lr=0.1)
@@ -246,8 +240,7 @@ def test_pretrain_then_freeze_runs_and_freezes():
         name="p", values=np.sin(np.arange(400.0) / 7.0).reshape(400, 1)
     )
     view, _, _ = chronological_split(series, SplitSpec(400, 0, 0), lookback=16)
-    cfg = small_cfg(pretrain_mode="pretrain_then_freeze")
-    bb = Backbone(cfg, seed=30)
+    bb = Backbone(small_cfg(pretrain_mode="pretrain_then_freeze", seed=30))
     assert bb.frozen  # frozen at construction; pretraining unfreezes for its steps
     losses = pretrain_then_freeze(bb, view, lookback=16, horizon=4, steps=12, seed=30)
     assert bb.frozen and len(losses) == 12
@@ -257,11 +250,7 @@ def test_pretrain_then_freeze_runs_and_freezes():
 def test_pretrain_rejects_random_frozen_mode():
     series = MultivariateSeries(name="p", values=np.zeros((100, 1)))
     view, _, _ = chronological_split(series, SplitSpec(100, 0, 0), lookback=8)
-    bb = Backbone(small_cfg(), seed=31)
+    bb = Backbone(small_cfg(seed=31))
     with pytest.raises(ShapeError, match="not configured"):
         pretrain_then_freeze(bb, view, lookback=8, horizon=2, steps=2)
 
-
-def test_heads_must_divide_dim():
-    with pytest.raises(ShapeError, match="divide"):
-        BackboneConfig(layers=1, dim=8, heads=3, ffn_dim=16)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tokencast import tensor as T
-from tokencast.config import RunConfig, build_config
+from tokencast.config import ConfigError, RunConfig, build_config
 from tokencast.dlora import N_MODULES
 from tokencast.model import Forecaster
 from tokencast.tensor import Tensor
@@ -37,6 +37,20 @@ def batch(cfg, b=3, n=2, seed=0):
 
 
 VARIANTS = ["full", "v1_no_align", "v2_prefix_prompt", "v3_static_lora", "v4_frozen"]
+
+
+@pytest.mark.parametrize("bad", [
+    {"heads": 3}, {"align_heads": 3}, {"heads": 0}, {"dim": 0},
+    # rank caps at min(dim, ffn_dim) // 2: 4 here, 1 with ffn_dim 3
+    {"rank": 0}, {"rank": 5}, {"ffn_dim": 3},
+    {"n_active": 0}, {"n_active": 8}, {"lookback": 0},
+    {"prompt_buckets": 0}, {"variant": "bogus"}, {"router_activation": "bogus"},
+    {"pretrain_mode": "bogus"},
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_forecaster_rejects_invalid_config(bad):
+    # the constructor's one validate() is the only shape check of the model
+    with pytest.raises(ConfigError):
+        Forecaster(tiny_cfg(**bad))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
