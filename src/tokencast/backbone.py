@@ -185,6 +185,9 @@ def pretrain_then_freeze(backbone: Backbone, corpus_view, lookback: int,
             loss = T.mean(T.square(T.sub(pred, Tensor(batch.y))))
             tape.backward(loss)
         opt.step()
+        for p in params.values():  # cleared in place: fresh buffers cost page faults
+            if p.grad is not None:
+                p.grad.fill(0.0)
         losses.append(loss.item())
     backbone.freeze()
     return losses

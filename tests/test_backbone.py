@@ -247,6 +247,51 @@ def test_pretrain_then_freeze_runs_and_freezes():
     assert np.mean(losses[-4:]) < np.mean(losses[:4])
 
 
+def test_pretrain_step_sees_only_its_own_batch_grads(monkeypatch):
+    # each AdamW step gets the grads of its own batch, not a running sum
+    from tokencast.data import WindowSet
+    from tokencast.embedding import OutputHead, TsEmbedder, denormalize, instance_normalize
+    from tokencast.training import AdamW
+
+    series = MultivariateSeries(name="p", values=np.sin(np.arange(200.0) / 7.0).reshape(200, 1))
+    view, _, _ = chronological_split(series, SplitSpec(200, 0, 0), lookback=16)
+    bb = Backbone(small_cfg(pretrain_mode="pretrain_then_freeze", seed=40))
+    batches, seen, alone = [], [], []
+    batch_fn, step_fn = WindowSet.batch, AdamW.step
+
+    def batch_grads(params, batch):
+        """The grads of one batch at the current weights, from cleared grads."""
+        emb, head = TsEmbedder(16, 8, 0), OutputHead(8, 4, 0)
+        for name in ("w1", "b1", "w2", "b2"):
+            setattr(emb, name, params[f"pretrain_embedder.{name}"])
+        head.weight, head.bias = params["pretrain_head.weight"], params["pretrain_head.bias"]
+        for p in params.values():
+            p.grad = None
+        xn, stats = instance_normalize(batch.x)
+        with T.Tape() as tape:
+            pred = denormalize(head.project(bb.forward(emb.embed(Tensor(xn)))), stats)
+            tape.backward(T.mean(T.square(T.sub(pred, Tensor(batch.y)))))
+        return {k: p.grad.copy() for k, p in params.items()}
+
+    def spy_batch(windows, idx):
+        batches.append(batch_fn(windows, idx))
+        return batches[-1]
+
+    def spy_step(opt):
+        seen.append({k: p.grad.copy() for k, p in opt.params.items()})
+        alone.append(batch_grads(opt.params, batches[-1]))
+        for k, p in opt.params.items():
+            p.grad = seen[-1][k].copy()  # step on what the loop handed over
+        step_fn(opt)
+
+    monkeypatch.setattr(WindowSet, "batch", spy_batch)
+    monkeypatch.setattr(AdamW, "step", spy_step)
+    pretrain_then_freeze(bb, view, lookback=16, horizon=4, steps=2, batch_size=4, seed=40)
+    assert len(seen) == 2 and set(seen[1]) == set(alone[1])
+    for name, grad in seen[1].items():
+        np.testing.assert_array_equal(grad, alone[1][name], err_msg=name)
+
+
 def test_pretrain_rejects_random_frozen_mode():
     series = MultivariateSeries(name="p", values=np.zeros((100, 1)))
     view, _, _ = chronological_split(series, SplitSpec(100, 0, 0), lookback=8)
