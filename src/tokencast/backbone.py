@@ -156,13 +156,13 @@ def pretrain_then_freeze(backbone: Backbone, corpus_view, lookback: int,
     A throwaway embedder and head are fit jointly and discarded; only the
     block weights persist. Returns the per-step loss trace.
     """
-    from .data import DataError, make_windows
+    from .data import DataError, WindowSet
     from .embedding import OutputHead, TsEmbedder, denormalize, instance_normalize
     from .training import AdamW
 
     if backbone.cfg.pretrain_mode != "pretrain_then_freeze":
         raise ShapeError("backbone was not configured for pretraining")
-    windows = make_windows(corpus_view, lookback, horizon)
+    windows = WindowSet(corpus_view, lookback, horizon)
     if windows.count < 1:
         raise DataError("pretraining corpus has no usable windows")
     backbone.unfreeze()

@@ -87,12 +87,8 @@ def prepare_data(cfg: RunConfig):
     else:
         series = load_csv(cfg.csv_path, date_column=cfg.date_column or None,
                           name=cfg.dataset_name or None, frequency=cfg.frequency)
-    test_frac = 1.0 - cfg.train_frac - cfg.val_frac
-    if test_frac < -1e-9:
-        raise ConfigError(
-            f"train_frac + val_frac = {cfg.train_frac + cfg.val_frac} exceeds 1"
-        )
-    spec = split_spec_for(series.length, (cfg.train_frac, cfg.val_frac, max(test_frac, 0.0)))
+    test_frac = max(1.0 - cfg.train_frac - cfg.val_frac, 0.0)
+    spec = split_spec_for(series.length, (cfg.train_frac, cfg.val_frac, test_frac))
     if cfg.global_standardize:
         series = standardize_by_train(series, spec.train_len)
     views = chronological_split(series, spec, cfg.lookback)

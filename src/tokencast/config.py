@@ -73,7 +73,7 @@ class RunConfig:
                 raise ConfigError(f"{key} must be one of {allowed}, got '{getattr(self, key)}'")
         if self.data_kind == "csv" and not self.csv_path:
             raise ConfigError("data_kind=csv requires csv_path")
-        for key, low in (("lookback", 1), ("horizon", 1), ("layers", 0), ("batch_size", 1),
+        for key, low in (("lookback", 1), ("horizon", 1), ("layers", 1), ("batch_size", 1),
                          ("epochs", 1), ("prompt_buckets", 1), ("prompt_max_tokens", 1)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
@@ -88,6 +88,12 @@ class RunConfig:
             )
         if not (1 <= self.n_active <= 7):
             raise ConfigError(f"n_active must be in [1, 7], got {self.n_active}")
+        if not (self.train_frac > 0 and self.val_frac >= 0
+                and self.train_frac + self.val_frac <= 1.0 + 1e-9):
+            raise ConfigError(
+                f"need train_frac > 0, val_frac >= 0 and train_frac + val_frac <= 1, "
+                f"got {self.train_frac} and {self.val_frac}"
+            )
         if not (0.0 < self.few_shot <= 1.0):
             raise ConfigError(f"few_shot must be in (0, 1], got {self.few_shot}")
         if not self.lr > 0:

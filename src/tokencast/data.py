@@ -235,10 +235,6 @@ class WindowSet:
             yield self.batch(order[lo : lo + batch_size])
 
 
-def make_windows(view: SeriesView, lookback: int, horizon: int, stride: int = 1) -> WindowSet:
-    return WindowSet(view, lookback, horizon, stride)
-
-
 def few_shot_subset(train_view: SeriesView, fraction: float,
                     lookback: int | None = None, horizon: int | None = None) -> SeriesView:
     """Leading floor(fraction * length) rows of the training view.

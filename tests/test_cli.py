@@ -1,13 +1,18 @@
 """End-to-end command-line behavior and exit-code contract."""
 
+import contextlib
+import io
 import json
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tokencast import cli
 
@@ -72,14 +77,56 @@ def test_unknown_key_exits_2_listing_valid_keys(tmp_path, capsys):
     ("--batch-size", "0"), ("--epochs", "-1"), ("--epochs", "0"), ("--prompt-buckets", "0"),
     ("--prompt-max-tokens", "0"), ("--prompt-template", "{bogus}"),
     ("--lr", "0"), ("--lr", "-1"), ("--weight-decay", "-1"), ("--clip-norm", "-1"),
+    ("--layers", "0"), ("--layers", "-1"), ("--train-frac", "0"), ("--train-frac", "-0.5"),
+    ("--val-frac", "-0.1"), ("--train-frac", "0.95"),
 ])
 def test_structural_config_error_exits_2(tmp_path, capsys, flag, value):
     # TINY has dim 8 and ffn_dim 16: 3 heads cannot split it, rank caps at 4;
-    # the rest would otherwise fail later, inside a component or the verb
+    # val_frac defaults to 0.1, so train_frac 0.95 overfills the split.
+    # RunConfig.validate() rejects each value before any data is read
     code = cli.main(["train", *TINY, flag, value, "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "Traceback" not in err
+
+
+# Edge values for a tiny fuzzed run: zeros, negatives, bad enums, and a
+# few valid settings that switch on other paths (pretraining, csv, smape).
+FUZZ_VALUES = {
+    "layers": ["-1", "0", "1", "2"], "dim": ["-8", "0", "4"], "heads": ["-2", "0", "3"],
+    "ffn-dim": ["0", "2"], "rank": ["-1", "0", "9"], "n-active": ["0", "7", "8"],
+    "lookback": ["-4", "0", "1"], "horizon": ["-1", "0", "1"], "epochs": ["-1", "0"],
+    "batch-size": ["-1", "0", "1"], "train-frac": ["-0.5", "0", "0.01", "1.0"],
+    "val-frac": ["-0.1", "0", "0.9"], "length": ["-10", "0", "12"],
+    "stride": ["-1", "0", "200"], "channels": ["-1", "0", "1"],
+    "few-shot": ["0", "0.01", "2"], "lr": ["0", "-1", "1e300"],
+    "variant": ["bogus", "v2_prefix_prompt", "v4_frozen"],
+    "router-activation": ["bogus", "identity"],
+    "pretrain-mode": ["bogus", "pretrain_then_freeze"],
+    "loss-kind": ["bogus", "smape"], "data-kind": ["bogus", "csv"],
+}
+FUZZ_BASE = [
+    "--length", "120", "--lookback", "8", "--horizon", "2", "--dim", "8", "--layers", "1",
+    "--heads", "2", "--ffn-dim", "8", "--align-heads", "2", "--rank", "1",
+    "--prompt-buckets", "4", "--epochs", "1", "--batch-size", "8", "--pretrain-steps", "2",
+]
+
+
+@settings(max_examples=29, deadline=None, derandomize=True, database=None)
+@example(verb="train", overrides=[("layers", "0")])  # crashed in the router stats
+@given(verb=st.sampled_from(["train", "ablate", "sweep-n"]),
+       overrides=st.lists(st.sampled_from([(k, v) for k, vs in FUZZ_VALUES.items() for v in vs]),
+                          max_size=3, unique_by=lambda kv: kv[0]))
+def test_fuzzed_config_keeps_exit_contract(verb, overrides):
+    # any config either runs or is refused with a message: exit 0, 2, 3 or 4
+    flags = [item for k, v in overrides for item in (f"--{k}", v)]
+    extra = ["--n-values", "1,2"] if verb == "sweep-n" else []
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([verb, *FUZZ_BASE, *flags, *extra, "--out", out])
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def assert_data_error(code, capsys):

@@ -7,10 +7,10 @@ from tokencast.data import (
     DataError,
     MultivariateSeries,
     SplitSpec,
+    WindowSet,
     chronological_split,
     few_shot_subset,
     load_csv,
-    make_windows,
     synth_generate,
     write_series_csv,
 )
@@ -98,26 +98,26 @@ def test_split_too_long_rejected():
 def test_window_count_formula():
     s = MultivariateSeries(name="x", values=np.arange(12.0).reshape(12, 1))
     view, _, _ = chronological_split(s, SplitSpec(12, 0, 0), lookback=8)
-    ws = make_windows(view, lookback=8, horizon=2)
+    ws = WindowSet(view, lookback=8, horizon=2)
     assert ws.count == 3
 
 
 def test_window_exact_fit_gives_one():
     s = MultivariateSeries(name="x", values=np.zeros((10, 1)))
     view, _, _ = chronological_split(s, SplitSpec(10, 0, 0), lookback=8)
-    assert make_windows(view, 8, 2).count == 1
+    assert WindowSet(view, 8, 2).count == 1
 
 
 def test_window_too_short_gives_zero():
     s = MultivariateSeries(name="x", values=np.zeros((9, 1)))
     view, _, _ = chronological_split(s, SplitSpec(9, 0, 0), lookback=8)
-    assert make_windows(view, 8, 2).count == 0
+    assert WindowSet(view, 8, 2).count == 0
 
 
 def test_window_adjacency_and_content():
     s = MultivariateSeries(name="x", values=np.arange(12.0).reshape(12, 1))
     view, _, _ = chronological_split(s, SplitSpec(12, 0, 0), lookback=8)
-    ws = make_windows(view, 8, 2)
+    ws = WindowSet(view, 8, 2)
     b = ws.batch([0, 1, 2])
     # x ends where y begins, window i shifted by i
     for i in range(3):
@@ -128,7 +128,7 @@ def test_window_adjacency_and_content():
 def test_iter_batches_chunks_in_index_or_given_order():
     s = MultivariateSeries(name="x", values=np.arange(16.0).reshape(16, 1))
     view, _, _ = chronological_split(s, SplitSpec(16, 0, 0), lookback=4)
-    ws = make_windows(view, 4, 2)  # 11 windows; window i starts at row i
+    ws = WindowSet(view, 4, 2)  # 11 windows; window i starts at row i
     firsts = [b.x[:, 0, 0].tolist() for b in ws.iter_batches(4)]
     assert firsts == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10]]
     order = np.array([10, 3, 7, 0, 5])

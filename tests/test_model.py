@@ -43,7 +43,7 @@ VARIANTS = ["full", "v1_no_align", "v2_prefix_prompt", "v3_static_lora", "v4_fro
     {"heads": 3}, {"align_heads": 3}, {"heads": 0}, {"dim": 0},
     # rank caps at min(dim, ffn_dim) // 2: 4 here, 1 with ffn_dim 3
     {"rank": 0}, {"rank": 5}, {"ffn_dim": 3},
-    {"n_active": 0}, {"n_active": 8}, {"lookback": 0},
+    {"n_active": 0}, {"n_active": 8}, {"layers": 0}, {"lookback": 0},
     {"prompt_buckets": 0}, {"variant": "bogus"}, {"router_activation": "bogus"},
     {"pretrain_mode": "bogus"},
 ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))

@@ -7,6 +7,8 @@ per-layer counts silently drop to zero; this test fails instead.
 """
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,7 +20,8 @@ from tokencast.config import RunConfig
 from tokencast.data import SplitSpec, WindowSet, chronological_split, synth_generate
 from tokencast.model import Forecaster
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -64,3 +67,17 @@ def test_tracer_counts_a_train_step_and_restores_every_patch():
     assert np.isfinite(result.history[0]["train_loss"])
     for (owner, attr), original in zip(targets, originals):
         assert getattr(owner, attr) is original, f"{owner}.{attr} left patched"
+
+
+def test_desk_pretrain_workload_runs_clean():
+    # perfbench calls cli.train_config, backbone.pretrain_then_freeze(...,
+    # steps=, seed=) and Forecaster(cfg) directly; a signature change there
+    # fails this one-second run instead of the benchmark
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "desk_pretrain",
+         "--seed", "0", "--seconds", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0 and result["attempted"] > 0
