@@ -13,9 +13,6 @@ horizon, de-normalization. Variants switch parts of that pipeline:
 Every component draws its initialization from a generator keyed by the run
 seed and the component's name, so two variants built from the same seed
 hold bit-identical copies of every component they share.
-
-The constructor validates the RunConfig once; the components it builds
-take their shapes from it unchecked.
 """
 
 from __future__ import annotations
