@@ -91,7 +91,8 @@ def test_structural_config_error_exits_2(tmp_path, capsys, flag, value):
 
 
 # Edge values for a tiny fuzzed run: zeros, negatives, bad enums, and a
-# few valid settings that switch on other paths (pretraining, csv, smape).
+# few valid settings that switch on other paths (pretraining, smape, the
+# prefix-prompt and frozen variants).
 FUZZ_VALUES = {
     "layers": ["-1", "0", "1", "2"], "dim": ["-8", "0", "4"], "heads": ["-2", "0", "3"],
     "ffn-dim": ["0", "2"], "rank": ["-1", "0", "9"], "n-active": ["0", "7", "8"],

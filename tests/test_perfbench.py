@@ -1,9 +1,11 @@
-"""The benchmark tracer's contract with the package it patches.
+"""The benchmark's contract with the package it patches and calls.
 
 perfbench/tracing.py wraps tokencast functions by attribute name and reads
 the flops of a tape pull whose qualified name starts with `matmul`. If a
 rename or a rewrite of those functions breaks either, the benchmark's
-per-layer counts silently drop to zero; this test fails instead.
+per-layer counts silently drop to zero; the tracer test fails instead.
+perfbench/run.py also calls tokencast functions directly; a short run of
+one workload fails when one of their signatures changes.
 """
 
 import importlib.util
