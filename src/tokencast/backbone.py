@@ -125,12 +125,10 @@ class Backbone:
         for t in self.tensors().values():
             t.requires_grad = False
             t.grad = None
-        self.frozen = True
 
     def unfreeze(self):
         for t in self.tensors().values():
             t.requires_grad = True
-        self.frozen = False
 
     def checksum(self) -> str:
         """SHA-256 over all block tensors in name order; detects any drift."""
@@ -140,12 +138,6 @@ class Backbone:
             digest.update(name.encode())
             digest.update(tensors[name].data.tobytes())
         return digest.hexdigest()
-
-    def frozen_tensor_count(self) -> int:
-        return sum(1 for t in self.tensors().values() if not t.requires_grad)
-
-    def parameter_count(self) -> int:
-        return sum(t.size for t in self.tensors().values())
 
 
 def pretrain_then_freeze(backbone: Backbone, corpus_view, lookback: int,

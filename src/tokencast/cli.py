@@ -47,7 +47,6 @@ from .metrics import MetricError, build_report, naive_seasonal_forecast, seasona
 from .model import Forecaster
 from .training import (
     NumericError,
-    TrainConfig,
     evaluate_mse,
     naive_repeat_last_mse,
     train,
@@ -109,12 +108,9 @@ def build_model(cfg: RunConfig, train_view) -> Forecaster:
     return model
 
 
-def train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        lr=cfg.lr, weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
-        epochs=cfg.epochs, lambda_lb=cfg.lambda_lb, loss_kind=cfg.loss_kind,
-        seed=cfg.seed, patience=cfg.patience, clip_norm=cfg.clip_norm,
-    )
+def train_config(cfg: RunConfig) -> RunConfig:
+    # only perfbench/run.py calls this; it goes with the next benchmark change
+    return cfg
 
 
 def routing_payload(model: Forecaster, windows) -> dict:
@@ -152,11 +148,11 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _, views, (train_ws, val_ws, test_ws) = prepare_data(cfg)
     model = build_model(cfg, views[0])
-    result = train(model, train_ws, val_ws, train_config(cfg))
+    result = train(model, train_ws, val_ws, cfg)
 
     save_checkpoint(out / "checkpoint.ckpt", model,
                     step=result.steps_run, prng_state=result.rng_state)
-    write_history_csv(result, out / "history.csv", layers=model.layer_count())
+    write_history_csv(result, out / "history.csv", layers=cfg.layers)
     _write_json(out / "routing_stats.json", routing_payload(model, train_ws))
 
     last = result.history[-1]
@@ -242,7 +238,7 @@ def cmd_ablate(args) -> int:
         vcfg = dataclasses.replace(cfg, variant=variant)
         model = build_model(vcfg, views[0])
         checksums.add(model.backbone.checksum())
-        result = train(model, train_ws, val_ws, train_config(vcfg))
+        result = train(model, train_ws, val_ws, vcfg)
         report = model.parameter_report()
         if model.uses_routers and test_ws.count:
             entropy = float(np.mean(model.collect_routing_stats(test_ws).entropy_bits()))
@@ -293,7 +289,7 @@ def cmd_sweep_n(args) -> int:
     for ncfg in ncfgs:
         n = ncfg.n_active
         model = build_model(ncfg, views[0])
-        train(model, train_ws, val_ws, train_config(ncfg))
+        train(model, train_ws, val_ws, ncfg)
         stats = model.collect_routing_stats(test_ws if test_ws.count else train_ws)
         payload = stats.to_json_dict()
         payload["n_active"] = n

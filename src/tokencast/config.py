@@ -61,7 +61,7 @@ class RunConfig:
     lambda_lb: float = 0.01
     loss_kind: str = "mse"
     seed: int = 0
-    patience: int = 3
+    patience: int = 3  # early stop on val mse; inactive without a val split
     clip_norm: float = 5.0
 
     def validate(self) -> "RunConfig":

@@ -38,9 +38,6 @@ class LoraAdapter:
         self.down = T.parameter(rng.gaussian(gen, (d_in, r), ADAPTER_INIT_STD))
         self.up = T.parameter(np.zeros((r, d_out)))
 
-    def param_count(self) -> int:
-        return self.down.size + self.up.size
-
 
 def apply(x: Tensor, weight: Tensor, bias: Tensor | None,
           adapter: LoraAdapter | None, gate) -> Tensor:
@@ -81,10 +78,7 @@ class LoraRouter:
 
 
 def pool_last_token(h: Tensor) -> Tensor:
-    """Last token row of (.., N, dim): the routing summary of the sequence."""
-    if h.ndim == 2:
-        n = h.shape[0]
-        return T.reshape(h[n - 1 : n, :], (h.shape[1],))
+    """Last token row of (B, N, dim): the routing summary of each sequence."""
     n = h.shape[1]
     return T.reshape(h[:, n - 1 : n, :], (h.shape[0], h.shape[2]))
 

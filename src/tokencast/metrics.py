@@ -10,7 +10,6 @@ naive error, which is the M4 competition definition.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,9 +138,6 @@ class MetricReport:
             "per_series": self.per_series,
             "aggregate": self.aggregate,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_text_table(self) -> str:
         names = list(self.per_series) + ["ALL"]

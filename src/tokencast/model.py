@@ -37,6 +37,11 @@ from .dlora import (
 from .embedding import OutputHead, TsEmbedder, denormalize, instance_normalize
 from .tensor import ShapeError, Tensor
 
+# parameter_report group of each parameter-name prefix
+PARAM_GROUPS = {"backbone": "backbone", "embedder": "embedder", "align": "alignment",
+                "prompt": "alignment", "adapters": "adapters", "routers": "routers",
+                "head": "head"}
+
 
 class Forecaster:
     def __init__(self, cfg: RunConfig):
@@ -158,12 +163,6 @@ class Forecaster:
 
     # ---------------------------------------------------------- bookkeeping
 
-    def routed_layers(self) -> int:
-        return self.cfg.layers if self.uses_routers else 0
-
-    def layer_count(self) -> int:
-        return self.cfg.layers
-
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         out.update(self.embedder.params("embedder"))
@@ -186,21 +185,9 @@ class Forecaster:
 
     def parameter_report(self) -> dict:
         """Parameter counts by component plus the trainable fraction."""
-        groups = {"backbone": 0, "embedder": 0, "alignment": 0, "adapters": 0,
-                  "routers": 0, "head": 0}
+        groups = dict.fromkeys(PARAM_GROUPS.values(), 0)
         for name, p in self.named_parameters().items():
-            if name.startswith("backbone."):
-                groups["backbone"] += p.size
-            elif name.startswith("embedder."):
-                groups["embedder"] += p.size
-            elif name.startswith(("align.", "prompt.")):
-                groups["alignment"] += p.size
-            elif name.startswith("adapters."):
-                groups["adapters"] += p.size
-            elif name.startswith("routers."):
-                groups["routers"] += p.size
-            elif name.startswith("head."):
-                groups["head"] += p.size
+            groups[PARAM_GROUPS[name.split(".", 1)[0]]] += p.size
         total = sum(groups.values())
         trainable = sum(p.size for p in self.trainable().values())
         return {

@@ -51,9 +51,6 @@ class Tape:
         _LOCAL.tape = self._outer
         return False
 
-    def __len__(self):
-        return len(self._records)
-
     def record(self, out, inputs, pull):
         self._records.append((out, inputs, pull))
 
@@ -130,10 +127,6 @@ class Tensor:
 
 def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
 
 
 def _emit(data, inputs, pull) -> Tensor:

@@ -1,5 +1,10 @@
 """Loss assembly, the AdamW optimizer, and the training loop.
 
+`train` reads its settings (lr, weight_decay, batch_size, epochs,
+lambda_lb, loss_kind, seed, patience, clip_norm) from the run's RunConfig,
+whose `validate()` holds their bounds; model facts such as the layer count
+and `n_active` come from `model.cfg`.
+
 The loop is single-threaded and fully deterministic for a given seed:
 batch order comes from one seeded generator and parameters update in sorted
 name order.
@@ -15,6 +20,7 @@ import numpy as np
 from . import kernels
 from . import rng
 from . import tensor as T
+from .config import RunConfig
 from .data import DataError
 from .dlora import N_MODULES, RoutingStats, load_balance_loss
 from .tensor import Tape, Tensor
@@ -26,27 +32,6 @@ class NumericError(RuntimeError):
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
-
-
-@dataclass
-class TrainConfig:
-    lr: float = 1e-3
-    weight_decay: float = 0.0
-    batch_size: int = 16
-    epochs: int = 20
-    lambda_lb: float = 0.01
-    loss_kind: str = "mse"  # or "smape"
-    seed: int = 0
-    patience: int = 3  # early stop on val mse; inactive without a val split
-    clip_norm: float = 5.0
-
-    def __post_init__(self):
-        if self.lambda_lb < 0:
-            raise ValueError(f"lambda_lb must be >= 0, got {self.lambda_lb}")
-        if self.loss_kind not in ("mse", "smape"):
-            raise ValueError(f"loss_kind must be mse or smape, got '{self.loss_kind}'")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be >= 1 and epochs >= 0")
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -175,10 +160,10 @@ def _numeric_failure(what: str, epoch: int, step: int, loss: float, task: Tensor
     )
 
 
-def train(model, train_windows, val_windows, cfg: TrainConfig) -> TrainResult:
+def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
     """Fit the model's trainable parameters; returns per-epoch history.
 
-    Early stopping watches val MSE with the configured patience and restores
+    Early stopping watches val MSE with `cfg.patience` and restores
     the best-epoch parameters before returning. With no val windows the
     loop always runs the full epoch budget.
     """
@@ -187,7 +172,7 @@ def train(model, train_windows, val_windows, cfg: TrainConfig) -> TrainResult:
     params = model.trainable()
     opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     gen = rng.generator(cfg.seed, "batch_order")
-    layers = model.routed_layers()
+    layers = model.cfg.layers
     result = TrainResult()
     has_val = val_windows is not None and val_windows.count > 0
     best_snapshot = None
@@ -227,15 +212,15 @@ def train(model, train_windows, val_windows, cfg: TrainConfig) -> TrainResult:
             "epoch": epoch,
             "train_loss": epoch_loss / steps,
             "val_loss": None,
-            "lb_loss": epoch_lb / steps if layers else 0.0,
+            "lb_loss": epoch_lb / steps,
         }
-        if layers:
+        if model.uses_routers:
             epoch_stats = RoutingStats(f=f_sums / steps, phat=phat_sums / steps,
                                        samples=train_windows.count,
                                        n_active=model.cfg.n_active)
             ent = epoch_stats.entropy_bits()
         else:
-            ent = np.zeros(model.layer_count())
+            ent = np.zeros(layers)
         row["entropy"] = [float(e) for e in ent]
 
         if has_val:

@@ -264,7 +264,7 @@ def test_criterion_06_end_to_end_learning():
     assert cfg.channels == 3 and cfg.noise == 0.0
     _, views, windows = cli.prepare_data(cfg)
     model = cli.build_model(cfg, views[0])
-    result = training.train(model, windows[0], windows[1], cli.train_config(cfg))
+    result = training.train(model, windows[0], windows[1], cfg)
     assert result.epochs_run <= 20
     test_mse = training.evaluate_mse(model, windows[2])
     naive_mse = training.naive_repeat_last_mse(windows[2])
@@ -291,7 +291,7 @@ def test_criterion_07_ablation_ordering():
             })
             _, views, windows = cli.prepare_data(cfg)
             model = cli.build_model(cfg, views[0])
-            training.train(model, windows[0], windows[1], cli.train_config(cfg))
+            training.train(model, windows[0], windows[1], cfg)
             scores[variant] = training.evaluate_mse(model, windows[2])
         wins += scores["v4_frozen"] >= scores["full"]
         detail.append(f"seed {seed}: full {scores['full']:.2e} "
@@ -314,7 +314,7 @@ def test_criterion_08_determinism_and_persistence(tmp_path):
 
     train_w = WindowSet(view, cfg.lookback, cfg.horizon)
     val_w = WindowSet(val_view, cfg.lookback, cfg.horizon)
-    tc = training.TrainConfig(epochs=3, seed=5, batch_size=8)
+    tc = RunConfig(epochs=3, seed=5, batch_size=8)
 
     histories = []
     models = []

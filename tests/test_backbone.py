@@ -9,6 +9,7 @@ from tokencast.backbone import Backbone, pretrain_then_freeze
 from tokencast.config import RunConfig
 from tokencast.data import MultivariateSeries, SplitSpec, chronological_split
 from tokencast.dlora import MODULE_NAMES, LoraAdapter
+from tokencast.model import Forecaster
 from tokencast.tensor import ShapeError, Tensor
 
 
@@ -192,7 +193,6 @@ def test_construction_is_deterministic():
 
 def test_random_frozen_freezes_at_construction():
     bb = Backbone(small_cfg(seed=22))
-    assert bb.frozen
     assert all(not t.requires_grad for t in bb.tensors().values())
     assert all(t.grad is None for t in bb.tensors().values())
 
@@ -201,13 +201,14 @@ def test_frozen_tensor_count_expectation():
     for layers in (1, 2, 4):
         bb = Backbone(small_cfg(layers=layers, seed=23))
         # 7 bias-free linear weights plus 2 norm gains per block
-        assert bb.frozen_tensor_count() == layers * 9
+        assert sum(not t.requires_grad for t in bb.tensors().values()) == layers * 9
 
 
 def test_parameter_count_arithmetic():
     # per block: 4 d*d + 2 d*f + f*d + 2d
-    assert Backbone(small_cfg(layers=2, seed=24)).parameter_count() == 2 * 656
-    assert Backbone(RunConfig(seed=24)).parameter_count() == 4 * 65664  # desk
+    trunk = lambda cfg: Forecaster(cfg).parameter_report()["backbone"]
+    assert trunk(small_cfg(layers=2, seed=24)) == 2 * 656
+    assert trunk(RunConfig(seed=24)) == 4 * 65664  # desk
 
 
 def test_frozen_params_never_gain_grads():
@@ -241,9 +242,10 @@ def test_pretrain_then_freeze_runs_and_freezes():
     )
     view, _, _ = chronological_split(series, SplitSpec(400, 0, 0), lookback=16)
     bb = Backbone(small_cfg(pretrain_mode="pretrain_then_freeze", seed=30))
-    assert bb.frozen  # frozen at construction; pretraining unfreezes for its steps
+    frozen = lambda: not any(t.requires_grad for t in bb.tensors().values())
+    assert frozen()  # frozen at construction; pretraining unfreezes for its steps
     losses = pretrain_then_freeze(bb, view, lookback=16, horizon=4, steps=12, seed=30)
-    assert bb.frozen and len(losses) == 12
+    assert frozen() and len(losses) == 12
     assert np.mean(losses[-4:]) < np.mean(losses[:4])
 
 

@@ -67,7 +67,7 @@ def test_round_trip_every_tensor_bit_identical(tmp_path):
     for name in ours:
         np.testing.assert_array_equal(ours[name].data, theirs[name].data)
     # frozen state carried over with the rebuilt backbone
-    assert loaded.backbone.frozen
+    assert not any(t.requires_grad for t in loaded.backbone.tensors().values())
     assert loaded.backbone.checksum() == m.backbone.checksum()
 
 
@@ -79,7 +79,7 @@ def test_pretrained_trunk_loads_frozen(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, m)
     loaded, _ = load_checkpoint(path)
-    assert loaded.backbone.frozen
+    assert not any(t.requires_grad for t in loaded.backbone.tensors().values())
     assert set(loaded.trainable()) == set(m.trainable())
     assert loaded.parameter_report() == m.parameter_report()
 

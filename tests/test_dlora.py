@@ -134,15 +134,10 @@ def test_apply_open_gate_skips_gate_product(gate, monkeypatch):
 def test_adapter_never_materializes_product():
     ad = make_adapter(d_in=64, d_out=64, r=4, seed=1)
     assert ad.down.shape == (64, 4) and ad.up.shape == (4, 64)
-    assert ad.param_count() == 64 * 4 + 4 * 64
+    assert ad.down.size + ad.up.size == 64 * 4 + 4 * 64
 
 
 # --------------------------------------------------------------------- pool
-
-
-def test_pool_last_token_2d():
-    h = Tensor(rand((5, 3), 10))
-    np.testing.assert_array_equal(pool_last_token(h).data, h.data[-1])
 
 
 def test_pool_last_token_batched():

@@ -225,7 +225,7 @@ def test_report_channel_names_and_custom_labels():
 def test_report_json_and_table():
     y = block([[[1.0, 2.0], [3.0, 4.0]]])
     rep = build_report(y, y + 0.5, seasonality=1)
-    parsed = json.loads(rep.to_json())
+    parsed = json.loads(json.dumps(rep.to_json_dict()))
     assert parsed["horizon"] == 2
     assert parsed["aggregate"]["mse"] == pytest.approx(0.25)
     table = rep.to_text_table()

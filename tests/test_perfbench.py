@@ -58,7 +58,7 @@ def test_tracer_counts_a_train_step_and_restores_every_patch():
     try:
         tracer.counting = True
         result = tr.train(model, windows, None,
-                          tr.TrainConfig(epochs=1, batch_size=windows.count))
+                          RunConfig(epochs=1, batch_size=windows.count))
     finally:
         tracer.remove()
 
