@@ -142,6 +142,13 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def cmd_train(args) -> int:
     cfg = config_from_args(args)
     out = Path(args.out)
@@ -256,10 +263,7 @@ def cmd_ablate(args) -> int:
         raise RuntimeError("shared trunk initialization diverged across variants")
 
     path = out / "ablate.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(path, rows)
     if test_ws.count:
         print(f"repeat-last naive test mse: {naive_repeat_last_mse(test_ws):.6f}")
     header = f"{'variant':18}{'test_mse':>12}{'val_mse':>12}{'trainable':>12}{'adapters':>10}{'entropy':>10}"
@@ -300,10 +304,7 @@ def cmd_sweep_n(args) -> int:
             "mean_entropy_bits": float(np.mean(stats.entropy_bits())),
         })
     path = out / "sweep_n.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(path, rows)
     for r in rows:
         print(f"n={r['n_active']}  test_mse={r['test_mse']:.6f}  "
               f"entropy={r['mean_entropy_bits']:.4f}")

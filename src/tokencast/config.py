@@ -6,6 +6,8 @@ import configparser
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .data import SYNTH_ALIASES, SYNTH_KINDS
+
 
 class ConfigError(Exception):
     """Unknown keys, unparsable values, or inconsistent settings."""
@@ -66,6 +68,7 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         for key, allowed in (("variant", VARIANTS), ("data_kind", ("synthetic", "csv")),
+                             ("synthetic", SYNTH_KINDS + tuple(SYNTH_ALIASES)),
                              ("loss_kind", ("mse", "smape")),
                              ("pretrain_mode", PRETRAIN_MODES),
                              ("router_activation", ROUTER_ACTIVATIONS)):
@@ -73,8 +76,10 @@ class RunConfig:
                 raise ConfigError(f"{key} must be one of {allowed}, got '{getattr(self, key)}'")
         if self.data_kind == "csv" and not self.csv_path:
             raise ConfigError("data_kind=csv requires csv_path")
-        for key, low in (("lookback", 1), ("horizon", 1), ("layers", 1), ("batch_size", 1),
-                         ("epochs", 1), ("prompt_buckets", 1), ("prompt_max_tokens", 1)):
+        for key, low in (("channels", 1), ("length", 2), ("stride", 1), ("lookback", 1),
+                         ("horizon", 1), ("layers", 1), ("pretrain_steps", 0),
+                         ("batch_size", 1), ("epochs", 1), ("patience", 0), ("seed", 0),
+                         ("prompt_buckets", 1), ("prompt_max_tokens", 1)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         for key in ("heads", "align_heads"):
@@ -98,7 +103,7 @@ class RunConfig:
             raise ConfigError(f"few_shot must be in (0, 1], got {self.few_shot}")
         if not self.lr > 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
-        for key in ("weight_decay", "clip_norm", "lambda_lb"):
+        for key in ("noise", "weight_decay", "clip_norm", "lambda_lb"):
             if not getattr(self, key) >= 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         try:

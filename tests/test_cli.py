@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -79,6 +80,9 @@ def test_unknown_key_exits_2_listing_valid_keys(tmp_path, capsys):
     ("--lr", "0"), ("--lr", "-1"), ("--weight-decay", "-1"), ("--clip-norm", "-1"),
     ("--layers", "0"), ("--layers", "-1"), ("--train-frac", "0"), ("--train-frac", "-0.5"),
     ("--val-frac", "-0.1"), ("--train-frac", "0.95"),
+    ("--channels", "0"), ("--length", "-10"), ("--stride", "0"), ("--synthetic", "bogus"),
+    ("--noise", "-1"), ("--noise", "nan"), ("--pretrain-steps", "-3"),
+    ("--lambda-lb", "-1"), ("--loss-kind", "rmse"), ("--patience", "-2"), ("--seed", "-1"),
 ])
 def test_structural_config_error_exits_2(tmp_path, capsys, flag, value):
     # TINY has dim 8 and ffn_dim 16: 3 heads cannot split it, rank caps at 4;
@@ -385,9 +389,12 @@ def test_synth_unknown_kind_exits_3(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
+    # the child imports the same tokencast as this test, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tokencast.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     for verb in ("train", "eval", "forecast", "ablate", "sweep-n", "synth"):

@@ -324,6 +324,41 @@ def test_broadcast_mask_mul_gradient():
     assert_grads_match(lambda: T.total(T.square(T.mul(x, mask))), [x])
 
 
+BINARY_OPS = {"add": T.add, "sub": T.sub, "mul": T.mul, "div": T.div, "matmul": T.matmul}
+
+
+@st.composite
+def broadcast_cases(draw):
+    op = draw(st.sampled_from(sorted(BINARY_OPS)), label="op")
+    lead = draw(st.lists(st.integers(1, 3), max_size=3), label="leading shape")
+    n, k, p = (draw(st.integers(1, 3), label=d) for d in "nkp")
+
+    def operand(full, core):
+        # a suffix of the full shape, some of its axes squeezed to 1
+        keep = draw(st.integers(0 if core else 1, len(full)))
+        return tuple(draw(st.sampled_from([1, m])) for m in full[len(full) - keep:]) + core
+
+    if op == "matmul":
+        shapes = operand(lead, (n, k)), operand(lead, (k, p))
+    else:
+        shapes = operand(lead + [n], ()), operand(lead + [n], ())
+    frozen = draw(st.sampled_from(["none", "a", "b"]), label="frozen operand")
+    return op, shapes, frozen, draw(st.integers(0, 2**16), label="seed")
+
+
+@settings(max_examples=450, deadline=None, derandomize=True, database=None)
+@given(case=broadcast_cases())
+def test_binary_op_broadcast_gradient_property(case):
+    # a frozen operand is a constant to the tape: no grad, and the other
+    # operand's grad still sums back down to its own broadcast shape
+    op, (a_shape, b_shape), frozen, seed = case
+    a = Tensor(rand(a_shape, seed), requires_grad=frozen != "a")
+    b = Tensor(rand(b_shape, seed + 1, 0.5, 1.5), requires_grad=frozen != "b")
+    learn = [t for t in (a, b) if t.requires_grad]
+    assert_grads_match(lambda: T.total(T.square(BINARY_OPS[op](a, b))), learn)
+    assert all(t.grad is None for t in (a, b) if not t.requires_grad)
+
+
 def test_composed_mlp_gradient():
     w1 = T.parameter(rand((4, 6), 30, -0.5, 0.5))
     b1 = T.parameter(rand((6,), 31, -0.1, 0.1))
