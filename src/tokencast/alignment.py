@@ -3,10 +3,10 @@
 The prompt is embedded by hashing whitespace-split lowercased words into a
 small trainable bucket table (FNV-1a, so ids are stable across processes).
 Queries come from the series tokens, keys and values from the prompt rows;
-`tensor.attention` runs all heads at once, with the prompt rows shared by
-the whole batch, and the attended result is added back residually. The
-output projection starts at zero, making the whole module an exact
-identity at init.
+`tensor.attention` runs all heads as one tape op, with the prompt rows
+shared by the whole batch, and the attended result is added back
+residually. The output projection starts at zero, making the whole module
+an exact identity at init.
 
 The prompt never enters the backbone on the default path; it only shapes
 the token states through this module.

@@ -1,7 +1,7 @@
 """Frozen transformer stack operating on channel tokens.
 
 Each block is pre-norm: RMS-normalized multi-head self-attention over the
-token axis (`tensor.attention`, all heads in one batched product), then an
+token axis (`tensor.attention`, one tape op for all heads), then an
 RMS-normalized gated feed-forward, both residual.
 Attention is bidirectional by default because channel tokens carry no
 temporal order; a causal flag exists for ablation. The seven linears have

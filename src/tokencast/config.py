@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .data import SYNTH_ALIASES, SYNTH_KINDS
+from .metrics import SEASONALITY
 
 
 class ConfigError(Exception):
@@ -69,6 +70,7 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         for key, allowed in (("variant", VARIANTS), ("data_kind", ("synthetic", "csv")),
                              ("synthetic", SYNTH_KINDS + tuple(SYNTH_ALIASES)),
+                             ("frequency", tuple(SEASONALITY)),
                              ("loss_kind", ("mse", "smape")),
                              ("pretrain_mode", PRETRAIN_MODES),
                              ("router_activation", ROUTER_ACTIVATIONS)):

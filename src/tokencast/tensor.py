@@ -8,8 +8,9 @@ Each pull forms only the grads of inputs that require them, so frozen
 weights and constant inputs cost no backward work. A matmul against a 2-D
 weight folds the leading axes of its left operand into rows and runs as one
 GEMM, forward and backward. A low-rank adapter delta is one op, lora_linear,
-written in place into a base product that never leaves it. Outside a tape
-every op is forward-only, which is what inference wants.
+written in place into a base product that never leaves it. Multi-head
+attention is one op too, with a hand-written pull for q, k and v. Outside a
+tape every op is forward-only, which is what inference wants.
 
 A Tape and the tensors recorded on it belong to one thread. Independent
 model instances may run on separate threads, each with its own tape.
@@ -330,7 +331,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"matmul: leading dims do not broadcast, {ad.shape} @ {bd.shape}") from e
 
-    # stacked right operands: the batched (.., H, N, dh) attention products
+    # stacked right operands: one product per matrix of the broadcast leading axes
     def pull(g):
         return (_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if a.requires_grad else None,
                 _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if b.requires_grad else None)
@@ -500,32 +501,70 @@ def rmsnorm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
 # -------------------------------------------------------------- attention
 
 
-def _permute_last3(x: Tensor, order) -> Tensor:
-    """Permute the last three axes of x by `order`."""
-    lead = x.ndim - 3
-    return transpose(x, tuple(range(lead)) + tuple(lead + i for i in order))
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Tensor | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention; head h owns columns [h*dh, (h+1)*dh).
+    """Multi-head scaled dot-product attention as one op; head h owns columns [h*dh, (h+1)*dh).
 
     q is (.., N, d) and k, v are (.., M, d) with broadcasting leading axes;
     the output has q's shape. All heads run as one batched scores product,
     one softmax and one batched context product. An optional additive mask
-    broadcasts against the (.., H, N, M) scores; 2-D k and v are shared by
-    every query row, and the scores are then (H, rows of q, M).
+    is a constant that broadcasts against the (.., H, N, M) scores; 2-D k
+    and v are shared by every query row, and the scores are then
+    (H, rows of q, M). Forward and backward run the numpy expressions of the
+    equivalent reshape, transpose, matmul, scale, add and softmax records in
+    their order, so values and grads match those records bit for bit
+    whenever q, k and v are distinct tensors. Outside a tape the head-major
+    operands are dropped as soon as their product is formed.
     """
     shape, d = q.shape, q.shape[-1]
     if d % heads != 0 or k.shape[-1] != d or v.shape[-1] != d:
         raise ShapeError(f"attention: {heads} heads over q {q.shape}, k {k.shape}, v {v.shape}")
-    if k.ndim == 2:
-        # keys shared by every query: fold the batch into the query rows so
-        # each head's key and value grads stay one product over all rows
-        q = reshape(q, (-1, d))
-    q, k, v = (reshape(t, t.shape[:-1] + (heads, d // heads)) for t in (q, k, v))
-    scores = matmul(_permute_last3(q, (1, 0, 2)), _permute_last3(k, (1, 2, 0)))  # (.., H, N, M)
-    scores = scale(scores, 1.0 / np.sqrt(d // heads))
-    if mask is not None:
-        scores = add(scores, mask)
-    ctx = matmul(softmax(scores, axis=-1), _permute_last3(v, (1, 0, 2)))  # (.., H, N, dh)
-    return reshape(_permute_last3(ctx, (1, 0, 2)), shape)
+    dh = d // heads
+    # keys shared by every query: fold the batch into the query rows so each
+    # head's key and value grads stay one product over all rows
+    qd = q.data.reshape(-1, d) if k.ndim == 2 else q.data
+    q4, k4, v4 = (x.reshape(x.shape[:-1] + (heads, dh)) for x in (qd, k.data, v.data))
+    qp = np.ascontiguousarray(np.swapaxes(q4, -3, -2))  # (.., H, N, dh)
+    kp = np.ascontiguousarray(np.moveaxis(k4, -3, -1))  # (.., H, dh, M)
+    vp = np.ascontiguousarray(np.swapaxes(v4, -3, -2))  # (.., H, M, dh)
+    c = float(1.0 / np.sqrt(dh))
+    recording = _active_tape() is not None and (q.requires_grad or k.requires_grad
+                                                or v.requires_grad)
+    try:
+        scores = qp @ kp  # (.., H, N, M)
+        if not recording:
+            del qp, kp
+        scores *= c
+        if mask is not None:
+            scores += mask.data
+        m = scores.shape[-1]
+        probs = kernels.softmax_rows(scores.reshape(-1, m)).reshape(scores.shape)
+        del scores
+        ctx = probs @ vp  # (.., H, N, dh)
+        if not recording:
+            del probs, vp
+        ctx_t = np.ascontiguousarray(np.swapaxes(ctx, -3, -2))  # (.., N, H, dh)
+        data = ctx_t.reshape(shape)
+    except ValueError as e:
+        raise ShapeError(f"attention: leading axes of q {q.shape}, k {k.shape}, v {v.shape}"
+                         f" and mask {None if mask is None else mask.shape} do not fit") from e
+    ctx_t_shape = ctx_t.shape
+
+    def pull(g):
+        gctx = np.swapaxes(g.reshape(ctx_t_shape), -3, -2)
+        gq = gk = gv = None
+        if v.requires_grad:
+            gvp = _unbroadcast(np.swapaxes(probs, -1, -2) @ gctx, vp.shape)
+            gv = np.swapaxes(gvp, -3, -2).reshape(v.shape)
+        if q.requires_grad or k.requires_grad:
+            gp = (gctx @ np.swapaxes(vp, -1, -2)).reshape(-1, m)
+            gs = kernels.softmax_rows_grad(probs.reshape(-1, m), gp).reshape(probs.shape)
+            gs *= c
+            if q.requires_grad:
+                gqp = gs @ np.swapaxes(kp, -1, -2)
+                gq = np.swapaxes(gqp, -3, -2).reshape(shape)
+            if k.requires_grad:
+                gkp = _unbroadcast(np.swapaxes(qp, -1, -2) @ gs, kp.shape)
+                gk = np.moveaxis(gkp, -1, -3).reshape(k.shape)
+        return gq, gk, gv
+
+    return _emit(data, (q, k, v), pull)

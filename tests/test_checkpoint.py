@@ -132,7 +132,8 @@ def test_corrupt_header_json_rejected(tmp_path):
 @pytest.mark.parametrize("config_edit, match", [
     ({"bogus": 1}, "bogus"),  # key RunConfig does not have
     ({"heads": 3}, "heads"),  # fails RunConfig.validate()
-], ids=["unknown_key", "heads_not_dividing_dim"])
+    ({"frequency": "bogus"}, "frequency"),  # no seasonality, so eval could never run
+], ids=["unknown_key", "heads_not_dividing_dim", "unknown_frequency"])
 def test_invalid_header_config_rejected(tmp_path, config_edit, match):
     header = {"config": {**dataclasses.asdict(tiny_cfg()), **config_edit}, "seed": 5, "step": 0,
               "prng_state": None}

@@ -83,6 +83,7 @@ def test_unknown_key_exits_2_listing_valid_keys(tmp_path, capsys):
     ("--channels", "0"), ("--length", "-10"), ("--stride", "0"), ("--synthetic", "bogus"),
     ("--noise", "-1"), ("--noise", "nan"), ("--pretrain-steps", "-3"),
     ("--lambda-lb", "-1"), ("--loss-kind", "rmse"), ("--patience", "-2"), ("--seed", "-1"),
+    ("--frequency", "bogus"),
 ])
 def test_structural_config_error_exits_2(tmp_path, capsys, flag, value):
     # TINY has dim 8 and ffn_dim 16: 3 heads cannot split it, rank caps at 4;

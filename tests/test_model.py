@@ -159,6 +159,27 @@ def test_tape_records_do_not_grow_with_head_count(variant):
     assert counts[0] == counts[1] > 0
 
 
+def test_desk_dispatch_op_counts(monkeypatch):
+    # desk batch-1 latency is Python dispatch, about 10 us per tensor op; the
+    # counts are exact for a fixed config, unlike timings on a shared host
+    cfg = RunConfig()  # the desk preset, variant full
+    m = Forecaster(cfg)
+    emitted = 0
+    emit = T._emit
+
+    def counting_emit(*args):
+        nonlocal emitted
+        emitted += 1
+        return emit(*args)
+
+    monkeypatch.setattr(T, "_emit", counting_emit)
+    m.predict(batch(cfg, b=1, n=cfg.channels))
+    assert emitted <= 112
+    with T.Tape() as tape:
+        m.forward_array(batch(cfg, b=cfg.batch_size, n=cfg.channels), want_stats=True)
+    assert len(tape._records) <= 128
+
+
 def test_phat_nodes_built_only_for_stats():
     cfg = tiny_cfg()
     m = Forecaster(cfg)

@@ -1,5 +1,6 @@
 """Autodiff engine checks: frozen forward values plus finite-difference oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -309,6 +310,60 @@ def test_attention_matches_per_head_loop_and_gradients(kv_shape, causal):
     ref = np_attention(q.data, k.data, v.data, 2, None if mask is None else mask.data)
     np.testing.assert_allclose(out.data, ref, atol=1e-12)
     assert_grads_match(lambda: T.total(T.square(T.attention(q, k, v, 2, mask))), [q, k, v])
+
+
+def unfused_attention(q, k, v, heads, mask=None):
+    """Attention as reshape, transpose, matmul, scale, add and softmax records: the oracle."""
+
+    def permute_last3(x, order):
+        lead = x.ndim - 3
+        return T.transpose(x, tuple(range(lead)) + tuple(lead + i for i in order))
+
+    shape, d = q.shape, q.shape[-1]
+    if k.ndim == 2:
+        q = T.reshape(q, (-1, d))
+    q, k, v = (T.reshape(t, t.shape[:-1] + (heads, d // heads)) for t in (q, k, v))
+    scores = T.matmul(permute_last3(q, (1, 0, 2)), permute_last3(k, (1, 2, 0)))
+    scores = T.scale(scores, 1.0 / np.sqrt(d // heads))
+    if mask is not None:
+        scores = T.add(scores, mask)
+    ctx = T.matmul(T.softmax(scores, axis=-1), permute_last3(v, (1, 0, 2)))
+    return T.reshape(permute_last3(ctx, (1, 0, 2)), shape)
+
+
+# q shape, k and v shape, causal mask; two heads of width 3, so the scale
+# 1/sqrt(3) is not a power of two and rounds differently if moved
+ATTENTION_CASES = {
+    "per_sample": ((2, 3, 6), (2, 3, 6), False),
+    "per_sample_causal": ((2, 3, 6), (2, 3, 6), True),
+    "shared_keys": ((2, 3, 6), (5, 6), False),  # the alignment case
+}
+
+
+@pytest.mark.parametrize("case", ATTENTION_CASES)
+@pytest.mark.parametrize("trainable", list(itertools.product([False, True], repeat=3)),
+                         ids=lambda t: "".join(n if r else "-" for n, r in zip("qkv", t)))
+def test_attention_bit_identical_to_unfused_records(case, trainable):
+    q_shape, kv_shape, causal = ATTENTION_CASES[case]
+    mask = Tensor(np.triu(np.full((3, 3), -1e30), k=1)) if causal else None
+
+    def run(attend):
+        q, k, v = (Tensor(rand(s, 80 + i), requires_grad=r)
+                   for i, (s, r) in enumerate(zip((q_shape, kv_shape, kv_shape), trainable)))
+        with Tape() as tape:
+            y = attend(q, k, v, 2, mask)
+            records = len(tape._records)
+            if any(trainable):
+                tape.backward(T.total(T.square(y)))
+        return records, [y.data, q.grad, k.grad, v.grad]
+
+    records, fused = run(T.attention)
+    _, oracle = run(unfused_attention)
+    assert records == (1 if any(trainable) else 0)
+    for a, b, learn in zip(fused, oracle, (True,) + trainable):
+        assert (a is None) == (b is None) == (not learn)
+        if learn:
+            np.testing.assert_array_equal(a, b)
 
 
 def test_broadcast_add_bias_gradient():
