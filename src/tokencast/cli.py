@@ -313,8 +313,10 @@ def cmd_sweep_n(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    series = synth_generate(args.kind, args.channels, args.length, args.seed,
-                            noise=args.noise, frequency=args.frequency)
+    cfg = RunConfig(synthetic=args.kind, channels=args.channels, length=args.length,
+                    seed=args.seed, noise=args.noise, frequency=args.frequency).validate()
+    series = synth_generate(cfg.synthetic, cfg.channels, cfg.length, cfg.seed,
+                            noise=cfg.noise, frequency=cfg.frequency)
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_series_csv(series, out_path)

@@ -5,7 +5,9 @@ g a binary gate chosen per sample by that layer's router and applied to the
 rank-r intermediate x A, so a closed gate zeroes r columns, not d_out. The
 product A B is never materialized; the delta is one tape op
 (`tensor.lora_linear`) of two thin matmuls, added in place into the base
-product x W, which never escapes it.
+product x W, which never escapes it. A router is one tape op too
+(`tensor.router_probs`): it pools each sample's last token, squashes it,
+projects it onto the modules and takes the softmax.
 Gates are constants to the gradient tape, so router weights learn only
 through the load-balance term, which is built from the differentiable mean
 gate probabilities.
@@ -48,11 +50,13 @@ def apply(x: Tensor, weight: Tensor, bias: Tensor | None,
     gate skips the adapter; an all-open one skips the gate product. Any open
     gate records the base matmul and one `lora_linear` delta op.
     """
-    if adapter is None or gate is None or not np.any(gate):
+    mask = None if adapter is None or gate is None else np.asarray(gate, dtype=np.float64)
+    if mask is None or not mask.any():
         out = T.matmul(x, weight)
+    elif mask.all():
+        out = T.lora_linear(x, weight, adapter.down, adapter.up, None)
     else:
-        mask = np.asarray(gate, dtype=np.float64)
-        mask = None if mask.all() else mask.reshape(mask.shape + (1,) * (x.ndim - mask.ndim))
+        mask = mask.reshape(mask.shape + (1,) * (x.ndim - mask.ndim))
         out = T.lora_linear(x, weight, adapter.down, adapter.up, mask)
     if bias is not None:
         out = T.add(out, bias)
@@ -60,27 +64,23 @@ def apply(x: Tensor, weight: Tensor, bias: Tensor | None,
 
 
 class LoraRouter:
-    """Per-layer gate chooser: probs = softmax(tanh(pooled) @ weight)."""
+    """Per-layer gate chooser: probs = softmax(tanh(h[:, -1]) @ weight), one tape op.
+
+    The last token row of each sample's block input is its routing summary;
+    the `identity` activation skips the tanh.
+    """
 
     def __init__(self, dim: int, layer: int, seed: int, activation: str = "tanh"):
         gen = rng.generator(seed, f"router:{layer}")
-        self.dim = dim
         self.activation = activation
         self.weight = T.parameter(rng.gaussian(gen, (dim, N_MODULES), ROUTER_INIT_STD))
 
-    def probs(self, pooled: Tensor) -> Tensor:
-        """(B, dim) or (dim,) pooled states -> gate probabilities over modules."""
-        h = T.tanh(pooled) if self.activation == "tanh" else pooled
-        return T.softmax(T.matmul(T.reshape(h, (-1, self.dim)), self.weight), axis=-1)
+    def probs(self, h: Tensor) -> Tensor:
+        """(B, N, dim) block input -> (B, N_MODULES) gate probabilities."""
+        return T.router_probs(h, self.weight, self.activation == "tanh")
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.weight": self.weight}
-
-
-def pool_last_token(h: Tensor) -> Tensor:
-    """Last token row of (B, N, dim): the routing summary of each sequence."""
-    n = h.shape[1]
-    return T.reshape(h[:, n - 1 : n, :], (h.shape[0], h.shape[2]))
 
 
 def top_n_gates_rows(probs: np.ndarray, n: int) -> np.ndarray:
@@ -91,7 +91,7 @@ def top_n_gates_rows(probs: np.ndarray, n: int) -> np.ndarray:
     """
     order = np.argsort(-probs, axis=1, kind="stable")
     gates = np.zeros_like(probs)
-    np.put_along_axis(gates, order[:, :n], 1.0, axis=1)
+    gates[np.arange(probs.shape[0])[:, None], order[:, :n]] = 1.0
     return gates
 
 

@@ -31,7 +31,6 @@ from .dlora import (
     LoraRouter,
     RoutingStats,
     accumulate_stats,
-    pool_last_token,
     top_n_gates_rows,
 )
 from .embedding import OutputHead, TsEmbedder, denormalize, instance_normalize
@@ -112,7 +111,7 @@ class Forecaster:
         probs_by_layer: list[Tensor] = []
 
         def route(layer: int, state: Tensor) -> dict:
-            probs = self.routers[layer].probs(pool_last_token(state))  # (B, 7)
+            probs = self.routers[layer].probs(state)  # (B, 7)
             gate_rows = top_n_gates_rows(probs.data, self.cfg.n_active)
             probs_by_layer.append(probs)
             return {name: gate_rows[:, j] for j, name in enumerate(MODULE_NAMES)}

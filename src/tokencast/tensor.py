@@ -9,8 +9,10 @@ weights and constant inputs cost no backward work. A matmul against a 2-D
 weight folds the leading axes of its left operand into rows and runs as one
 GEMM, forward and backward. A low-rank adapter delta is one op, lora_linear,
 written in place into a base product that never leaves it. Multi-head
-attention is one op too, with a hand-written pull for q, k and v. Outside a
-tape every op is forward-only, which is what inference wants.
+attention is one op too, with a hand-written pull for q, k and v, and so is a
+D-LoRA router (router_probs: last-token pooling, tanh, projection and
+softmax). Outside a tape every op is forward-only, which is what inference
+wants.
 
 A Tape and the tensors recorded on it belong to one thread. Independent
 model instances may run on separate threads, each with its own tape.
@@ -29,11 +31,11 @@ class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
-_LOCAL = threading.local()
+class _Local(threading.local):
+    tape = None  # the thread's active Tape; the class default serves threads that set none
 
 
-def _active_tape():
-    return getattr(_LOCAL, "tape", None)
+_LOCAL = _Local()
 
 
 class Tape:
@@ -44,7 +46,7 @@ class Tape:
         self._outer = None
 
     def __enter__(self):
-        self._outer = _active_tape()
+        self._outer = _LOCAL.tape
         _LOCAL.tape = self
         return self
 
@@ -132,11 +134,16 @@ def parameter(data) -> Tensor:
 
 def _emit(data, inputs, pull) -> Tensor:
     """Create the output tensor, recording the op if a tape is active."""
-    req = any(t.requires_grad for t in inputs)
+    req = False
+    for t in inputs:
+        if t.requires_grad:
+            req = True
+            break
     out = Tensor(data, requires_grad=req)
-    tape = _active_tape()
-    if req and tape is not None:
-        tape.record(out, inputs, pull)
+    if req:
+        tape = _LOCAL.tape
+        if tape is not None:
+            tape.record(out, inputs, pull)
     return out
 
 
@@ -527,8 +534,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Tensor | None =
     kp = np.ascontiguousarray(np.moveaxis(k4, -3, -1))  # (.., H, dh, M)
     vp = np.ascontiguousarray(np.swapaxes(v4, -3, -2))  # (.., H, M, dh)
     c = float(1.0 / np.sqrt(dh))
-    recording = _active_tape() is not None and (q.requires_grad or k.requires_grad
-                                                or v.requires_grad)
+    recording = _LOCAL.tape is not None and (q.requires_grad or k.requires_grad
+                                             or v.requires_grad)
     try:
         scores = qp @ kp  # (.., H, N, M)
         if not recording:
@@ -568,3 +575,38 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Tensor | None =
         return gq, gk, gv
 
     return _emit(data, (q, k, v), pull)
+
+
+# ---------------------------------------------------------------- routing
+
+
+def router_probs(h: Tensor, weight: Tensor, squash: bool) -> Tensor:
+    """softmax(act(h[:, -1]) @ weight) as one op: per-sample probabilities.
+
+    h is (B, N, d) and weight (d, m); the result is (B, m). Each sample is
+    summarised by its last token row, squashed by tanh when `squash` is set.
+    Forward and backward run the numpy expressions of the equivalent slice,
+    reshape, tanh, matmul and softmax records in their order, so values and
+    grads match those records bit for bit.
+    """
+    if h.ndim != 3 or weight.ndim != 2 or weight.shape[0] != h.shape[2]:
+        raise ShapeError(f"router_probs: states {h.shape} do not fit weight {weight.shape}")
+    b, n, d = h.shape
+    key = (slice(None), slice(n - 1, n), slice(None))
+    pooled = np.ascontiguousarray(h.data[key]).reshape(b, d)
+    x = np.tanh(pooled) if squash else pooled
+    wd = weight.data
+    probs = kernels.softmax_rows(x @ wd)
+
+    def pull(g):
+        glogits = kernels.softmax_rows_grad(probs, np.ascontiguousarray(g))
+        gh = None
+        if h.requires_grad:
+            gx = glogits @ wd.T
+            if squash:
+                gx = gx * (1.0 - x * x)
+            gh = np.zeros_like(h.data)
+            gh[key] = gx.reshape(b, 1, d)
+        return gh, x.T @ glogits if weight.requires_grad else None
+
+    return _emit(probs, (h, weight), pull)

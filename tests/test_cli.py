@@ -382,11 +382,17 @@ def test_synth_deterministic_and_sidecar(tmp_path):
     assert sidecar["kind"] == "ar2"
 
 
-def test_synth_unknown_kind_exits_3(tmp_path, capsys):
-    code = cli.main(["synth", "--kind", "brownian",
-                     "--output", str(tmp_path / "x.csv")])
-    assert code == 3
-    assert "unknown synthetic kind" in capsys.readouterr().err
+@pytest.mark.parametrize("flag, value", [
+    ("--kind", "brownian"), ("--length", "-5"), ("--frequency", "bogus"),
+], ids=["kind", "length", "frequency"])
+def test_synth_bad_config_exits_2(tmp_path, capsys, flag, value):
+    # synth checks its values as train does, before it writes anything
+    out = tmp_path / "x.csv"
+    code = cli.main(["synth", flag, value, "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point_runs():

@@ -14,7 +14,6 @@ from tokencast.dlora import (
     accumulate_stats,
     apply,
     load_balance_loss,
-    pool_last_token,
     top_n_gates_rows,
 )
 from tokencast.tensor import Tensor
@@ -137,14 +136,6 @@ def test_adapter_never_materializes_product():
     assert ad.down.size + ad.up.size == 64 * 4 + 4 * 64
 
 
-# --------------------------------------------------------------------- pool
-
-
-def test_pool_last_token_batched():
-    h = Tensor(rand((2, 5, 3), 11))
-    np.testing.assert_array_equal(pool_last_token(h).data, h.data[:, -1, :])
-
-
 # -------------------------------------------------------------------- gates
 
 
@@ -179,6 +170,24 @@ def test_top_n_exactly_n_and_dominance_sweep():
             assert np.all(kept >= dropped)
 
 
+def top_n_put_along_axis(probs, n):
+    """Gates written by np.put_along_axis: the reference for the indexed write."""
+    order = np.argsort(-probs, axis=1, kind="stable")
+    gates = np.zeros_like(probs)
+    np.put_along_axis(gates, order[:, :n], 1.0, axis=1)
+    return gates
+
+
+@pytest.mark.parametrize("b", [1, 16, 64])
+def test_top_n_matches_put_along_axis_reference(b):
+    gen = np.random.Generator(np.random.PCG64(b))
+    probs = gen.dirichlet(np.ones(7), size=b)
+    probs[1::2] = np.round(probs[1::2] * 4) / 4  # every other row full of ties
+    probs[-1] = 1.0 / 7.0  # and one uniform row
+    for n in range(1, 8):
+        np.testing.assert_array_equal(top_n_gates_rows(probs, n), top_n_put_along_axis(probs, n))
+
+
 def test_top_n_rows_matches_single():
     # rows never interact: gating a batch equals gating each row alone
     gen = np.random.Generator(np.random.PCG64(7))
@@ -192,7 +201,7 @@ def test_gates_invariant_to_logit_shift():
     # softmax is shift-invariant, so adding a constant never reroutes
     router = LoraRouter(dim=8, layer=0, seed=21)
     pooled = rand((4, 8), 22)
-    gates = top_n_gates_rows(router.probs(Tensor(pooled)).data, 3)
+    gates = top_n_gates_rows(router.probs(Tensor(pooled[:, None, :])).data, 3)
     probs_shifted = T.softmax(
         Tensor((np.tanh(pooled) @ router.weight.data) + 13.7), axis=-1
     ).data
@@ -205,18 +214,18 @@ def test_gates_invariant_to_logit_shift():
 def test_route_zero_weight_uniform():
     router = LoraRouter(dim=8, layer=0, seed=23)
     router.weight.data[...] = 0.0
-    probs = router.probs(Tensor(rand((3, 8), 24))).data
+    probs = router.probs(Tensor(rand((3, 8), 24)[:, None, :])).data
     np.testing.assert_allclose(probs, np.full((3, 7), 1.0 / 7.0), atol=1e-15)
     np.testing.assert_array_equal(top_n_gates_rows(probs, 2), [[1, 1, 0, 0, 0, 0, 0]] * 3)
 
 
 def test_route_is_input_dependent():
-    # routing keys on the pooled vector: columns of W pick distinct winners
+    # routing keys on the last token: columns of W pick distinct winners
     router = LoraRouter(dim=2, layer=0, seed=25)
     router.weight.data[...] = 0.0
     router.weight.data[0, 0] = 5.0
     router.weight.data[1, 3] = 5.0
-    probs = router.probs(Tensor(np.array([[3.0, 0.0], [0.0, 3.0]]))).data
+    probs = router.probs(Tensor(np.array([[[3.0, 0.0]], [[0.0, 3.0]]]))).data
     gates = top_n_gates_rows(probs, 1)
     assert gates[0, 0] == 1.0 and gates[1, 3] == 1.0
     assert not np.array_equal(gates[0], gates[1])
@@ -288,10 +297,10 @@ def test_lb_loss_collapse_dominates_uniform():
 
 def test_lb_loss_gradient_reaches_router_weight():
     router = LoraRouter(dim=6, layer=0, seed=30)
-    pooled = Tensor(rand((5, 6), 31))
+    h = Tensor(rand((5, 6), 31)[:, None, :])
 
     def loss():
-        probs = router.probs(pooled)
+        probs = router.probs(h)
         phat = T.mean(probs, axis=0)
         stats = accumulate_stats([probs.data], n_active=2, phat_nodes=[phat])
         return load_balance_loss(stats)

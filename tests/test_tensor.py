@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -125,6 +126,23 @@ def test_no_recording_outside_tape():
     with Tape() as tape:
         pass
     assert tape_ops(tape) == []
+
+
+def test_tape_records_only_its_own_thread():
+    # another thread sees no active tape, so its ops are not recorded here
+    x = T.parameter(rand((2, 2), 6))
+    seen = []
+
+    def other():
+        seen.append(T.square(x).requires_grad)
+
+    with Tape() as tape:
+        worker = threading.Thread(target=other)
+        worker.start()
+        worker.join(timeout=10)
+        T.square(x)
+    assert not worker.is_alive()
+    assert seen == [True] and tape_ops(tape) == ["square"]
 
 
 @pytest.mark.parametrize(
@@ -544,3 +562,48 @@ def test_lora_linear_matches_unfused_records_property(case):
 
     for a, b in zip(run(T.lora_linear), run(unfused_lora)):
         np.testing.assert_array_equal(a, b)
+
+
+# ------------------------------------------------------------ router_probs
+
+
+def unfused_router(h, weight, squash):
+    """Last-token pooling, tanh, reshape, matmul and softmax records: the oracle."""
+    n = h.shape[1]
+    pooled = T.reshape(h[:, n - 1 : n, :], (h.shape[0], h.shape[2]))
+    x = T.tanh(pooled) if squash else pooled
+    return T.softmax(T.matmul(T.reshape(x, (-1, weight.shape[0])), weight), axis=-1)
+
+
+@pytest.mark.parametrize("squash", [True, False], ids=["tanh", "identity"])
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("trainable", list(itertools.product([False, True], repeat=2)),
+                         ids=lambda t: "".join(n if r else "-" for n, r in zip("hw", t)))
+def test_router_probs_bit_identical_to_unfused_records(squash, batch, trainable):
+    f = Tensor(rand((7,), 92))  # a balance-loss weighting of the mean probs
+
+    def run(route):
+        h = Tensor(rand((batch, 4, 6), 90), requires_grad=trainable[0])
+        w = Tensor(rand((6, 7), 91), requires_grad=trainable[1])
+        with Tape() as tape:
+            p = route(h, w, squash)
+            records = len(tape._records)
+            if any(trainable):
+                tape.backward(T.total(T.mul(f, T.mean(p, axis=0))))
+        return records, [p.data, h.grad, w.grad]
+
+    records, fused = run(T.router_probs)
+    _, oracle = run(unfused_router)
+    assert records == (1 if any(trainable) else 0)
+    for a, b, learn in zip(fused, oracle, (True,) + trainable):
+        assert (a is None) == (b is None) == (not learn)
+        if learn:
+            np.testing.assert_array_equal(a, b)
+
+
+def test_router_probs_rejects_states_that_do_not_fit():
+    w = Tensor(np.zeros((6, 7)))
+    with pytest.raises(ShapeError):
+        T.router_probs(Tensor(np.zeros((2, 6))), w, True)
+    with pytest.raises(ShapeError):
+        T.router_probs(Tensor(np.zeros((2, 3, 5))), w, True)
