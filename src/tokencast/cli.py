@@ -1,17 +1,26 @@
 """Command-line front end: train, eval, forecast, ablate, sweep-n, synth.
 
 Exit codes: 0 success, 2 configuration errors (including metric settings),
-3 data and checkpoint file errors, 4 numeric failures during training.
+3 data and checkpoint file errors (an output that cannot be written among
+them), 4 numeric failures during training.
 
 Every RunConfig key is exposed three ways with identical meaning: a line in
 an INI config file (--config), a --set key=value override, and a direct
 --key-name flag. Precedence is preset < file < override, with --set and
 direct flags sharing the override level (direct flags win).
+
+Each call builds only the arguments of the verb it runs. The four verbs
+that take a config carry one hidden flag per RunConfig field, and adding
+them all to every subparser cost more than loading the checkpoint of a
+`forecast` call, which reads none of them. The other verbs are still
+registered with their help, so the top-level usage, help and errors are
+those of the full parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -138,12 +147,33 @@ def predict_blocks(model: Forecaster, windows, batch_size: int = 64):
 # ------------------------------------------------------------------- verbs
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report an OSError while creating or writing `path` as a data error."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
+
+
+def _output_dir(path) -> Path:
+    path = Path(path)
+    with _writing(path):
+        path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _writing(path):
+        path.write_text(text)
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _writing(path), open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
@@ -151,15 +181,15 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 def cmd_train(args) -> int:
     cfg = config_from_args(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     _, views, (train_ws, val_ws, test_ws) = prepare_data(cfg)
     model = build_model(cfg, views[0])
     result = train(model, train_ws, val_ws, cfg)
 
-    save_checkpoint(out / "checkpoint.ckpt", model,
-                    step=result.steps_run, prng_state=result.rng_state)
-    write_history_csv(result, out / "history.csv", layers=cfg.layers)
+    with _writing(out):
+        save_checkpoint(out / "checkpoint.ckpt", model,
+                        step=result.steps_run, prng_state=result.rng_state)
+        write_history_csv(result, out / "history.csv", layers=cfg.layers)
     _write_json(out / "routing_stats.json", routing_payload(model, train_ws))
 
     last = result.history[-1]
@@ -188,8 +218,7 @@ def cmd_eval(args) -> int:
                 f"{dim_key}={getattr(model.cfg, dim_key)}, dataset asks for "
                 f"{getattr(cfg, dim_key)}"
             )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     series, views, (_, _, test_ws) = prepare_data(cfg)
     x, y_true, y_pred = predict_blocks(model, test_ws)
 
@@ -203,7 +232,7 @@ def cmd_eval(args) -> int:
     )
     _write_json(out / "metrics.json", report.to_json_dict())
     table = report.to_text_table()
-    (out / "metrics.txt").write_text(table + "\n")
+    _write_text(out / "metrics.txt", table + "\n")
     _write_json(out / "routing_stats.json", routing_payload(model, test_ws))
     print(table)
     print(f"wrote {out / 'metrics.json'}, {out / 'metrics.txt'}, "
@@ -223,20 +252,20 @@ def cmd_forecast(args) -> int:
     x = series.values[-lookback:].T[None, :, :]
     pred = model.predict(x)[0]  # (channels, horizon)
     out_path = Path(args.output)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + list(series.channel_names))
-        for h in range(pred.shape[1]):
-            writer.writerow([h + 1] + [repr(float(v)) for v in pred[:, h]])
+    with _writing(out_path):
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        with open(out_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["step"] + list(series.channel_names))
+            for h in range(pred.shape[1]):
+                writer.writerow([h + 1] + [repr(float(v)) for v in pred[:, h]])
     print(f"wrote {out_path} ({pred.shape[1]} steps x {pred.shape[0]} channels)")
     return EXIT_OK
 
 
 def cmd_ablate(args) -> int:
     cfg = config_from_args(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     _, views, (train_ws, val_ws, test_ws) = prepare_data(cfg)
 
     rows = []
@@ -285,8 +314,7 @@ def cmd_sweep_n(args) -> int:
     # every n is checked before the first one trains
     ncfgs = [dataclasses.replace(cfg, n_active=n).validate()
              for n in parse_n_values(args.n_values)]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     _, views, (train_ws, val_ws, test_ws) = prepare_data(cfg)
 
     rows = []
@@ -318,8 +346,9 @@ def cmd_synth(args) -> int:
     series = synth_generate(cfg.synthetic, cfg.channels, cfg.length, cfg.seed,
                             noise=cfg.noise, frequency=cfg.frequency)
     out_path = Path(args.output)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_series_csv(series, out_path)
+    with _writing(out_path):
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        write_series_csv(series, out_path)
     print(f"wrote {out_path} ({series.length} rows x {series.channels} channels)")
     return EXIT_OK
 
@@ -364,44 +393,32 @@ def parse_n_values(text: str) -> list[int]:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tokencast",
-        description="Train and evaluate the channel-as-token forecaster.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("train", help="fit a model, write checkpoint + history")
+def _config_args(p: argparse.ArgumentParser) -> None:
+    """The arguments of train and ablate, which end those of eval."""
     add_config_flags(p)
     p.add_argument("--out", default="tokencast_out", help="output directory")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="metric report for a checkpoint on a dataset")
+
+def _eval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mase-convention", choices=["window", "m4"], default="window")
-    add_config_flags(p)
-    p.add_argument("--out", default="tokencast_out", help="output directory")
-    p.set_defaults(func=cmd_eval)
+    _config_args(p)
 
-    p = sub.add_parser("forecast", help="predict beyond the end of a lookback CSV")
+
+def _forecast_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help="CSV with at least lookback rows")
     p.add_argument("--output", default="forecast.csv")
     p.add_argument("--date-column", default="")
-    p.set_defaults(func=cmd_forecast)
 
-    p = sub.add_parser("ablate", help="compare all five variants on shared data")
-    add_config_flags(p)
-    p.add_argument("--out", default="tokencast_out", help="output directory")
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("sweep-n", help="sweep the active-adapter count")
+def _sweep_n_args(p: argparse.ArgumentParser) -> None:
     add_config_flags(p)
     p.add_argument("--n-values", default="1,2,3,4,5,6,7")
     p.add_argument("--out", default="tokencast_out", help="output directory")
-    p.set_defaults(func=cmd_sweep_n)
 
-    p = sub.add_parser("synth", help="generate a synthetic series CSV + sidecar")
+
+def _synth_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", default="sine_mixture")
     p.add_argument("--channels", type=int, default=3)
     p.add_argument("--length", type=int, default=2000)
@@ -409,13 +426,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--frequency", default="hourly")
     p.add_argument("--output", default="synth.csv")
-    p.set_defaults(func=cmd_synth)
 
+
+# (name, help, argument builder, command), in the order --help lists them
+VERBS = (
+    ("train", "fit a model, write checkpoint + history", _config_args, cmd_train),
+    ("eval", "metric report for a checkpoint on a dataset", _eval_args, cmd_eval),
+    ("forecast", "predict beyond the end of a lookback CSV", _forecast_args, cmd_forecast),
+    ("ablate", "compare all five variants on shared data", _config_args, cmd_ablate),
+    ("sweep-n", "sweep the active-adapter count", _sweep_n_args, cmd_sweep_n),
+    ("synth", "generate a synthetic series CSV + sidecar", _synth_args, cmd_synth),
+)
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for `argv`: every verb is listed, only argv's verb has arguments.
+
+    argparse hands the rest of argv to the subparser named by the first
+    token that does not start with '-' (the top level takes only -h), so the
+    other verbs' arguments would never be read.
+    """
+    parser = argparse.ArgumentParser(
+        prog="tokencast",
+        description="Train and evaluate the channel-as-token forecaster.",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+    verb = next((a for a in argv if not a.startswith("-")), None)
+    for name, help_text, add_arguments, func in VERBS:
+        p = sub.add_parser(name, help=help_text)
+        if name == verb:
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         # overflow on the way to a non-finite loss or grad norm is reported
         # by the numeric guards (exit 4), not as numpy warnings on stderr

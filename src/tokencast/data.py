@@ -97,7 +97,7 @@ def load_csv(path, date_column: str | None = None, name: str | None = None,
     """
     path = Path(path)
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")  # a BOM, as Excel writes, is dropped
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior and exit-code contract."""
 
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -16,6 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokencast import cli
+from tokencast.config import RunConfig
+from tokencast.data import load_csv
 
 TINY = [
     "--length", "260", "--lookback", "16", "--horizon", "4", "--dim", "8",
@@ -395,13 +399,17 @@ def test_synth_bad_config_exits_2(tmp_path, capsys, flag, value):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_module_entry_point_runs():
+def child_env():
     # the child imports the same tokencast as this test, installed or not
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "tokencast.cli", "--help"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     for verb in ("train", "eval", "forecast", "ablate", "sweep-n", "synth"):
@@ -424,3 +432,281 @@ def test_preset_flag_applies(tmp_path, capsys):
     assert cfg["dim"] == 8  # direct flag beat the preset
     assert cfg["horizon"] == 4
     assert cfg["lookback"] == 16
+
+
+# ------------------------------------------------------------ parser pins
+
+HELP = {
+    None: """\
+usage: tokencast [-h] {train,eval,forecast,ablate,sweep-n,synth} ...
+
+Train and evaluate the channel-as-token forecaster.
+
+positional arguments:
+  {train,eval,forecast,ablate,sweep-n,synth}
+    train               fit a model, write checkpoint + history
+    eval                metric report for a checkpoint on a dataset
+    forecast            predict beyond the end of a lookback CSV
+    ablate              compare all five variants on shared data
+    sweep-n             sweep the active-adapter count
+    synth               generate a synthetic series CSV + sidecar
+
+options:
+  -h, --help            show this help message and exit
+""",
+    'train': """\
+usage: tokencast train [-h] [--config FILE]
+                       [--preset {appendix,desk,main_text}] [--set KEY=VALUE]
+                       [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --config FILE         INI config file
+  --preset {appendix,desk,main_text}
+                        named starting point
+  --set KEY=VALUE       override any config key (repeatable)
+  --out OUT             output directory
+""",
+    'eval': """\
+usage: tokencast eval [-h] --checkpoint CHECKPOINT
+                      [--mase-convention {window,m4}] [--config FILE]
+                      [--preset {appendix,desk,main_text}] [--set KEY=VALUE]
+                      [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --checkpoint CHECKPOINT
+  --mase-convention {window,m4}
+  --config FILE         INI config file
+  --preset {appendix,desk,main_text}
+                        named starting point
+  --set KEY=VALUE       override any config key (repeatable)
+  --out OUT             output directory
+""",
+    'forecast': """\
+usage: tokencast forecast [-h] --checkpoint CHECKPOINT --input INPUT
+                          [--output OUTPUT] [--date-column DATE_COLUMN]
+
+options:
+  -h, --help            show this help message and exit
+  --checkpoint CHECKPOINT
+  --input INPUT         CSV with at least lookback rows
+  --output OUTPUT
+  --date-column DATE_COLUMN
+""",
+    'ablate': """\
+usage: tokencast ablate [-h] [--config FILE]
+                        [--preset {appendix,desk,main_text}] [--set KEY=VALUE]
+                        [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --config FILE         INI config file
+  --preset {appendix,desk,main_text}
+                        named starting point
+  --set KEY=VALUE       override any config key (repeatable)
+  --out OUT             output directory
+""",
+    'sweep-n': """\
+usage: tokencast sweep-n [-h] [--config FILE]
+                         [--preset {appendix,desk,main_text}]
+                         [--set KEY=VALUE] [--n-values N_VALUES] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --config FILE         INI config file
+  --preset {appendix,desk,main_text}
+                        named starting point
+  --set KEY=VALUE       override any config key (repeatable)
+  --n-values N_VALUES
+  --out OUT             output directory
+""",
+    'synth': """\
+usage: tokencast synth [-h] [--kind KIND] [--channels CHANNELS]
+                       [--length LENGTH] [--seed SEED] [--noise NOISE]
+                       [--frequency FREQUENCY] [--output OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --kind KIND
+  --channels CHANNELS
+  --length LENGTH
+  --seed SEED
+  --noise NOISE
+  --frequency FREQUENCY
+  --output OUTPUT
+""",
+}
+
+USAGE = HELP[None].splitlines(keepends=True)[0]
+REQUIRED = {"eval": ["--checkpoint", "c"], "forecast": ["--checkpoint", "c", "--input", "i"]}
+CONFIG_VERBS = ("train", "eval", "ablate", "sweep-n")
+
+
+def run_main(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as e:  # argparse exits on --help and on usage errors
+        return e.code
+
+
+def usage(verb):
+    # the usage block that opens the verb's help
+    return HELP[verb].split("\n\n")[0] + "\n"
+
+
+USAGE_CASES = [  # (argv, exit code, stdout, stderr)
+    ([], 2, "", USAGE + "tokencast: error: the following arguments are required: verb\n"),
+    (["--help"], 0, HELP[None], ""),
+    (["bogus"], 2, "", USAGE + "tokencast: error: argument verb: invalid choice: 'bogus' "
+                              "(choose from 'train', 'eval', 'forecast', 'ablate', 'sweep-n', "
+                              "'synth')\n"),
+    *[([verb, "--help"], 0, HELP[verb], "") for verb in HELP if verb],
+    *[([verb, *REQUIRED.get(verb, []), "--bogus", "1"], 2, "",
+       USAGE + "tokencast: error: unrecognized arguments: --bogus 1\n") for verb in HELP if verb],
+    (["forecast", *REQUIRED["forecast"], "--lr", "1"], 2, "",
+     USAGE + "tokencast: error: unrecognized arguments: --lr 1\n"),
+    (["train", "--epo"], 2, "",
+     usage("train") + "tokencast train: error: argument --epochs: expected one argument\n"),
+    (["train", "--epo", "0"], 2, "", "config error: epochs must be >= 1, got 0\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", USAGE_CASES,
+                         ids=[" ".join(case[0]) or "no-arguments" for case in USAGE_CASES])
+def test_cli_usage_output(monkeypatch, capsys, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    assert run_main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def parser_with_every_verb():
+    """The parser with all six verbs' arguments built, whatever argv names."""
+    parser = cli.build_parser([])
+    (verbs,) = [a for a in parser._actions if a.dest == "verb"]
+    for name, _, add_arguments, func in cli.VERBS:
+        add_arguments(verbs.choices[name])
+        verbs.choices[name].set_defaults(func=func)
+    return parser
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(argv=["-h", "train"])
+@example(argv=["--", "train", "-h"])
+@example(argv=["-1", "train"])
+@example(argv=["train", "forecast", "-h"])
+@given(argv=st.lists(st.sampled_from([
+    "train", "eval", "forecast", "synth", "trai", "-h", "--", "-1", "-x", "--epo", "3",
+    "--set", "lr=1", "--lr", "--checkpoint", "c", "--input", "--kind", "ar2", "--out=o",
+]), max_size=6))
+def test_parser_matches_one_with_every_verb_built(argv):
+    # argparse gives the rest of argv to the first token not starting with
+    # '-', so building only that verb's arguments changes no outcome
+    outcomes = []
+    for parser in (cli.build_parser(argv), parser_with_every_verb()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = vars(parser.parse_args(argv))
+            except SystemExit as e:
+                result = e.code
+        outcomes.append((result, out.getvalue(), err.getvalue()))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("verb", CONFIG_VERBS)
+def test_every_config_field_parses_as_a_flag(verb):
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    argv = [verb, *REQUIRED.get(verb, [])]
+    for i, name in enumerate(names):
+        argv += [f"--{name.replace('_', '-')}", f"v{i}"]
+    args = cli.build_parser(argv).parse_args(argv)
+    assert cli.collect_overrides(args) == {name: f"v{i}" for i, name in enumerate(names)}
+
+
+@pytest.mark.parametrize("verb, n_flags", [
+    ("train", 45), ("eval", 47), ("forecast", 4), ("ablate", 45), ("sweep-n", 46), ("synth", 7),
+])
+def test_parser_builds_only_its_verbs_arguments(monkeypatch, verb, n_flags):
+    # counts, unlike timings on a shared host, are exact: the parser of a
+    # forecast call adds its 4 flags and none of the hidden RunConfig flags
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def recording_add_argument(self, *names, **kwargs):
+        added.append(kwargs.get("dest", names[0]))
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording_add_argument)
+    cli.build_parser([verb, *REQUIRED.get(verb, [])])
+    assert added.count("-h") == 1 + len(cli.VERBS)  # the top level and every verb keep help
+    assert len(added) - added.count("-h") == n_flags
+    config_flags = [dest for dest in added if dest.startswith("cfg_")]
+    assert len(config_flags) == (len(dataclasses.fields(RunConfig)) if verb in CONFIG_VERBS else 0)
+
+
+# ------------------------------------------------------------ output and input files
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A tiny checkpoint and a 40-row history CSV that tests only read."""
+    root = tmp_path_factory.mktemp("tiny_run")
+    ckpt = train_tiny(root)
+    hist = root / "hist.csv"
+    assert cli.main(["synth", "--length", "40", "--output", str(hist)]) == 0
+    return ckpt, hist
+
+
+@pytest.mark.parametrize("case", [
+    "train", "eval", "forecast", "ablate", "sweep-n", "synth",
+    "train_checkpoint_is_a_directory", "forecast_output_is_a_directory",
+])
+def test_unwritable_output_exits_3(tiny_run, tmp_path, capsys, case):
+    ckpt, hist = tiny_run
+    blocker = tmp_path / "file"  # a regular file where a directory is needed
+    blocker.write_text("")
+    taken = tmp_path / "taken"  # a directory where a file is needed
+    (taken / "checkpoint.ckpt").mkdir(parents=True)
+    forecast = ["forecast", "--checkpoint", ckpt, "--input", hist, "--date-column", "date"]
+    argv = {
+        "train": ["train", *TINY, "--out", blocker],
+        "eval": ["eval", "--checkpoint", ckpt, "--out", blocker],
+        "forecast": [*forecast, "--output", blocker / "o.csv"],
+        "ablate": ["ablate", *TINY, "--out", blocker],
+        "sweep-n": ["sweep-n", *TINY, "--n-values", "1", "--out", blocker],
+        "synth": ["synth", "--length", "40", "--output", blocker / "o.csv"],
+        "train_checkpoint_is_a_directory": ["train", *TINY, "--out", taken],
+        "forecast_output_is_a_directory": [*forecast, "--output", taken],
+    }[case]
+    code = cli.main([str(a) for a in argv])
+    assert "data error: cannot write" in assert_data_error(code, capsys)
+
+
+def test_forecast_reads_csv_with_bom(tiny_run, tmp_path):
+    # an Excel-style UTF-8 export opens with a byte order mark
+    ckpt, hist = tiny_run
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + hist.read_bytes())
+    plain, marked = load_csv(hist, date_column="date"), load_csv(bom, date_column="date")
+    assert np.array_equal(plain.values, marked.values)
+    assert plain.channel_names == marked.channel_names
+    outputs = []
+    for src in (hist, bom):
+        out = tmp_path / f"fc_{src.stem}.csv"
+        assert cli.main(["forecast", "--checkpoint", str(ckpt), "--input", str(src),
+                         "--date-column", "date", "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_module_entry_point_forecasts_like_main(tiny_run, tmp_path):
+    # a user's forecast is a fresh process, which builds the parser once
+    ckpt, hist = tiny_run
+    argv = ["forecast", "--checkpoint", str(ckpt), "--input", str(hist), "--date-column", "date"]
+    assert cli.main([*argv, "--output", str(tmp_path / "main.csv")]) == 0
+    proc = subprocess.run([sys.executable, "-m", "tokencast.cli", *argv,
+                           "--output", str(tmp_path / "child.csv")],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
