@@ -33,18 +33,17 @@ def hash_tokens(text: str, buckets: int, max_tokens: int) -> list[int]:
 
 
 class PromptEmbedding:
-    """Trainable bucket table plus the hashed ids of one prompt."""
+    """Trainable bucket table plus the ids of one prompt, hashed once at construction."""
 
-    def __init__(self, dim: int, buckets: int, seed: int):
+    def __init__(self, dim: int, buckets: int, seed: int, text: str, max_tokens: int = 64):
         gen = rng.generator(seed, "prompt_table")
         self.dim = dim
         self.buckets = buckets
         self.table = T.parameter(rng.gaussian(gen, (buckets, dim), INIT_STD))
-        self.ids: list[int] = []
+        self.ids = hash_tokens(text, buckets, max_tokens)
 
-    def encode(self, text: str, max_tokens: int = 64) -> Tensor:
+    def encode(self) -> Tensor:
         """Rows of the table for the prompt's bucket ids, (P, dim)."""
-        self.ids = hash_tokens(text, self.buckets, max_tokens)
         return T.take_rows(self.table, self.ids)
 
     def params(self, prefix: str = "prompt") -> dict[str, Tensor]:

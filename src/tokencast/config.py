@@ -177,11 +177,12 @@ def _check_key(key: str) -> None:
 def load_config_file(path) -> dict:
     """Parse an INI-style file into a flat key/value dict (sections are cosmetic)."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from None
     except configparser.Error as e:
         raise ConfigError(f"{path}: {e}") from None
     out = {}

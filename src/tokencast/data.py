@@ -87,6 +87,14 @@ class SeriesView:
         return f"SeriesView({self.series.name}[{self.start}:{self.stop}])"
 
 
+def _decoded_lines(fh, path):
+    """The lines of a text file, with a decoding failure raised as DataError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_csv(path, date_column: str | None = None, name: str | None = None,
              frequency: str = "hourly") -> MultivariateSeries:
     """Read a headered CSV of numeric channels into a MultivariateSeries.
@@ -101,7 +109,7 @@ def load_csv(path, date_column: str | None = None, name: str | None = None,
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_decoded_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:

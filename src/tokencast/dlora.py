@@ -8,9 +8,10 @@ product A B is never materialized; the delta is one tape op
 product x W, which never escapes it. A router is one tape op too
 (`tensor.router_probs`): it pools each sample's last token, squashes it,
 projects it onto the modules and takes the softmax.
-Gates are constants to the gradient tape, so router weights learn only
-through the load-balance term, which is built from the differentiable mean
-gate probabilities.
+The forward's list of router outputs is a batch's one routing record:
+`batch_stats` reads constant (f, p-hat) off it, and `load_balance_loss`
+records the mean probabilities it needs. Gates are constants to the tape,
+so router weights learn only through that balance term.
 
 Adapters and routers take their shapes from a RunConfig that `Forecaster`
 has already validated (rank within min(dim, ffn_dim) // 2, n_active within
@@ -19,13 +20,14 @@ has already validated (rank within min(dim, ffn_dim) // 2, n_active within
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import rng
 from . import tensor as T
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 MODULE_NAMES = ("q_proj", "k_proj", "v_proj", "o_proj", "gate_proj", "up_proj", "down_proj")
 N_MODULES = len(MODULE_NAMES)
@@ -99,17 +101,14 @@ def top_n_gates_rows(probs: np.ndarray, n: int) -> np.ndarray:
 class RoutingStats:
     """Per-layer activation frequencies f and mean probabilities p-hat.
 
-    `phat_nodes` holds the live tape tensors when the stats were collected
-    during a recorded forward; load_balance_loss uses them so the balance
-    term stays differentiable. f rows are argmax frequencies and always
-    constants.
+    Both are constants: f rows are argmax frequencies, p-hat rows the mean
+    of the router outputs over `samples` inputs.
     """
 
     f: np.ndarray  # (L, N_MODULES)
     phat: np.ndarray  # (L, N_MODULES)
     samples: int
     n_active: int
-    phat_nodes: list[Tensor] | None = field(default=None, repr=False)
 
     def entropy_bits(self) -> np.ndarray:
         """Shannon entropy of each layer's mean gate probabilities."""
@@ -132,39 +131,35 @@ class RoutingStats:
         }
 
 
-def accumulate_stats(prob_rows: list[np.ndarray], n_active: int,
-                     phat_nodes: list[Tensor] | None = None) -> RoutingStats:
-    """Fold per-layer (B, N_MODULES) probability batches into RoutingStats."""
-    if not prob_rows:
-        raise ShapeError("no probability rows to accumulate")
-    f_rows, p_rows = [], []
-    batch = prob_rows[0].shape[0]
-    for rows in prob_rows:
-        if rows.ndim != 2 or rows.shape[1] != N_MODULES:
-            raise ShapeError(f"expected (B, {N_MODULES}) probabilities, got {rows.shape}")
-        winners = np.argmax(rows, axis=1)
-        f_rows.append(np.bincount(winners, minlength=N_MODULES) / rows.shape[0])
-        p_rows.append(rows.mean(axis=0))
-    return RoutingStats(
-        f=np.stack(f_rows), phat=np.stack(p_rows), samples=batch,
-        n_active=n_active, phat_nodes=phat_nodes,
-    )
+def batch_stats(probs: list[Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-layer argmax frequencies f and mean probabilities p-hat of (B, N_MODULES) probs.
+
+    No probs (an unrouted variant) give (0, N_MODULES) arrays.
+    """
+    f = np.zeros((len(probs), N_MODULES))
+    phat = np.zeros((len(probs), N_MODULES))
+    for i, p in enumerate(probs):
+        f[i] = np.bincount(np.argmax(p.data, axis=1), minlength=N_MODULES) / p.shape[0]
+        phat[i] = p.data.mean(axis=0)
+    return f, phat
 
 
-def load_balance_loss(stats: RoutingStats) -> Tensor:
-    """N_MODULES * sum over layers and modules of f_i * phat_i.
+def merge_stats(batches: list[tuple[np.ndarray, np.ndarray]],
+                weights: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted mean of per-batch (f, p-hat); weights of the batch sizes pool them exactly."""
+    total = sum(weights)
+    f = sum(w * bf for (bf, _), w in zip(batches, weights)) / total
+    phat = sum(w * bp for (_, bp), w in zip(batches, weights)) / total
+    return f, phat
+
+
+def load_balance_loss(probs: list[Tensor], f: np.ndarray) -> Tensor:
+    """N_MODULES * sum over layers l and modules i of f[l, i] * mean_b(probs[l])[i].
 
     Equals the layer count exactly when both distributions are uniform and
-    N_MODULES * layers when routing collapses onto a single module.
-    Differentiable through phat when live tape nodes are attached.
+    N_MODULES * layers when routing collapses onto a single module. The
+    batch means are recorded here, so the term is differentiable through
+    the router outputs while f stays a constant.
     """
-    if stats.phat_nodes is not None:
-        terms = [
-            T.total(T.mul(Tensor(stats.f[i]), node))
-            for i, node in enumerate(stats.phat_nodes)
-        ]
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = T.add(acc, t)
-        return T.scale(acc, float(N_MODULES))
-    return Tensor(N_MODULES * float((stats.f * stats.phat).sum()))
+    terms = [T.total(T.mul(Tensor(f[i]), T.mean(p, axis=0))) for i, p in enumerate(probs)]
+    return T.scale(reduce(T.add, terms), float(N_MODULES))

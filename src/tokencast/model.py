@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import dlora
 from . import rng
 from . import tensor as T
 from .alignment import CrossAttention, PromptEmbedding
@@ -30,7 +29,8 @@ from .dlora import (
     LoraAdapter,
     LoraRouter,
     RoutingStats,
-    accumulate_stats,
+    batch_stats,
+    merge_stats,
     top_n_gates_rows,
 )
 from .embedding import OutputHead, TsEmbedder, denormalize, instance_normalize
@@ -60,10 +60,10 @@ class Forecaster:
             if self.uses_alignment else None
         )
         self.prompt = (
-            PromptEmbedding(cfg.dim, cfg.prompt_buckets, cfg.seed)
+            PromptEmbedding(cfg.dim, cfg.prompt_buckets, cfg.seed,
+                            cfg.prompt_text(), cfg.prompt_max_tokens)
             if self.uses_prompt else None
         )
-        self.prompt_text = cfg.prompt_text()
 
         self.adapters: list[dict[str, LoraAdapter]] = []
         if self.uses_adapters:
@@ -82,10 +82,12 @@ class Forecaster:
 
     # ------------------------------------------------------------- forward
 
-    def _prompt_rows(self) -> Tensor:
-        return self.prompt.encode(self.prompt_text, self.cfg.prompt_max_tokens)
+    def forward_array(self, x: np.ndarray) -> tuple[Tensor, list[Tensor]]:
+        """(B, C, lookback) windows -> (B, C, horizon) forecast and router probs.
 
-    def forward_array(self, x: np.ndarray, want_stats: bool = False):
+        probs holds each routed layer's (B, N_MODULES) router output, empty
+        for the unrouted variants: the batch's one routing record.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3:
             raise ShapeError(f"expected (batch, channels, lookback), got {x.shape}")
@@ -97,14 +99,14 @@ class Forecaster:
 
         prefix_len = 0
         if self.variant == "v2_prefix_prompt":
-            rows = self._prompt_rows()  # (P, dim)
+            rows = self.prompt.encode()  # (P, dim)
             prefix_len = rows.shape[0]
             b = tokens.shape[0]
             lift = Tensor(np.zeros((b, prefix_len, self.cfg.dim)))
             prompt_b = T.add(lift, rows)  # broadcast rows across the batch
             h = T.concat([prompt_b, tokens], axis=1)
         elif self.uses_alignment:
-            h = self.cross.align(tokens, self._prompt_rows())
+            h = self.cross.align(tokens, self.prompt.encode())
         else:
             h = tokens
 
@@ -129,12 +131,7 @@ class Forecaster:
         pred = self.head.project(h)
         if norm_stats is not None:
             pred = denormalize(pred, norm_stats)
-
-        stats = None
-        if want_stats and self.uses_routers:
-            stats = accumulate_stats([p.data for p in probs_by_layer], self.cfg.n_active,
-                                     [T.mean(p, axis=0) for p in probs_by_layer])
-        return pred, stats
+        return pred, probs_by_layer
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Forward outside any tape: plain arrays in, plain arrays out."""
@@ -144,21 +141,17 @@ class Forecaster:
     def collect_routing_stats(self, windows, batch_size: int = 64) -> RoutingStats:
         """Aggregate routing frequencies over every window of a WindowSet.
 
-        Per-batch stats merge exactly: frequencies and mean probabilities
-        are sample-weighted averages of the batch values.
+        Each batch's stats weigh by its window count, so the merge equals
+        the stats of one batch holding every window.
         """
         if not self.uses_routers:
             raise ShapeError(f"variant '{self.variant}' has no routers")
-        f_sum = np.zeros((self.cfg.layers, dlora.N_MODULES))
-        p_sum = np.zeros((self.cfg.layers, dlora.N_MODULES))
-        samples = 0
+        batches, sizes = [], []
         for batch in windows.iter_batches(batch_size):
-            _, stats = self.forward_array(batch.x, want_stats=True)
-            f_sum += stats.f * stats.samples
-            p_sum += stats.phat * stats.samples
-            samples += stats.samples
-        return RoutingStats(f=f_sum / samples, phat=p_sum / samples,
-                            samples=samples, n_active=self.cfg.n_active)
+            batches.append(batch_stats(self.forward_array(batch.x)[1]))
+            sizes.append(batch.x.shape[0])
+        f, phat = merge_stats(batches, sizes)
+        return RoutingStats(f=f, phat=phat, samples=sum(sizes), n_active=self.cfg.n_active)
 
     # ---------------------------------------------------------- bookkeeping
 

@@ -5,6 +5,10 @@ lambda_lb, loss_kind, seed, patience, clip_norm) from the run's RunConfig,
 whose `validate()` holds their bounds; model facts such as the layer count
 and `n_active` come from `model.cfg`.
 
+Each step's router probs give its constant (f, p-hat) (`dlora.batch_stats`)
+for the balance term and `lb_loss`; the entropy columns merge them with
+weight 1 per step, so a shorter last batch counts in full.
+
 The loop is single-threaded and fully deterministic for a given seed:
 batch order comes from one seeded generator and parameters update in sorted
 name order.
@@ -22,7 +26,7 @@ from . import rng
 from . import tensor as T
 from .config import RunConfig
 from .data import DataError
-from .dlora import N_MODULES, RoutingStats, load_balance_loss
+from .dlora import N_MODULES, RoutingStats, batch_stats, load_balance_loss, merge_stats
 from .tensor import Tape, Tensor
 
 
@@ -50,10 +54,11 @@ def task_loss(kind: str, pred: Tensor, target: np.ndarray) -> Tensor:
     return mse_loss(pred, target) if kind == "mse" else smape_loss(pred, target)
 
 
-def total_loss(task: Tensor, stats: RoutingStats | None, lambda_lb: float) -> Tensor:
-    if stats is None or lambda_lb == 0.0:
+def total_loss(task: Tensor, probs: list[Tensor], f: np.ndarray, lambda_lb: float) -> Tensor:
+    """task + lambda_lb * balance term, or task itself (no op recorded) when unused."""
+    if not probs or lambda_lb == 0.0:
         return task
-    return T.add(task, T.scale(load_balance_loss(stats), lambda_lb))
+    return T.add(task, T.scale(load_balance_loss(probs, f), lambda_lb))
 
 
 class AdamW:
@@ -172,7 +177,6 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
     params = model.trainable()
     opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     gen = rng.generator(cfg.seed, "batch_order")
-    layers = model.cfg.layers
     result = TrainResult()
     has_val = val_windows is not None and val_windows.count > 0
     best_snapshot = None
@@ -183,13 +187,13 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
         epoch_loss = 0.0
         epoch_lb = 0.0
         steps = 0
-        f_sums = np.zeros((layers, N_MODULES))
-        phat_sums = np.zeros((layers, N_MODULES))
+        routing = []  # each step's (f, phat)
         for batch in train_windows.iter_batches(cfg.batch_size, order):
             with Tape() as tape:
-                pred, stats = model.forward_array(batch.x, want_stats=True)
+                pred, probs = model.forward_array(batch.x)
+                f, phat = batch_stats(probs)
                 task = task_loss(cfg.loss_kind, pred, batch.y)
-                loss = total_loss(task, stats, cfg.lambda_lb)
+                loss = total_loss(task, probs, f, cfg.lambda_lb)
                 loss_val = loss.item()
                 if not np.isfinite(loss_val):
                     raise _numeric_failure("loss", epoch, steps, loss_val, task,
@@ -202,10 +206,8 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
             opt.step()
             opt.zero_grad()
             epoch_loss += task.item()
-            if stats is not None:
-                epoch_lb += float(N_MODULES * (stats.f * stats.phat).sum())
-                f_sums += stats.f
-                phat_sums += stats.phat
+            epoch_lb += float(N_MODULES * (f * phat).sum())
+            routing.append((f, phat))
             steps += 1
 
         row = {
@@ -215,12 +217,11 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
             "lb_loss": epoch_lb / steps,
         }
         if model.uses_routers:
-            epoch_stats = RoutingStats(f=f_sums / steps, phat=phat_sums / steps,
-                                       samples=train_windows.count,
-                                       n_active=model.cfg.n_active)
-            ent = epoch_stats.entropy_bits()
+            f, phat = merge_stats(routing, [1] * steps)
+            ent = RoutingStats(f=f, phat=phat, samples=train_windows.count,
+                               n_active=model.cfg.n_active).entropy_bits()
         else:
-            ent = np.zeros(layers)
+            ent = np.zeros(model.cfg.layers)
         row["entropy"] = [float(e) for e in ent]
 
         if has_val:

@@ -20,8 +20,8 @@ from tokencast.dlora import (
     N_MODULES,
     LoraAdapter,
     RoutingStats,
-    accumulate_stats,
     apply,
+    batch_stats,
     load_balance_loss,
     top_n_gates_rows,
 )
@@ -107,17 +107,17 @@ def test_criterion_01_gradient_suite():
     lam = 0.01
 
     def scalar():
-        pred, stats = model.forward_array(x, want_stats=True)
+        pred, probs = model.forward_array(x)
         err = T.mean(T.square(T.sub(pred, Tensor(y))))
-        return T.add(err, T.scale(load_balance_loss(stats), lam)).item()
+        return T.add(err, T.scale(load_balance_loss(probs, batch_stats(probs)[0]), lam)).item()
 
     params = model.trainable()
     for tensor in params.values():
         tensor.zero_grad()
     with T.Tape() as tape:
-        pred, stats = model.forward_array(x, want_stats=True)
+        pred, probs = model.forward_array(x)
         err = T.mean(T.square(T.sub(pred, Tensor(y))))
-        tape.backward(T.add(err, T.scale(load_balance_loss(stats), lam)))
+        tape.backward(T.add(err, T.scale(load_balance_loss(probs, batch_stats(probs)[0]), lam)))
 
     checked = 0
     for name in sorted(params):
@@ -206,24 +206,21 @@ def test_criterion_03_router_laws():
 
 def test_criterion_04_load_balance_closed_forms():
     for layers in (1, 4):
-        uniform = RoutingStats(
-            f=np.full((layers, N_MODULES), 1.0 / N_MODULES),
-            phat=np.full((layers, N_MODULES), 1.0 / N_MODULES),
-            samples=1, n_active=2,
-        )
-        val = load_balance_loss(uniform).item()
+        uniform = [Tensor(np.full((1, N_MODULES), 1.0 / N_MODULES)) for _ in range(layers)]
+        f = np.full((layers, N_MODULES), 1.0 / N_MODULES)
+        val = load_balance_loss(uniform, f).item()
         assert abs(val - layers) <= 1e-10
 
         onehot = np.zeros((layers, N_MODULES))
         onehot[:, 0] = 1.0
-        collapsed = RoutingStats(f=onehot, phat=onehot.copy(), samples=1, n_active=2)
-        val = load_balance_loss(collapsed).item()
+        collapsed = [Tensor(row[None, :]) for row in onehot]
+        val = load_balance_loss(collapsed, onehot).item()
         assert abs(val - N_MODULES * layers) <= 1e-10
 
-    # same collapse through the accumulation path from raw probability rows
-    rows = [np.tile(np.eye(N_MODULES)[0], (8, 1)) for _ in range(3)]
-    stats = accumulate_stats(rows, n_active=2)
-    assert abs(load_balance_loss(stats).item() - N_MODULES * 3) <= 1e-10
+    # same collapse with f read off raw probability rows
+    rows = [Tensor(np.tile(np.eye(N_MODULES)[0], (8, 1))) for _ in range(3)]
+    f, _ = batch_stats(rows)
+    assert abs(load_balance_loss(rows, f).item() - N_MODULES * 3) <= 1e-10
     ok(4, f"uniform = L and collapsed = {N_MODULES}L within 1e-10")
 
 
@@ -360,8 +357,9 @@ def test_criterion_10_routing_distribution_export(tmp_path):
     cfg = tiny_cfg(seed=4, n_active=2)
     model = Forecaster(cfg)
     x = np.random.Generator(np.random.PCG64(6)).normal(size=(16, 3, cfg.lookback))
-    _, stats = model.forward_array(x, want_stats=True)
-    payload = stats.to_json_dict()
+    _, probs = model.forward_array(x)
+    f, phat = batch_stats(probs)
+    payload = RoutingStats(f=f, phat=phat, samples=16, n_active=2).to_json_dict()
     for layer in payload["layers"]:
         assert abs(sum(layer["frequency"].values()) - 1.0) <= 1e-10
         assert set(layer["frequency"]) == set(MODULE_NAMES)

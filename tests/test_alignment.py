@@ -32,10 +32,12 @@ def test_hash_tokens_rejects_empty():
 
 
 def test_prompt_encode_shape_and_rows():
-    pe = PromptEmbedding(dim=6, buckets=16, seed=0)
-    out = pe.encode("one two three")
+    pe = PromptEmbedding(dim=6, buckets=16, seed=0, text="one two three")
+    out = pe.encode()
     assert out.shape == (3, 6)
     np.testing.assert_array_equal(out.data, pe.table.data[pe.ids])
+    assert pe.ids == hash_tokens("one two three", 16, 64)
+    assert len(PromptEmbedding(6, 16, 0, "one two three", max_tokens=2).ids) == 2
 
 
 def test_alignment_identity_at_init():
@@ -79,12 +81,12 @@ def test_alignment_batched_matches_per_sample():
 def test_alignment_gradients_reach_all_params():
     ca = CrossAttention(dim=4, heads=2, seed=13)
     ca.wo.data[...] = rand((4, 4), 14) * 0.2  # move off the zero init
-    pe = PromptEmbedding(dim=4, buckets=8, seed=15)
+    pe = PromptEmbedding(dim=4, buckets=8, seed=15, text="alpha beta gamma")
     ts = Tensor(rand((2, 4), 16))
     params = list(ca.params().values()) + [pe.table]
 
     def loss():
-        prompt = pe.encode("alpha beta gamma")
+        prompt = pe.encode()
         return T.mean(T.square(ca.align(ts, prompt)))
 
     assert_grads_match(loss, params, rtol=1e-4, atol=1e-7)

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokencast import cli
+from tokencast.checkpoint import read_header
 from tokencast.config import RunConfig
 from tokencast.data import load_csv
 
@@ -146,6 +147,36 @@ def assert_data_error(code, capsys):
     return err
 
 
+@pytest.mark.parametrize("setting", ["global_standardize=true", "normalize=false"])
+def test_train_with_other_scaling_runs(tmp_path, setting):
+    out = tmp_path / "out"
+    train_tiny(out, ["--set", setting])
+    key, value = setting.split("=")
+    assert read_header(out / "checkpoint.ckpt")["config"][key] is (value == "true")
+    header, *rows = (out / "history.csv").read_text().splitlines()
+    assert header.startswith("epoch,train_loss,val_loss,lb_loss") and len(rows) == 2
+    for row in rows:
+        assert all(np.isfinite(float(v)) for v in row.split(",")[1:])
+
+
+def test_global_standardization_ignores_the_test_split(tmp_path):
+    src = tmp_path / "series.csv"
+    assert cli.main(["synth", "--length", "120", "--output", str(src)]) == 0
+    lines = src.read_text().splitlines()
+    name, first, *rest = lines[-1].split(",")
+    changed = tmp_path / "changed.csv"
+    changed.write_text("\n".join(lines[:-1] + [",".join([name, "1e6", *rest])]) + "\n")
+    views = {}
+    for path in (src, changed):
+        cfg = RunConfig(data_kind="csv", csv_path=str(path), date_column="date",
+                        global_standardize=True, lookback=16, horizon=4)
+        _, views[path], _ = cli.prepare_data(cfg)
+    (a_train, _, a_test), (b_train, _, b_test) = views[src], views[changed]
+    assert a_train.length > 0
+    np.testing.assert_array_equal(a_train.array, b_train.array)
+    assert a_test.array[-1, 0] != b_test.array[-1, 0]
+
+
 def test_missing_csv_exits_3(tmp_path, capsys):
     code = cli.main(["train", *TINY, "--data-kind", "csv",
                      "--csv-path", str(tmp_path / "missing.csv"), "--out", str(tmp_path)])
@@ -160,6 +191,26 @@ def test_forecast_missing_input_exits_3(tmp_path, capsys):
     assert_data_error(code, capsys)
 
 
+def write_latin1_csv(path):
+    path.write_bytes(b"t,x\n" + b"t0,1\xe9\n")  # e-acute in latin-1, not UTF-8
+    return path
+
+
+def test_train_non_utf8_csv_exits_3(tmp_path, capsys):
+    csv_path = write_latin1_csv(tmp_path / "latin1.csv")
+    code = cli.main(["train", *TINY, "--data-kind", "csv", "--csv-path", str(csv_path),
+                     "--date-column", "t", "--out", str(tmp_path / "out")])
+    assert "not UTF-8 text" in assert_data_error(code, capsys)
+
+
+def test_forecast_non_utf8_input_exits_3(tiny_run, tmp_path, capsys):
+    ckpt, _ = tiny_run
+    csv_path = write_latin1_csv(tmp_path / "latin1.csv")
+    code = cli.main(["forecast", "--checkpoint", str(ckpt), "--input", str(csv_path),
+                     "--date-column", "t", "--output", str(tmp_path / "fc.csv")])
+    assert "not UTF-8 text" in assert_data_error(code, capsys)
+
+
 def test_training_split_without_windows_exits_3(tmp_path, capsys):
     # 200 training rows cannot hold one 300-step lookback
     code = cli.main(["train", *TINY, "--length", "400", "--train-frac", "0.5",
@@ -169,6 +220,20 @@ def test_training_split_without_windows_exits_3(tmp_path, capsys):
 
 def test_missing_config_file_exits_2(tmp_path):
     assert cli.main(["train", "--config", str(tmp_path / "nope.ini")]) == 2
+
+
+@pytest.mark.parametrize("case", ["directory", "latin1"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, case):
+    path = tmp_path / "run.ini"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"[data]\nprompt_template = caf\xe9\n")
+    code = cli.main(["train", *TINY, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot read config file" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_and_override_precedence(tmp_path):
@@ -426,8 +491,6 @@ def test_preset_flag_applies(tmp_path, capsys):
         (tmp_path / "routing_stats.json").read_text()
     )
     assert header["routed"] is True
-    from tokencast.checkpoint import read_header
-
     cfg = read_header(tmp_path / "checkpoint.ckpt")["config"]
     assert cfg["dim"] == 8  # direct flag beat the preset
     assert cfg["horizon"] == 4

@@ -11,8 +11,8 @@ from tokencast.dlora import (
     LoraAdapter,
     LoraRouter,
     RoutingStats,
-    accumulate_stats,
     apply,
+    batch_stats,
     load_balance_loss,
     top_n_gates_rows,
 )
@@ -234,27 +234,35 @@ def test_route_is_input_dependent():
 # -------------------------------------------------------------------- stats
 
 
+def probs_of(*rows):
+    """Router outputs as the forward returns them: one Tensor per layer."""
+    return [Tensor(np.asarray(r, dtype=np.float64)) for r in rows]
+
+
 def test_stats_uniform_batch():
-    rows = np.full((14, 7), 1.0 / 7.0)
-    stats = accumulate_stats([rows], n_active=2)
+    f, phat = batch_stats(probs_of(np.full((14, 7), 1.0 / 7.0)))
     # argmax of uniform rows lands on index 0 every time
-    np.testing.assert_array_equal(stats.f[0], [1, 0, 0, 0, 0, 0, 0])
-    np.testing.assert_allclose(stats.phat[0], np.full(7, 1 / 7), atol=1e-15)
-    assert abs(stats.f[0].sum() - 1.0) < 1e-10
-    assert abs(stats.phat[0].sum() - 1.0) < 1e-10
+    np.testing.assert_array_equal(f[0], [1, 0, 0, 0, 0, 0, 0])
+    np.testing.assert_allclose(phat[0], np.full(7, 1 / 7), atol=1e-15)
+    assert abs(f[0].sum() - 1.0) < 1e-10
+    assert abs(phat[0].sum() - 1.0) < 1e-10
 
 
 def test_stats_half_and_half():
     a = np.zeros((4, 7))
     a[:2, 1] = 1.0
     a[2:, 5] = 1.0
-    stats = accumulate_stats([a], n_active=1)
-    assert stats.f[0, 1] == 0.5 and stats.f[0, 5] == 0.5
+    f, _ = batch_stats(probs_of(a))
+    assert f[0, 1] == 0.5 and f[0, 5] == 0.5
+
+
+def test_stats_of_no_layers_are_empty():
+    f, phat = batch_stats([])
+    assert f.shape == phat.shape == (0, 7)
 
 
 def test_lb_loss_uniform_equals_layer_count():
     L = 4
-    rows = [np.full((8, 7), 1.0 / 7.0) for _ in range(L)]
     # uniform f requires winners spread evenly; construct probs that argmax
     # onto each module equally often while staying near-uniform
     spread = []
@@ -263,36 +271,37 @@ def test_lb_loss_uniform_equals_layer_count():
         r[np.arange(7), np.arange(7)] += 1e-9
         r /= r.sum(axis=1, keepdims=True)
         spread.append(r)
-    stats = accumulate_stats(spread, n_active=2)
-    val = load_balance_loss(stats).item()
+    probs = probs_of(*spread)
+    f, _ = batch_stats(probs)
+    np.testing.assert_array_equal(f, np.full((L, 7), 1 / 7))
+    val = load_balance_loss(probs, f).item()
     assert abs(val - L) < 1e-6  # phat is uniform to ~1e-9, f exactly uniform
     # exact closed form with hand-built distributions
-    exact = RoutingStats(f=np.full((L, 7), 1 / 7), phat=np.full((L, 7), 1 / 7),
-                         samples=7, n_active=2)
-    assert abs(load_balance_loss(exact).item() - L) < 1e-10
+    exact = probs_of(*[np.full((7, 7), 1 / 7)] * L)
+    assert abs(load_balance_loss(exact, np.full((L, 7), 1 / 7)).item() - L) < 1e-10
 
 
 def test_lb_loss_collapsed_equals_seven_layer_count():
     L = 3
-    onehot = np.zeros((L, 7))
+    onehot = np.zeros((10, 7))
     onehot[:, 4] = 1.0
-    stats = RoutingStats(f=onehot, phat=onehot, samples=10, n_active=1)
-    assert abs(load_balance_loss(stats).item() - 7 * L) < 1e-10
+    probs = probs_of(*[onehot] * L)
+    f, _ = batch_stats(probs)
+    assert abs(load_balance_loss(probs, f).item() - 7 * L) < 1e-10
 
 
 def test_lb_loss_two_uniform_layers():
-    stats = RoutingStats(f=np.full((2, 7), 1 / 7), phat=np.full((2, 7), 1 / 7),
-                         samples=5, n_active=3)
-    assert abs(load_balance_loss(stats).item() - 2.0) < 1e-10
+    probs = probs_of(*[np.full((5, 7), 1 / 7)] * 2)
+    assert abs(load_balance_loss(probs, np.full((2, 7), 1 / 7)).item() - 2.0) < 1e-10
 
 
 def test_lb_loss_collapse_dominates_uniform():
-    uni = RoutingStats(f=np.full((1, 7), 1 / 7), phat=np.full((1, 7), 1 / 7),
-                       samples=5, n_active=1)
-    col = np.zeros((1, 7))
-    col[0, 0] = 1.0
-    collapsed = RoutingStats(f=col, phat=col, samples=5, n_active=1)
-    assert load_balance_loss(collapsed).item() > load_balance_loss(uni).item()
+    uni = probs_of(np.full((5, 7), 1 / 7))
+    col = np.zeros((5, 7))
+    col[:, 0] = 1.0
+    collapsed = probs_of(col)
+    assert (load_balance_loss(collapsed, batch_stats(collapsed)[0]).item()
+            > load_balance_loss(uni, np.full((1, 7), 1 / 7)).item())
 
 
 def test_lb_loss_gradient_reaches_router_weight():
@@ -300,18 +309,20 @@ def test_lb_loss_gradient_reaches_router_weight():
     h = Tensor(rand((5, 6), 31)[:, None, :])
 
     def loss():
-        probs = router.probs(h)
-        phat = T.mean(probs, axis=0)
-        stats = accumulate_stats([probs.data], n_active=2, phat_nodes=[phat])
-        return load_balance_loss(stats)
+        probs = [router.probs(h)]
+        return load_balance_loss(probs, batch_stats(probs)[0])
 
     grads = autograd_gradients(loss, [router.weight])
     assert np.any(grads[0] != 0.0)
+    # f is a constant, so the grad is N * f . d(mean probs): check it numerically
+    f = batch_stats([router.probs(h)])[0]
+    assert_grads_match(lambda: load_balance_loss([router.probs(h)], f),
+                       [router.weight], rtol=1e-6, atol=1e-9)
 
 
 def test_routing_stats_json_shape():
-    rows = np.full((4, 7), 1.0 / 7.0)
-    stats = accumulate_stats([rows, rows], n_active=2)
+    f, phat = batch_stats(probs_of(*[np.full((4, 7), 1.0 / 7.0)] * 2))
+    stats = RoutingStats(f=f, phat=phat, samples=4, n_active=2)
     d = stats.to_json_dict()
     assert len(d["layers"]) == 2
     freq = d["layers"][0]["frequency"]

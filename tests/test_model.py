@@ -5,7 +5,8 @@ import pytest
 
 from tokencast import tensor as T
 from tokencast.config import ConfigError, RunConfig, build_config
-from tokencast.dlora import N_MODULES
+from tokencast.data import SplitSpec, WindowSet, chronological_split, synth_generate
+from tokencast.dlora import N_MODULES, batch_stats, load_balance_loss
 from tokencast.model import Forecaster
 from tokencast.tensor import Tensor
 
@@ -77,10 +78,11 @@ def test_routing_variants_only():
     routed = {"full", "v1_no_align", "v2_prefix_prompt"}
     for v in VARIANTS:
         m = Forecaster(tiny_cfg(variant=v))
-        _, stats = m.forward_array(batch(m.cfg), want_stats=True)
-        assert (stats is not None) == (v in routed)
-        if stats is not None:
-            assert stats.f.shape == (m.cfg.layers, N_MODULES)
+        x = batch(m.cfg)
+        _, probs = m.forward_array(x)
+        assert len(probs) == (m.cfg.layers if v in routed else 0)
+        for p in probs:
+            assert p.shape == (x.shape[0], N_MODULES)
 
 
 def test_v4_has_no_adapter_parameters():
@@ -101,7 +103,7 @@ def test_v3_gates_every_module():
 def test_prefix_variant_extends_backbone_sequence():
     cfg = tiny_cfg(variant="v2_prefix_prompt")
     m = Forecaster(cfg)
-    p = m._prompt_rows().shape[0]
+    p = len(m.prompt.ids)
     assert p > 0
     seen = []
     orig = m.backbone.blocks[0].forward
@@ -176,20 +178,39 @@ def test_desk_dispatch_op_counts(monkeypatch):
     m.predict(batch(cfg, b=1, n=cfg.channels))
     assert emitted <= 92
     with T.Tape() as tape:
-        m.forward_array(batch(cfg, b=cfg.batch_size, n=cfg.channels), want_stats=True)
-    assert len(tape._records) <= 108
+        m.forward_array(batch(cfg, b=cfg.batch_size, n=cfg.channels))
+    assert len(tape._records) <= 104
 
 
-def test_phat_nodes_built_only_for_stats():
+def test_forward_records_no_balance_means():
+    # the batch means of the balance term are recorded by the loss that uses
+    # them, after the forward
     cfg = tiny_cfg()
     m = Forecaster(cfg)
-    ops = {}
-    for want_stats in (False, True):
-        with T.Tape() as tape:
-            m.forward_array(batch(cfg), want_stats=want_stats)
-        ops[want_stats] = tape_ops(tape)
-    assert "mean" not in ops[False]
-    assert ops[True] == ops[False] + ["mean"] * cfg.layers
+    with T.Tape() as tape:
+        m.forward_array(batch(cfg))
+    forward_ops = tape_ops(tape)
+    assert "mean" not in forward_ops
+    with T.Tape() as tape:
+        _, probs = m.forward_array(batch(cfg))
+        load_balance_loss(probs, batch_stats(probs)[0])
+    assert tape_ops(tape)[:len(forward_ops)] == forward_ops
+    assert tape_ops(tape).count("mean") == cfg.layers
+
+
+def test_collect_routing_stats_merges_batches_exactly():
+    # 105 windows in batches of 8 leave a last batch of 1: weighting by batch
+    # size must pool them into the stats of one batch of every window
+    cfg = tiny_cfg()
+    m = Forecaster(cfg)
+    view, _, _ = chronological_split(synth_generate("sine_mixture", 2, 120, 0),
+                                     SplitSpec(120, 0, 0), cfg.lookback)
+    windows = WindowSet(view, cfg.lookback, cfg.horizon)
+    whole = m.collect_routing_stats(windows, batch_size=windows.count)
+    merged = m.collect_routing_stats(windows, batch_size=8)
+    assert merged.samples == whole.samples == windows.count == 105
+    np.testing.assert_allclose(merged.f, whole.f, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(merged.phat, whole.phat, rtol=0, atol=1e-12)
 
 
 def test_composed_gradients_match_finite_differences():
@@ -200,19 +221,17 @@ def test_composed_gradients_match_finite_differences():
     x = batch(cfg, seed=12)
     y = np.random.Generator(np.random.PCG64(13)).normal(size=(3, 2, cfg.horizon))
 
-    _, stats = m.forward_array(x, want_stats=True)
-    assert stats is not None
+    _, probs = m.forward_array(x)
+    assert probs
 
     params = m.trainable()
     lam = 0.01
 
     def loss_value():
         with T.Tape() as tape:
-            pred, st = m.forward_array(x, want_stats=True)
+            pred, probs = m.forward_array(x)
             err = T.mean(T.square(T.sub(pred, Tensor(y))))
-            from tokencast.dlora import load_balance_loss
-
-            loss = T.add(err, T.scale(load_balance_loss(st), lam))
+            loss = T.add(err, T.scale(load_balance_loss(probs, batch_stats(probs)[0]), lam))
             tape.backward(loss)
         return loss, tape
 
@@ -222,11 +241,9 @@ def test_composed_gradients_match_finite_differences():
         p.zero_grad()
 
     def scalar():
-        pred, st = m.forward_array(x, want_stats=True)
-        from tokencast.dlora import load_balance_loss
-
+        pred, probs = m.forward_array(x)
         err = T.mean(T.square(T.sub(pred, Tensor(y))))
-        return T.add(err, T.scale(load_balance_loss(st), lam)).item()
+        return T.add(err, T.scale(load_balance_loss(probs, batch_stats(probs)[0]), lam)).item()
 
     checked = 0
     for name, p in sorted(params.items()):
@@ -255,12 +272,10 @@ def test_gradients_cover_all_trainable_groups():
     x = batch(cfg, seed=4)
     y = np.zeros((3, 2, cfg.horizon))
     with T.Tape() as tape:
-        pred, stats = m.forward_array(x, want_stats=True)
-        from tokencast.dlora import load_balance_loss
-
+        pred, probs = m.forward_array(x)
         loss = T.add(
             T.mean(T.square(T.sub(pred, Tensor(y)))),
-            T.scale(load_balance_loss(stats), 0.01),
+            T.scale(load_balance_loss(probs, batch_stats(probs)[0]), 0.01),
         )
         tape.backward(loss)
     got = {k.split(".")[0] for k, p in m.trainable().items()

@@ -15,9 +15,11 @@ from tokencast.data import (
     chronological_split,
     synth_generate,
 )
-from tokencast.dlora import RoutingStats
+from tokencast.dlora import batch_stats
 from tokencast.model import Forecaster
 from tokencast.tensor import Tensor
+
+from helpers import tape_ops
 
 
 def tiny_cfg(**kw):
@@ -63,23 +65,40 @@ def test_smape_loss_symmetric_and_zero_on_perfect():
     assert tr.smape_loss(Tensor(a), a).item() == 0.0
 
 
+def uniform_probs(layers=2, batch=10):
+    return [Tensor(np.full((batch, 7), 1 / 7)) for _ in range(layers)]
+
+
 def test_total_loss_lambda_zero_is_task():
     task = Tensor(np.array(1.5))
-    assert tr.total_loss(task, None, 0.5) is task
-    stats = RoutingStats(
-        f=np.full((2, 7), 1 / 7), phat=np.full((2, 7), 1 / 7), samples=10, n_active=3
-    )
-    assert tr.total_loss(task, stats, 0.0) is task
+    f, _ = batch_stats([])
+    assert tr.total_loss(task, [], f, 0.5) is task
+    assert tr.total_loss(task, uniform_probs(), np.full((2, 7), 1 / 7), 0.0) is task
 
 
 def test_total_loss_adds_scaled_balance_term():
-    # uniform stats give exactly layers=2 -> task + lambda*2
+    # uniform probs and f give exactly layers=2 -> task + lambda*2
     task = Tensor(np.array(1.5))
-    stats = RoutingStats(
-        f=np.full((2, 7), 1 / 7), phat=np.full((2, 7), 1 / 7), samples=10, n_active=3
-    )
-    got = tr.total_loss(task, stats, 0.25).item()
+    got = tr.total_loss(task, uniform_probs(), np.full((2, 7), 1 / 7), 0.25).item()
     assert got == pytest.approx(1.5 + 0.25 * 2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_train_step_records_balance_means_only_when_used(monkeypatch, lam):
+    # the task loss takes one mean; the balance term adds one per layer, and
+    # at lambda_lb = 0 it is not built, so no router mean is recorded
+    counts = []
+
+    class CountingTape(T.Tape):
+        def backward(self, loss):
+            counts.append(tape_ops(self).count("mean"))
+            super().backward(loss)
+
+    monkeypatch.setattr(tr, "Tape", CountingTape)
+    train_ws, _ = sine_windows()
+    m = Forecaster(tiny_cfg())
+    tr.train(m, train_ws, None, RunConfig(epochs=1, batch_size=64, seed=0, lambda_lb=lam))
+    assert counts and set(counts) == {1 + (m.cfg.layers if lam else 0)}
 
 
 def test_task_loss_dispatch():
@@ -146,8 +165,9 @@ def test_off_path_router_gets_no_grad_and_step_matches_zero_grads():
         m = Forecaster(tiny_cfg())
         params = m.trainable()
         with T.Tape() as tape:
-            pred, stats = m.forward_array(batch.x, want_stats=True)
-            tape.backward(tr.total_loss(tr.task_loss("mse", pred, batch.y), stats, 0.0))
+            pred, probs = m.forward_array(batch.x)
+            f, _ = batch_stats(probs)
+            tape.backward(tr.total_loss(tr.task_loss("mse", pred, batch.y), probs, f, 0.0))
         assert all(r.weight.grad is None for r in m.routers)
         if fill_zeros:
             for p in params.values():
