@@ -9,9 +9,9 @@ no bias, as in LLaMA, and each can carry a low-rank adapter chosen per
 sample by a router: every one is x W + ((x A) g) B (`dlora.apply`).
 
 The stack is a stand-in for a pretrained language-model trunk at desk
-scale: either randomly initialized and frozen, or briefly pretrained on
-synthetic next-window prediction and then frozen. Either way the stack is
-frozen from construction on; pretraining unfreezes it for its own steps.
+scale: either randomly initialized and frozen, or briefly pretrained by
+`training.train` on next-window prediction and then frozen. Either way the
+stack is frozen from construction on; pretraining unfreezes it for its run.
 
 Every shape comes straight from the run's RunConfig (dim, heads, ffn_dim,
 layers, causal_mask, pretrain_mode) and the trunk draws from `cfg.seed`.
@@ -21,7 +21,10 @@ and `Forecaster` calls it before building the trunk.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,7 +32,10 @@ from . import dlora
 from . import rng
 from . import tensor as T
 from .config import RunConfig
+from .data import DataError, WindowSet
+from .embedding import OutputHead, TsEmbedder, denormalize, instance_normalize
 from .tensor import ShapeError, Tensor
+from .training import train
 
 INIT_STD = 0.02
 NORM_EPS = 1e-6
@@ -37,16 +43,10 @@ MASK_FILL = -1e30
 
 
 def module_dims(cfg: RunConfig) -> dict[str, tuple[int, int]]:
+    """(d_in, d_out) of each linear, in `dlora.MODULE_NAMES` order: init draws follow it."""
     d, f = cfg.dim, cfg.ffn_dim
-    return {
-        "q_proj": (d, d),
-        "k_proj": (d, d),
-        "v_proj": (d, d),
-        "o_proj": (d, d),
-        "gate_proj": (d, f),
-        "up_proj": (d, f),
-        "down_proj": (f, d),
-    }
+    shapes = ((d, d), (d, d), (d, d), (d, d), (d, f), (d, f), (f, d))
+    return dict(zip(dlora.MODULE_NAMES, shapes, strict=True))
 
 
 class TransformerBlock:
@@ -126,10 +126,6 @@ class Backbone:
             t.requires_grad = False
             t.grad = None
 
-    def unfreeze(self):
-        for t in self.tensors().values():
-            t.requires_grad = True
-
     def checksum(self) -> str:
         """SHA-256 over all block tensors in name order; detects any drift."""
         digest = hashlib.sha256()
@@ -143,43 +139,35 @@ class Backbone:
 def pretrain_then_freeze(backbone: Backbone, corpus_view, lookback: int,
                          horizon: int, steps: int, batch_size: int = 16,
                          lr: float = 1e-3, seed: int = 0) -> list[float]:
-    """Briefly train the stack on synthetic next-window prediction, then freeze.
+    """Briefly train the stack on next-window prediction, then freeze it.
 
-    A throwaway embedder and head are fit jointly and discarded; only the
-    block weights persist. Returns the per-step loss trace.
+    One `training.train` run of at least `steps` steps, in whole epochs, on
+    the stack between a throwaway embedder and head; only the block weights
+    persist. Returns the per-epoch train losses.
     """
-    from .data import DataError, WindowSet
-    from .embedding import OutputHead, TsEmbedder, denormalize, instance_normalize
-    from .training import AdamW
-
     if backbone.cfg.pretrain_mode != "pretrain_then_freeze":
         raise ShapeError("backbone was not configured for pretraining")
     windows = WindowSet(corpus_view, lookback, horizon)
     if windows.count < 1:
         raise DataError("pretraining corpus has no usable windows")
-    backbone.unfreeze()
-    emb = TsEmbedder(lookback, backbone.cfg.dim, seed)
-    head = OutputHead(backbone.cfg.dim, horizon, seed)
-    params = dict(backbone.tensors())
-    params.update(emb.params("pretrain_embedder"))
-    params.update(head.params("pretrain_head"))
-    opt = AdamW(params, lr=lr)
-    gen = rng.generator(seed, "pretrain")
-    losses = []
-    for _ in range(steps):
-        idx = gen.integers(0, windows.count, size=min(batch_size, windows.count))
-        batch = windows.batch(idx)
-        xn, stats = instance_normalize(batch.x)
-        with T.Tape() as tape:
-            tokens = emb.embed(Tensor(xn))
-            hL = backbone.forward(tokens)
-            pred = denormalize(head.project(hL), stats)
-            loss = T.mean(T.square(T.sub(pred, Tensor(batch.y))))
-            tape.backward(loss)
-        opt.step()
-        for p in params.values():  # cleared in place: fresh buffers cost page faults
-            if p.grad is not None:
-                p.grad.fill(0.0)
-        losses.append(loss.item())
-    backbone.freeze()
-    return losses
+    epochs = math.ceil(steps / math.ceil(windows.count / batch_size))  # 0 steps: 0 epochs
+    cfg = dataclasses.replace(backbone.cfg, lr=lr, batch_size=batch_size, weight_decay=0.0,
+                              loss_kind="mse", seed=seed, epochs=epochs)
+    emb = TsEmbedder(lookback, cfg.dim, seed)
+    head = OutputHead(cfg.dim, horizon, seed)
+    params = {**backbone.tensors(), **emb.params("pretrain_embedder"),
+              **head.params("pretrain_head")}
+
+    def forward_array(x):
+        xn, stats = instance_normalize(x)
+        return denormalize(head.project(backbone.forward(emb.embed(Tensor(xn)))), stats), []
+
+    model = SimpleNamespace(cfg=cfg, uses_routers=False, forward_array=forward_array,
+                            trainable=lambda: params)
+    for t in backbone.tensors().values():
+        t.requires_grad = True
+    try:
+        result = train(model, windows, None, cfg)
+    finally:
+        backbone.freeze()
+    return [row["train_loss"] for row in result.history]

@@ -179,7 +179,7 @@ def load_config_file(path) -> dict:
     path = Path(path)
     parser = configparser.ConfigParser()
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from None

@@ -29,9 +29,11 @@ from .data import DataError
 from .dlora import N_MODULES, RoutingStats, batch_stats, load_balance_loss, merge_stats
 from .tensor import Tape, Tensor
 
+DIVERGENCE_FACTOR = 1e6  # a step loss over this times the run's first one is diverging
+
 
 class NumericError(RuntimeError):
-    """Training produced a non-finite loss or gradient norm; carries a diagnostic dump."""
+    """A non-finite or diverging loss, or a non-finite gradient norm; carries a diagnostic dump."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
@@ -145,9 +147,9 @@ def naive_repeat_last_mse(windows, batch_size: int = 64) -> float:
 
 def _numeric_failure(what: str, epoch: int, step: int, loss: float, task: Tensor,
                      batch, pred: Tensor, lr: float, **extra) -> NumericError:
-    """The error for a non-finite `what`, with the step's input and output ranges."""
+    """The error for a failed guard, with the step's input and output ranges."""
     return NumericError(
-        f"non-finite {what} at epoch {epoch} step {step}",
+        f"{what} at epoch {epoch} step {step}",
         diagnostics={
             "epoch": epoch,
             "step": step,
@@ -181,6 +183,7 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
     has_val = val_windows is not None and val_windows.count > 0
     best_snapshot = None
     bad_epochs = 0
+    loss_limit = None  # the divergence guard's bound, set by the first step's loss
 
     for epoch in range(cfg.epochs):
         order = gen.permutation(train_windows.count)
@@ -196,13 +199,18 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
                 loss = total_loss(task, probs, f, cfg.lambda_lb)
                 loss_val = loss.item()
                 if not np.isfinite(loss_val):
-                    raise _numeric_failure("loss", epoch, steps, loss_val, task,
+                    raise _numeric_failure("non-finite loss", epoch, steps, loss_val, task,
                                            batch, pred, cfg.lr)
+                if loss_limit is None:
+                    loss_limit = DIVERGENCE_FACTOR * loss_val
+                elif loss_val > loss_limit:
+                    raise _numeric_failure("diverging loss", epoch, steps, loss_val, task,
+                                           batch, pred, cfg.lr, loss_limit=loss_limit)
                 tape.backward(loss)
             grad_norm = clip_gradients(params, cfg.clip_norm)
             if not np.isfinite(grad_norm):
-                raise _numeric_failure("gradient norm", epoch, steps, loss_val, task,
-                                       batch, pred, cfg.lr, grad_norm=grad_norm)
+                raise _numeric_failure("non-finite gradient norm", epoch, steps, loss_val,
+                                       task, batch, pred, cfg.lr, grad_norm=grad_norm)
             opt.step()
             opt.zero_grad()
             epoch_loss += task.item()

@@ -236,17 +236,52 @@ def test_optimizer_step_leaves_frozen_backbone_unchanged():
     assert not np.array_equal(extra.data, rand((4, 4), 28))
 
 
+def sine_view(rows):
+    series = MultivariateSeries(name="p", values=np.sin(np.arange(float(rows)) / 7.0)[:, None])
+    return chronological_split(series, SplitSpec(rows, 0, 0), lookback=16)[0]
+
+
 def test_pretrain_then_freeze_runs_and_freezes():
-    series = MultivariateSeries(
-        name="p", values=np.sin(np.arange(400.0) / 7.0).reshape(400, 1)
-    )
-    view, _, _ = chronological_split(series, SplitSpec(400, 0, 0), lookback=16)
     bb = Backbone(small_cfg(pretrain_mode="pretrain_then_freeze", seed=30))
     frozen = lambda: not any(t.requires_grad for t in bb.tensors().values())
     assert frozen()  # frozen at construction; pretraining unfreezes for its steps
-    losses = pretrain_then_freeze(bb, view, lookback=16, horizon=4, steps=12, seed=30)
-    assert frozen() and len(losses) == 12
-    assert np.mean(losses[-4:]) < np.mean(losses[:4])
+    # 381 windows in batches of 64: 6 steps an epoch, so 24 steps are 4 epochs
+    losses = pretrain_then_freeze(bb, sine_view(400), lookback=16, horizon=4, steps=24,
+                                  batch_size=64, seed=30)
+    assert frozen() and len(losses) == 4
+    assert losses[-1] < losses[0]
+
+
+@pytest.mark.parametrize("steps, epochs", [(1, 1), (6, 1), (7, 2), (13, 3)])
+def test_pretrain_runs_whole_epochs(monkeypatch, steps, epochs):
+    from tokencast.training import AdamW
+
+    calls = []
+    step_fn = AdamW.step
+    monkeypatch.setattr(AdamW, "step", lambda opt: (calls.append(1), step_fn(opt)))
+    bb = Backbone(small_cfg(pretrain_mode="pretrain_then_freeze", seed=32))
+    # 81 windows in batches of 16: 6 steps an epoch, the last one of a single window
+    losses = pretrain_then_freeze(bb, sine_view(100), lookback=16, horizon=4, steps=steps,
+                                  batch_size=16, seed=32)
+    assert len(losses) == epochs and len(calls) == 6 * epochs
+
+
+def test_pretrain_zero_steps_keeps_the_random_trunk():
+    cfg = small_cfg(pretrain_mode="pretrain_then_freeze", seed=33)
+    bb = Backbone(cfg)
+    assert pretrain_then_freeze(bb, sine_view(100), lookback=16, horizon=4, steps=0) == []
+    assert bb.checksum() == Backbone(cfg).checksum()
+    assert not any(t.requires_grad for t in bb.tensors().values())
+
+
+def test_pretrain_divergence_raises_and_leaves_the_trunk_frozen():
+    from tokencast.training import NumericError
+
+    bb = Backbone(small_cfg(pretrain_mode="pretrain_then_freeze", seed=34))
+    with pytest.raises(NumericError, match="diverging loss"), np.errstate(over="ignore"):
+        pretrain_then_freeze(bb, sine_view(100), lookback=16, horizon=4, steps=6,
+                             lr=1e9, seed=34)
+    assert not any(t.requires_grad for t in bb.tensors().values())
 
 
 def test_pretrain_step_sees_only_its_own_batch_grads(monkeypatch):
@@ -255,8 +290,6 @@ def test_pretrain_step_sees_only_its_own_batch_grads(monkeypatch):
     from tokencast.embedding import OutputHead, TsEmbedder, denormalize, instance_normalize
     from tokencast.training import AdamW
 
-    series = MultivariateSeries(name="p", values=np.sin(np.arange(200.0) / 7.0).reshape(200, 1))
-    view, _, _ = chronological_split(series, SplitSpec(200, 0, 0), lookback=16)
     bb = Backbone(small_cfg(pretrain_mode="pretrain_then_freeze", seed=40))
     batches, seen, alone = [], [], []
     batch_fn, step_fn = WindowSet.batch, AdamW.step
@@ -288,7 +321,9 @@ def test_pretrain_step_sees_only_its_own_batch_grads(monkeypatch):
 
     monkeypatch.setattr(WindowSet, "batch", spy_batch)
     monkeypatch.setattr(AdamW, "step", spy_step)
-    pretrain_then_freeze(bb, view, lookback=16, horizon=4, steps=2, batch_size=4, seed=40)
+    # 27 rows hold 8 windows: one epoch of two steps in batches of 4
+    pretrain_then_freeze(bb, sine_view(27), lookback=16, horizon=4, steps=2, batch_size=4,
+                         seed=40)
     assert len(seen) == 2 and set(seen[1]) == set(alone[1])
     for name, grad in seen[1].items():
         np.testing.assert_array_equal(grad, alone[1][name], err_msg=name)

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import struct
 import subprocess
@@ -250,6 +251,20 @@ def test_config_file_and_override_precedence(tmp_path):
     assert len(history) == 2  # override epochs=1 beat the file's 7
 
 
+def test_config_file_with_byte_order_mark_trains(tmp_path):
+    # Windows Notepad saves UTF-8 with a leading byte order mark
+    text = "[model]\nn_active = 3\n[training]\nseed = 5\n"
+    headers = []
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        ini = tmp_path / f"{name}.ini"
+        ini.write_bytes(data)
+        out = tmp_path / name
+        assert cli.main(["train", *TINY, "--config", str(ini), "--out", str(out)]) == 0
+        headers.append(read_header(out / "checkpoint.ckpt")["config"])
+    assert headers[0] == headers[1]
+    assert headers[1]["n_active"] == 3 and headers[1]["seed"] == 5
+
+
 def test_numeric_overflow_exits_4(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code = cli.main(["train", *TINY, "--lr", "1e200", "--clip-norm", "0",
@@ -259,14 +274,46 @@ def test_numeric_overflow_exits_4(tmp_path, capsys):
     assert "numeric failure" in err and "pred_max" in err
 
 
+@pytest.mark.parametrize("lr", ["1", "1e4", "1e9"])
+def test_finite_divergence_exits_4(tmp_path, capsys, lr):
+    # losses stay finite but grow: 0.91, then 2.8e6 at lr 1, 2.8e30 at lr 1e4
+    # and 2.8e60 at lr 1e9; the guard stops each run at its second step
+    code = cli.main(["train", "--synthetic", "sine", "--length", "300", "--epochs", "1",
+                     "--lr", lr, "--out", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: diverging loss at epoch 0 step 1\n")
+    assert '"loss_limit"' in err and "Traceback" not in err
+    assert not (tmp_path / "checkpoint.ckpt").exists()
+
+
+@pytest.mark.parametrize("wiggle", [0.0, 1e-9], ids=["constant", "nearly_constant"])
+def test_near_zero_loss_does_not_trip_the_divergence_guard(tmp_path, wiggle):
+    rows = "".join(f"t{i},{3.5 + wiggle * math.sin(i / 5)!r},-2.0\n" for i in range(260))
+    path = tmp_path / "flat.csv"
+    path.write_text("date,a,b\n" + rows)
+    out = tmp_path / "out"
+    code = cli.main(["train", *TINY, "--data-kind", "csv", "--csv-path", str(path),
+                     "--lambda-lb", "0", "--out", str(out)])
+    assert code == 0
+    history = (out / "history.csv").read_text().splitlines()[1:]
+    assert all(float(row.split(",")[1]) < 1e-12 for row in history)
+
+
 def test_diverging_gradient_norm_exits_4(tmp_path, capsys):
-    # the loss stays finite (about 1e104) while the squared grad norm overflows
+    # a series of scale 1e150: the first loss stays finite (about 6e299) while
+    # the squared grad norm overflows
+    rows = "".join(f"t{i},{1e150 * math.sin(i / 7)!r},{1e150 * math.cos(i / 5)!r}\n"
+                   for i in range(300))
+    path = tmp_path / "huge.csv"
+    path.write_text("date,a,b\n" + rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        code = cli.main(["train", "--synthetic", "sine", "--length", "300",
-                         "--epochs", "1", "--lr", "1e9", "--out", str(tmp_path)])
+        code = cli.main(["train", "--data-kind", "csv", "--csv-path", str(path),
+                         "--epochs", "1", "--out", str(tmp_path / "out")])
     assert code == 4
     err = capsys.readouterr().err
     assert "grad" in err and "Traceback" not in err
+    assert err.startswith("numeric failure: non-finite gradient norm at epoch 0 step 0\n")
 
 
 def test_numeric_failure_emits_no_runtime_warning(tmp_path, capsys):
