@@ -117,6 +117,20 @@ def build_model(cfg: RunConfig, train_view) -> Forecaster:
     return model
 
 
+def build_models(cfgs, train_view):
+    """Yield a model per config, in turn; all share the first one's trunk.
+
+    The trunk is pretrained once: pretraining reads neither the variant nor
+    n_active, and training never writes a frozen trunk.
+    """
+    first = build_model(cfgs[0], train_view)
+    yield first
+    for cfg in cfgs[1:]:
+        model = Forecaster(cfg)
+        model.backbone = first.backbone
+        yield model
+
+
 def train_config(cfg: RunConfig) -> RunConfig:
     # only perfbench/run.py calls this; it goes with the next benchmark change
     return cfg
@@ -269,11 +283,8 @@ def cmd_ablate(args) -> int:
     _, views, (train_ws, val_ws, test_ws) = prepare_data(cfg)
 
     rows = []
-    checksums = set()
-    for variant in VARIANTS:
-        vcfg = dataclasses.replace(cfg, variant=variant)
-        model = build_model(vcfg, views[0])
-        checksums.add(model.backbone.checksum())
+    vcfgs = [dataclasses.replace(cfg, variant=variant) for variant in VARIANTS]
+    for vcfg, model in zip(vcfgs, build_models(vcfgs, views[0])):
         result = train(model, train_ws, val_ws, vcfg)
         report = model.parameter_report()
         if model.uses_routers and test_ws.count:
@@ -281,15 +292,13 @@ def cmd_ablate(args) -> int:
         else:
             entropy = 0.0  # constant gates carry no selection variability
         rows.append({
-            "variant": variant,
+            "variant": vcfg.variant,
             "test_mse": evaluate_mse(model, test_ws) if test_ws.count else float("nan"),
             "best_val_mse": result.best_val if result.best_val is not None else float("nan"),
             "trainable_params": report["trainable"],
             "adapter_params": report["adapters"],
             "routing_entropy_bits": entropy,
         })
-    if len(checksums) != 1:
-        raise RuntimeError("shared trunk initialization diverged across variants")
 
     path = out / "ablate.csv"
     _write_csv(path, rows)
@@ -318,9 +327,8 @@ def cmd_sweep_n(args) -> int:
     _, views, (train_ws, val_ws, test_ws) = prepare_data(cfg)
 
     rows = []
-    for ncfg in ncfgs:
+    for ncfg, model in zip(ncfgs, build_models(ncfgs, views[0])):
         n = ncfg.n_active
-        model = build_model(ncfg, views[0])
         train(model, train_ws, val_ws, ncfg)
         stats = model.collect_routing_stats(test_ws if test_ws.count else train_ws)
         payload = stats.to_json_dict()

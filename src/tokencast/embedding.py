@@ -36,8 +36,8 @@ def instance_normalize(x: np.ndarray, eps: float = 1e-8) -> tuple[np.ndarray, No
 
 
 def denormalize(pred: Tensor, stats: NormStats) -> Tensor:
-    out = T.mul(pred, Tensor(np.broadcast_to(stats.std, pred.shape).copy()))
-    return T.add(out, Tensor(np.broadcast_to(stats.mean, pred.shape).copy()))
+    """Undo instance_normalize on a forecast; the (.., C, 1) stats broadcast over the horizon."""
+    return T.add(T.mul(pred, Tensor(stats.std)), Tensor(stats.mean))
 
 
 class TsEmbedder:

@@ -246,12 +246,3 @@ def _owa_from(row: dict, naive_row: dict):
         return None
     return 0.5 * (row["smape"] / naive_row["smape"] + row["mase"] / naive_row["mase"])
 
-
-def owa(report: MetricReport, naive_report: MetricReport) -> float:
-    """Aggregate overall weighted average of one report against its baseline."""
-    val = _owa_from(report.aggregate, naive_report.aggregate)
-    if val is None:
-        raise MetricError(
-            "owa undefined: smape or mase missing or zero in the naive baseline"
-        )
-    return val

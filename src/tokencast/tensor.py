@@ -5,14 +5,14 @@ Tape.backward walks the record list once, in reverse, and leaves grads on
 leaf tensors only: a tensor used twice receives the sum of both
 contributions, and an op output's grad is dropped once its pull has run.
 Each pull forms only the grads of inputs that require them, so frozen
-weights and constant inputs cost no backward work. A matmul against a 2-D
-weight folds the leading axes of its left operand into rows and runs as one
-GEMM, forward and backward. A low-rank adapter delta is one op, lora_linear,
-written in place into a base product that never leaves it. Multi-head
-attention is one op too, with a hand-written pull for q, k and v, and so is a
-D-LoRA router (router_probs: last-token pooling, tanh, projection and
-softmax). Outside a tape every op is forward-only, which is what inference
-wants.
+weights and constant inputs cost no backward work. The ops here are exactly
+the ones the model records, no more. matmul takes a 2-D weight and folds the
+leading axes of its left operand into rows, so it runs as one GEMM, forward
+and backward. A low-rank adapter delta is one op, lora_linear, written in
+place into a base product that never leaves it. Multi-head attention is one
+op too, with a hand-written pull for q, k and v, and so is a D-LoRA router
+(router_probs: last-token pooling, tanh, projection and softmax). Outside a
+tape every op is forward-only, which is what inference wants.
 
 A Tape and the tensors recorded on it belong to one thread. Independent
 model instances may run on separate threads, each with its own tape.
@@ -236,15 +236,6 @@ def silu(a: Tensor) -> Tensor:
     return _emit(data, (a,), pull)
 
 
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-
-    def pull(g):
-        return (g * (1.0 - y * y),)
-
-    return _emit(y, (a,), pull)
-
-
 def square(a: Tensor) -> Tensor:
     x = a.data
 
@@ -277,32 +268,24 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 # -------------------------------------------------------------- reductions
 
 
-def total(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Sum over all elements or along one axis."""
+def total(a: Tensor) -> Tensor:
+    """Sum over all elements."""
     x = a.data
-    data = x.sum(axis=axis, keepdims=keepdims)
 
     def pull(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape),)
-        ge = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(ge, x.shape),)
+        return (np.broadcast_to(g, x.shape),)
 
-    return _emit(data, (a,), pull)
+    return _emit(x.sum(), (a,), pull)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a: Tensor, axis=None) -> Tensor:
+    """Mean over all elements or along one axis."""
     x = a.data
-    if axis is None:
-        count = x.size
-    else:
-        count = x.shape[axis]
-    data = x.mean(axis=axis, keepdims=keepdims)
+    count = x.size if axis is None else x.shape[axis]
+    data = x.mean(axis=axis)
 
     def pull(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, x.shape),)
-        ge = g if keepdims else np.expand_dims(g, axis)
+        ge = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(ge / count, x.shape),)
 
     return _emit(data, (a,), pull)
@@ -312,36 +295,24 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; the leading axes broadcast.
+    """Product of a (.., k) operand and a 2-D (k, p) weight shared by every row.
 
-    A 2-D right operand is a weight shared by every row: the leading axes of
-    a fold into rows, so the product and both grads are single 2-D GEMMs
-    instead of one small GEMM per matrix of a.
+    The leading axes of a fold into rows, so the product and both grads are
+    single 2-D GEMMs.
     """
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError(f"matmul: operands need at least 2 dims, got {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
+    if ad.ndim < 2 or bd.ndim != 2:
+        raise ShapeError(f"matmul: needs a (.., k) operand and a 2-D weight,"
+                         f" got {ad.shape} @ {bd.shape}")
+    if ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
-    if bd.ndim == 2:
-        k, p = bd.shape
-        data = (ad.reshape(-1, k) @ bd).reshape(ad.shape[:-1] + (p,))
+    k, p = bd.shape
+    data = (ad.reshape(-1, k) @ bd).reshape(ad.shape[:-1] + (p,))
 
-        def pull(g):
-            g2 = g.reshape(-1, p)
-            return ((g2 @ bd.T).reshape(ad.shape) if a.requires_grad else None,
-                    ad.reshape(-1, k).T @ g2 if b.requires_grad else None)
-
-        return _emit(data, (a, b), pull)
-    try:
-        data = ad @ bd
-    except ValueError as e:
-        raise ShapeError(f"matmul: leading dims do not broadcast, {ad.shape} @ {bd.shape}") from e
-
-    # stacked right operands: one product per matrix of the broadcast leading axes
     def pull(g):
-        return (_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if a.requires_grad else None,
-                _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if b.requires_grad else None)
+        g2 = g.reshape(-1, p)
+        return ((g2 @ bd.T).reshape(ad.shape) if a.requires_grad else None,
+                ad.reshape(-1, k).T @ g2 if b.requires_grad else None)
 
     return _emit(data, (a, b), pull)
 
@@ -423,29 +394,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _emit(data, tuple(tensors), pull)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        if a.ndim != 2:
-            raise ShapeError(f"transpose: default swap needs 2D, got {a.shape}")
-        axes = (1, 0)
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def pull(g):
-        return (g.transpose(inverse),)
-
-    return _emit(np.ascontiguousarray(a.data.transpose(axes)), (a,), pull)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    orig = a.data.shape
-
-    def pull(g):
-        return (g.reshape(orig),)
-
-    return _emit(a.data.reshape(shape), (a,), pull)
-
-
 def slice_(a: Tensor, key) -> Tensor:
     """Basic slicing only. The result is a copy; backward scatters into zeros."""
     if not isinstance(key, tuple):
@@ -466,22 +414,6 @@ def slice_(a: Tensor, key) -> Tensor:
 
 
 # ------------------------------------------------------------ normalizers
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    x = a.data
-    ax = axis % x.ndim
-    moved = np.moveaxis(x, ax, -1)
-    flat = np.ascontiguousarray(moved.reshape(-1, moved.shape[-1]))
-    yflat = kernels.softmax_rows(flat)
-    data = np.moveaxis(yflat.reshape(moved.shape), -1, ax)
-
-    def pull(g):
-        gm = np.ascontiguousarray(np.moveaxis(g, ax, -1).reshape(flat.shape))
-        gx = kernels.softmax_rows_grad(yflat, gm)
-        return (np.ascontiguousarray(np.moveaxis(gx.reshape(moved.shape), -1, ax)),)
-
-    return _emit(data, (a,), pull)
 
 
 def rmsnorm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
@@ -517,8 +449,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Tensor | None =
     is a constant that broadcasts against the (.., H, N, M) scores; 2-D k
     and v are shared by every query row, and the scores are then
     (H, rows of q, M). Forward and backward run the numpy expressions of the
-    equivalent reshape, transpose, matmul, scale, add and softmax records in
-    their order, so values and grads match those records bit for bit
+    equivalent reshape, transpose, matmul, scale, add and softmax records
+    (tests/oracles.py) in their order, so values and grads match those records bit for bit
     whenever q, k and v are distinct tensors. Outside a tape the head-major
     operands are dropped as soon as their product is formed.
     """
@@ -586,8 +518,8 @@ def router_probs(h: Tensor, weight: Tensor, squash: bool) -> Tensor:
     h is (B, N, d) and weight (d, m); the result is (B, m). Each sample is
     summarised by its last token row, squashed by tanh when `squash` is set.
     Forward and backward run the numpy expressions of the equivalent slice,
-    reshape, tanh, matmul and softmax records in their order, so values and
-    grads match those records bit for bit.
+    reshape, tanh, matmul and softmax records (tests/oracles.py) in their
+    order, so values and grads match those records bit for bit.
     """
     if h.ndim != 3 or weight.ndim != 2 or weight.shape[0] != h.shape[2]:
         raise ShapeError(f"router_probs: states {h.shape} do not fit weight {weight.shape}")

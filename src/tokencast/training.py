@@ -29,7 +29,7 @@ from .data import DataError
 from .dlora import N_MODULES, RoutingStats, batch_stats, load_balance_loss, merge_stats
 from .tensor import Tape, Tensor
 
-DIVERGENCE_FACTOR = 1e6  # a step loss over this times the run's first one is diverging
+DIVERGENCE_FACTOR = 1e6  # the divergence guard's factor; `train` says what it multiplies
 
 
 class NumericError(RuntimeError):
@@ -172,7 +172,10 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
 
     Early stopping watches val MSE with `cfg.patience` and restores
     the best-epoch parameters before returning. With no val windows the
-    loop always runs the full epoch budget.
+    loop always runs the full epoch budget. A finite step loss above
+    DIVERGENCE_FACTOR times the larger of the first step's loss and the
+    training split's mean square (the mse of predicting 0) is diverging
+    and raises NumericError.
     """
     if train_windows.count < 1:
         raise DataError("training split has no usable windows")
@@ -183,7 +186,8 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
     has_val = val_windows is not None and val_windows.count > 0
     best_snapshot = None
     bad_epochs = 0
-    loss_limit = None  # the divergence guard's bound, set by the first step's loss
+    loss_limit = None  # set at the first step, floored by the split's scale
+    split_mean_square = float(np.mean(np.square(train_windows.view.array)))
 
     for epoch in range(cfg.epochs):
         order = gen.permutation(train_windows.count)
@@ -202,7 +206,7 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
                     raise _numeric_failure("non-finite loss", epoch, steps, loss_val, task,
                                            batch, pred, cfg.lr)
                 if loss_limit is None:
-                    loss_limit = DIVERGENCE_FACTOR * loss_val
+                    loss_limit = DIVERGENCE_FACTOR * max(loss_val, split_mean_square)
                 elif loss_val > loss_limit:
                     raise _numeric_failure("diverging loss", epoch, steps, loss_val, task,
                                            batch, pred, cfg.lr, loss_limit=loss_limit)

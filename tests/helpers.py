@@ -10,6 +10,11 @@ import numpy as np
 from tokencast.tensor import Tape
 
 
+def rand(shape, seed, lo=-1.0, hi=1.0):
+    """Uniform draws from a PCG64 stream of its own seed."""
+    return np.random.Generator(np.random.PCG64(seed)).uniform(lo, hi, size=shape)
+
+
 def finite_difference(loss_fn, arrays, h=1e-5):
     """Central-difference gradient of loss_fn w.r.t. each array in `arrays`.
 

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import assert_grads_match
+from helpers import assert_grads_match, rand
 from tokencast import tensor as T
 from tokencast.alignment import CrossAttention, PromptEmbedding, hash_tokens
 from tokencast.tensor import ShapeError, Tensor
-
-
-def rand(shape, seed):
-    return np.random.Generator(np.random.PCG64(seed)).uniform(-1, 1, size=shape)
 
 
 def test_hash_tokens_deterministic():

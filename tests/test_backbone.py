@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import rand
+from oracles import np_attention
 from tokencast import rng
 from tokencast import tensor as T
 from tokencast.backbone import Backbone, pretrain_then_freeze
@@ -11,10 +13,6 @@ from tokencast.data import MultivariateSeries, SplitSpec, chronological_split
 from tokencast.dlora import MODULE_NAMES, LoraAdapter
 from tokencast.model import Forecaster
 from tokencast.tensor import ShapeError, Tensor
-
-
-def rand(shape, seed):
-    return np.random.Generator(np.random.PCG64(seed)).uniform(-1, 1, size=shape)
 
 
 def small_cfg(**kw):
@@ -41,11 +39,6 @@ def np_rmsnorm(x, w, eps=1e-6):
     return x * inv * w
 
 
-def np_softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def np_silu(x):
     return x / (1.0 + np.exp(-x))
 
@@ -63,15 +56,8 @@ def np_block(h, block, adapters=None, gate=0.0):
     x = np_rmsnorm(h, block.attn_norm.data)
     q, k, v = lin(x, "q_proj"), lin(x, "k_proj"), lin(x, "v_proj")
     n = h.shape[-2]
-    dh = block.cfg.dim // block.cfg.heads
-    heads = []
-    for i in range(block.cfg.heads):
-        s = slice(i * dh, (i + 1) * dh)
-        scores = (q[..., s] @ np.swapaxes(k[..., s], -1, -2)) / np.sqrt(dh)
-        if block.cfg.causal_mask:
-            scores = np.where(np.triu(np.ones((n, n), dtype=bool), k=1), -np.inf, scores)
-        heads.append(np_softmax(scores) @ v[..., s])
-    h = h + lin(np.concatenate(heads, axis=-1), "o_proj")
+    mask = np.triu(np.full((n, n), -np.inf), k=1) if block.cfg.causal_mask else None
+    h = h + lin(np_attention(q, k, v, block.cfg.heads, mask), "o_proj")
     x2 = np_rmsnorm(h, block.ffn_norm.data)
     ffn = lin(np_silu(lin(x2, "gate_proj")) * lin(x2, "up_proj"), "down_proj")
     return h + ffn

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokencast import cli
+from tokencast.backbone import pretrain_then_freeze
 from tokencast.checkpoint import read_header
 from tokencast.config import RunConfig
 from tokencast.data import load_csv
@@ -300,6 +301,19 @@ def test_near_zero_loss_does_not_trip_the_divergence_guard(tmp_path, wiggle):
     assert all(float(row.split(",")[1]) < 1e-12 for row in history)
 
 
+@pytest.mark.parametrize("variant", ["v4_frozen", "full"])
+def test_flat_first_batch_does_not_zero_the_divergence_bound(tmp_path, variant):
+    # seed 2 draws a first batch of flat windows only: its loss is exactly 0,
+    # and a bound of 1e6 times that stopped the next ordinary step
+    rows = "".join(f"t{i},{5.0 if i < 500 else 5.0 + math.sin(i / 7)!r}\n" for i in range(900))
+    path = tmp_path / "flat.csv"
+    path.write_text("date,a\n" + rows)
+    code = cli.main(["train", "--data-kind", "csv", "--csv-path", str(path), "--lookback", "32",
+                     "--horizon", "8", "--epochs", "1", "--batch-size", "4", "--lambda-lb", "0",
+                     "--variant", variant, "--seed", "2", "--out", str(tmp_path / "out")])
+    assert code == 0
+
+
 def test_diverging_gradient_norm_exits_4(tmp_path, capsys):
     # a series of scale 1e150: the first loss stays finite (about 6e299) while
     # the squared grad norm overflows
@@ -477,6 +491,23 @@ def test_sweep_n_exports_balanced_frequencies(tmp_path):
         for layer in payload["layers"]:
             total = sum(layer["frequency"].values())
             assert abs(total - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("verb", [["ablate"], ["sweep-n", "--n-values", "1,2,4"]],
+                         ids=["ablate", "sweep-n"])
+def test_multi_model_verbs_pretrain_one_trunk(tmp_path, monkeypatch, verb):
+    # pretraining reads neither the variant nor n_active: every model shares one trunk
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return pretrain_then_freeze(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "pretrain_then_freeze", counting)
+    code = cli.main([*verb, *TINY, "--epochs", "1", "--pretrain-mode", "pretrain_then_freeze",
+                     "--pretrain-steps", "2", "--out", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_sweep_n_rejects_bad_values(tmp_path, capsys):

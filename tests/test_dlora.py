@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import assert_grads_match, autograd_gradients, tape_ops
+import oracles as O
+from helpers import assert_grads_match, autograd_gradients, rand, tape_ops
 from tokencast import dlora
 from tokencast import rng
 from tokencast import tensor as T
@@ -17,10 +18,6 @@ from tokencast.dlora import (
     top_n_gates_rows,
 )
 from tokencast.tensor import Tensor
-
-
-def rand(shape, seed):
-    return np.random.Generator(np.random.PCG64(seed)).uniform(-1, 1, size=shape)
 
 
 def make_adapter(d_in=6, d_out=6, r=2, seed=0):
@@ -202,7 +199,7 @@ def test_gates_invariant_to_logit_shift():
     router = LoraRouter(dim=8, layer=0, seed=21)
     pooled = rand((4, 8), 22)
     gates = top_n_gates_rows(router.probs(Tensor(pooled[:, None, :])).data, 3)
-    probs_shifted = T.softmax(
+    probs_shifted = O.softmax(
         Tensor((np.tanh(pooled) @ router.weight.data) + 13.7), axis=-1
     ).data
     np.testing.assert_array_equal(gates, top_n_gates_rows(probs_shifted, 3))

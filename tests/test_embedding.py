@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import assert_grads_match
+from helpers import assert_grads_match, rand
 from tokencast import tensor as T
 from tokencast.embedding import (
     OutputHead,
@@ -12,10 +12,6 @@ from tokencast.embedding import (
     instance_normalize,
 )
 from tokencast.tensor import ShapeError, Tensor
-
-
-def rand(shape, seed):
-    return np.random.Generator(np.random.PCG64(seed)).uniform(-1, 1, size=shape)
 
 
 def test_embed_shapes():

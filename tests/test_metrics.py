@@ -14,7 +14,6 @@ from tokencast.metrics import (
     mase,
     mse,
     naive_seasonal_forecast,
-    owa,
     seasonality_for,
     smape,
 )
@@ -207,13 +206,14 @@ def test_owa_zero_on_perfect_and_below_one_when_better():
     assert 0.0 < better.aggregate["owa"] < 1.0
 
 
-def test_owa_absent_without_baseline_and_error_on_degenerate():
+def test_owa_absent_without_baseline_and_on_degenerate_baseline():
     y = block([[[1.0, 2.0, 3.0]]])
     rep = build_report(y, y + 1.0, seasonality=1)
     assert "owa" not in rep.aggregate
-    naive_rep = build_report(y, y.copy(), seasonality=1)  # zero-error baseline
-    with pytest.raises(MetricError, match="owa undefined"):
-        owa(rep, naive_rep)
+    # a zero-error baseline has smape and mase 0, so no ratio is defined
+    rep = build_report(y, y + 1.0, seasonality=1, naive_pred=y.copy())
+    assert "smape" in rep.aggregate and "mase" in rep.aggregate
+    assert "owa" not in rep.aggregate and "owa" not in rep.per_series["ch0"]
 
 
 def test_report_channel_names_and_custom_labels():

@@ -1,9 +1,12 @@
 """Composed forecaster: variants, shared init, gradients, parameter budget."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from tokencast import tensor as T
+from tokencast import training
 from tokencast.config import ConfigError, RunConfig, build_config
 from tokencast.data import SplitSpec, WindowSet, chronological_split, synth_generate
 from tokencast.dlora import N_MODULES, batch_stats, load_balance_loss
@@ -196,6 +199,25 @@ def test_forward_records_no_balance_means():
         load_balance_loss(probs, batch_stats(probs)[0])
     assert tape_ops(tape)[:len(forward_ops)] == forward_ops
     assert tape_ops(tape).count("mean") == cfg.layers
+
+
+def test_tensor_defines_exactly_the_ops_the_model_records():
+    # an op that no taped forward or loss records is a test oracle and lives
+    # in tests/oracles.py
+    ops = {name for name, fn in vars(T).items()
+           if inspect.isfunction(fn) and fn.__module__ == T.__name__
+           and not name.startswith("_") and name != "parameter"}
+    recorded = set()
+    for variant in VARIANTS:
+        for loss_kind in ("mse", "smape"):
+            cfg = tiny_cfg(variant=variant, loss_kind=loss_kind, lambda_lb=0.1)
+            x = batch(cfg)
+            with T.Tape() as tape:
+                pred, probs = Forecaster(cfg).forward_array(x)
+                task = training.task_loss(loss_kind, pred, x[:, :, :cfg.horizon])
+                training.total_loss(task, probs, batch_stats(probs)[0], cfg.lambda_lb)
+            recorded.update(tape_ops(tape))
+    assert ops == recorded
 
 
 def test_collect_routing_stats_merges_batches_exactly():

