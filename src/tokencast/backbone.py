@@ -1,12 +1,14 @@
 """Frozen transformer stack operating on channel tokens.
 
 Each block is pre-norm: RMS-normalized multi-head self-attention over the
-token axis (`tensor.attention`, one tape op for all heads), then an
-RMS-normalized gated feed-forward, both residual.
+token axis, then an RMS-normalized gated feed-forward, both residual. A
+whole block is one tape op (`tensor.transformer_block`) with a hand-written
+pull.
 Attention is bidirectional by default because channel tokens carry no
 temporal order; a causal flag exists for ablation. The seven linears have
 no bias, as in LLaMA, and each can carry a low-rank adapter chosen per
-sample by a router: every one is x W + ((x A) g) B (`dlora.apply`).
+sample by a router: every one is x W + ((x A) g) B (`dlora.apply`, on
+arrays, called by the block op once per linear).
 
 The stack is a stand-in for a pretrained language-model trunk at desk
 scale: either randomly initialized and frozen, or briefly pretrained by
@@ -59,31 +61,19 @@ class TransformerBlock:
         self.attn_norm = T.parameter(np.ones(cfg.dim))
         self.ffn_norm = T.parameter(np.ones(cfg.dim))
 
-    def _linear(self, x, name, adapters, gates):
-        adapter = adapters.get(name) if adapters else None
-        gate = gates.get(name) if gates else None
-        return dlora.apply(x, self.weights[name], None, adapter, gate)
-
     def forward(self, h: Tensor, adapters=None, gates=None) -> Tensor:
-        """One block pass over (.., N, dim) token states."""
+        """One block pass over (.., N, dim) token states: one `tensor.transformer_block` op."""
         if h.shape[-1] != self.cfg.dim:
             raise ShapeError(f"block dim {self.cfg.dim} does not match input {h.shape}")
-        x = T.rmsnorm(h, self.attn_norm, NORM_EPS)
-        q = self._linear(x, "q_proj", adapters, gates)
-        k = self._linear(x, "k_proj", adapters, gates)
-        v = self._linear(x, "v_proj", adapters, gates)
         n = h.shape[-2]
         mask = None
         if self.cfg.causal_mask and n > 1:
-            mask = Tensor(np.triu(np.full((n, n), MASK_FILL), k=1))
-        ctx = T.attention(q, k, v, self.cfg.heads, mask)
-        h = T.add(h, self._linear(ctx, "o_proj", adapters, gates))
-
-        x2 = T.rmsnorm(h, self.ffn_norm, NORM_EPS)
-        gated = T.silu(self._linear(x2, "gate_proj", adapters, gates))
-        up = self._linear(x2, "up_proj", adapters, gates)
-        ffn = self._linear(T.mul(gated, up), "down_proj", adapters, gates)
-        return T.add(h, ffn)
+            mask = np.triu(np.full((n, n), MASK_FILL), k=1)
+        linears = [(self.weights[name], adapters.get(name) if adapters else None,
+                    gates.get(name) if gates else None) for name in dlora.MODULE_NAMES]
+        # looked up on every call, so a wrapper set on dlora.apply at run time is used
+        return T.transformer_block(h, linears, self.attn_norm, self.ffn_norm, self.cfg.heads,
+                                   mask, NORM_EPS, dlora.apply)
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:
         out = {}

@@ -120,15 +120,13 @@ def build_model(cfg: RunConfig, train_view) -> Forecaster:
 def build_models(cfgs, train_view):
     """Yield a model per config, in turn; all share the first one's trunk.
 
-    The trunk is pretrained once: pretraining reads neither the variant nor
-    n_active, and training never writes a frozen trunk.
+    The trunk is built and pretrained once: pretraining reads neither the
+    variant nor n_active, and training never writes a frozen trunk.
     """
     first = build_model(cfgs[0], train_view)
     yield first
     for cfg in cfgs[1:]:
-        model = Forecaster(cfg)
-        model.backbone = first.backbone
-        yield model
+        yield Forecaster(cfg, backbone=first.backbone)
 
 
 def train_config(cfg: RunConfig) -> RunConfig:

@@ -3,11 +3,12 @@
 Every block linear can carry an adapter: x' = x W + ((x A) g) B, with
 g a binary gate chosen per sample by that layer's router and applied to the
 rank-r intermediate x A, so a closed gate zeroes r columns, not d_out. The
-product A B is never materialized; the delta is one tape op
-(`tensor.lora_linear`) of two thin matmuls, added in place into the base
-product x W, which never escapes it. A router is one tape op too
-(`tensor.router_probs`): it pools each sample's last token, squashes it,
-projects it onto the modules and takes the softmax.
+product A B is never materialized: `apply` adds the delta, two thin
+matmuls, in place into the base product x W. It works on arrays, inside
+the block's one tape op (`tensor.transformer_block`), whose pull forms the
+adapter grads. A router is one tape op too (`tensor.router_probs`): it
+pools each sample's last token, squashes it, projects it onto the modules
+and takes the softmax.
 The forward's list of router outputs is a batch's one routing record:
 `batch_stats` reads constant (f, p-hat) off it, and `load_balance_loss`
 records the mean probabilities it needs. Gates are constants to the tape,
@@ -43,26 +44,34 @@ class LoraAdapter:
         self.up = T.parameter(np.zeros((r, d_out)))
 
 
-def apply(x: Tensor, weight: Tensor, bias: Tensor | None,
-          adapter: LoraAdapter | None, gate) -> Tensor:
-    """Adapted linear map: x W + ((x A) g) B, plus b when a bias is given.
+def apply(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
+          adapter: LoraAdapter | None, gate):
+    """Adapted linear map on arrays: x W + ((x A) g) B, plus b when a bias is given.
 
     `gate` is None (no adapter path) or a 0/1 constant that broadcasts from
     the leading axes of x: a scalar or one value per sample. An all-closed
-    gate skips the adapter; an all-open one skips the gate product. Any open
-    gate records the base matmul and one `lora_linear` delta op.
+    gate skips the adapter; an all-open one skips the gate product. Returns
+    (out, low, mask). low is the gated rank-r intermediate (x A) g with the
+    leading axes of x folded into rows, None when no delta ran; mask is g
+    shaped to broadcast against the unfolded (.., r) intermediate, None when
+    every gate is open. `tensor.transformer_block` calls this once per
+    linear and forms the grads from low and mask.
     """
-    mask = None if adapter is None or gate is None else np.asarray(gate, dtype=np.float64)
-    if mask is None or not mask.any():
-        out = T.matmul(x, weight)
-    elif mask.all():
-        out = T.lora_linear(x, weight, adapter.down, adapter.up, None)
-    else:
-        mask = mask.reshape(mask.shape + (1,) * (x.ndim - mask.ndim))
-        out = T.lora_linear(x, weight, adapter.down, adapter.up, mask)
+    g = None if adapter is None or gate is None else np.asarray(gate, dtype=np.float64)
+    lead = x.shape[:-1]
+    x2 = x.reshape(-1, weight.shape[0])
+    out = x2 @ weight
+    low = mask = None
+    n_open = 0 if g is None else np.count_nonzero(g)
+    if n_open:
+        low = x2 @ adapter.down.data
+        if n_open < g.size:
+            mask = g.reshape(g.shape + (1,) * (x.ndim - g.ndim))
+            low = (low.reshape(lead + low.shape[1:]) * mask).reshape(low.shape)
+        out += low @ adapter.up.data
     if bias is not None:
-        out = T.add(out, bias)
-    return out
+        out += bias
+    return out.reshape(lead + weight.shape[1:]), low, mask
 
 
 class LoraRouter:

@@ -3,7 +3,10 @@
 Matrix products are deliberately absent here: those go through BLAS via
 numpy and a hand loop cannot beat that. The kernels below are the fused
 elementwise/reduction passes that sit inside every forward, backward and
-optimizer step.
+optimizer step. Each writes into the one or two fresh buffers it allocates
+(`out=`, in-place operators) instead of a temporary per operation, and
+performs its textbook expression's operations in their order, so the bits
+are those of the plain expression (tests/oracles.py).
 """
 
 import numpy as np
@@ -13,46 +16,79 @@ BACKEND = "numpy"
 
 def softmax_rows(x):
     """Row-wise softmax of a 2D array, max-subtracted for stability."""
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def softmax_rows_grad(y, gout):
     # gin = y * (gout - sum(gout * y, row))
-    dot = (y * gout).sum(axis=1, keepdims=True)
-    return y * (gout - dot)
+    t = y * gout
+    dot = t.sum(axis=1, keepdims=True)
+    np.subtract(gout, dot, out=t)
+    t *= y
+    return t
 
 
 def rmsnorm_rows(x, weight, eps):
     """Row-wise RMS normalization with a learned per-column gain.
 
-    Returns (out, inv_rms); inv_rms is kept for the backward pass.
+    Returns (out, inv_rms); inv_rms is kept for the backward pass. The row
+    mean of squares is a sum divided by the width, as np.mean forms it.
     """
-    inv = 1.0 / np.sqrt((x * x).mean(axis=1) + eps)
-    return x * inv[:, None] * weight, inv
+    out = x * x
+    inv = out.sum(axis=1)
+    inv /= x.shape[1]
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    np.multiply(x, inv[:, None], out=out)
+    out *= weight
+    return out, inv
 
 
 def rmsnorm_rows_grad(x, weight, inv, gout):
     """Grad of rmsnorm_rows with respect to its input rows."""
-    d = x.shape[1]
-    proj = (gout * weight * x).sum(axis=1)
-    return gout * weight * inv[:, None] - x * (proj * inv**3 / d)[:, None]
+    gw = gout * weight
+    t = gw * x
+    coef = t.sum(axis=1)  # the row projection
+    coef *= inv**3
+    coef /= x.shape[1]
+    gw *= inv[:, None]
+    np.multiply(x, coef[:, None], out=t)
+    gw -= t
+    return gw
 
 
 def rmsnorm_gain_grad(x, inv, gout):
     """Grad of rmsnorm_rows with respect to its per-column gain."""
-    return (gout * x * inv[:, None]).sum(axis=0)
+    t = gout * x
+    t *= inv[:, None]
+    return t.sum(axis=0)
+
+
+def _sigmoid(x):
+    s = np.negative(x)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 def silu(x):
-    s = 1.0 / (1.0 + np.exp(-x))
-    return x * s
+    s = _sigmoid(x)
+    s *= x
+    return s
 
 
 def silu_grad(x, gout):
-    s = 1.0 / (1.0 + np.exp(-x))
-    return gout * (s * (1.0 + x * (1.0 - s)))
+    s = _sigmoid(x)
+    t = np.subtract(1.0, s)
+    t *= x
+    t += 1.0
+    t *= s
+    t *= gout
+    return t
 
 
 def adamw_update(p, g, m, v, step, lr, beta1, beta2, eps, weight_decay, scratch):
@@ -75,7 +111,8 @@ def adamw_update(p, g, m, v, step, lr, beta1, beta2, eps, weight_decay, scratch)
     np.sqrt(b, out=b)
     b += eps
     a /= b
-    np.multiply(p, weight_decay, out=b)
-    a += b
+    if weight_decay:  # at the default 0 the term is p * 0: skip both passes
+        np.multiply(p, weight_decay, out=b)
+        a += b
     a *= lr
     p -= a

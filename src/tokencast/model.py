@@ -43,10 +43,12 @@ PARAM_GROUPS = {"backbone": "backbone", "embedder": "embedder", "align": "alignm
 
 
 class Forecaster:
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, backbone: Backbone | None = None):
+        """`backbone`, when given, is a trunk built from a config whose trunk
+        fields equal cfg's; models of one ablation share it."""
         self.cfg = cfg.validate()  # the one check of every shape below
         self.variant = cfg.variant
-        self.backbone = Backbone(cfg)
+        self.backbone = Backbone(cfg) if backbone is None else backbone
         self.embedder = TsEmbedder(cfg.lookback, cfg.dim, cfg.seed)
         self.head = OutputHead(cfg.dim, cfg.horizon, cfg.seed)
 

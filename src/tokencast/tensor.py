@@ -8,11 +8,13 @@ Each pull forms only the grads of inputs that require them, so frozen
 weights and constant inputs cost no backward work. The ops here are exactly
 the ones the model records, no more. matmul takes a 2-D weight and folds the
 leading axes of its left operand into rows, so it runs as one GEMM, forward
-and backward. A low-rank adapter delta is one op, lora_linear, written in
-place into a base product that never leaves it. Multi-head attention is one
-op too, with a hand-written pull for q, k and v, and so is a D-LoRA router
-(router_probs: last-token pooling, tanh, projection and softmax). Outside a
-tape every op is forward-only, which is what inference wants.
+and backward. A whole pre-norm transformer block is one op
+(transformer_block): its two norms, seven adapted linears, multi-head
+attention, gated feed-forward and residual adds share one record and one
+hand-written pull. Multi-head attention, which the alignment records, is one
+op too, and so is a D-LoRA router (router_probs: last-token pooling, tanh,
+projection and softmax). Outside a tape every op is forward-only, which is
+what inference wants.
 
 A Tape and the tensors recorded on it belong to one thread. Independent
 model instances may run on separate threads, each with its own tape.
@@ -317,43 +319,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(data, (a, b), pull)
 
 
-def lora_linear(x: Tensor, w: Tensor, down: Tensor, up: Tensor, mask) -> Tensor:
-    """x W + ((x A) mask) B with the low-rank delta as one op.
-
-    The base product x W is its own matmul record; the delta is added in
-    place into that fresh buffer, which never leaves this function, so the
-    tape keeps one out-sized array per adapted linear. `mask` is None (all
-    open) or an array that broadcasts against the rank-r intermediate
-    x A of shape (.., r). The delta's pull hands g on to the base product,
-    so grads match the unfused matmul, mul and add records bit for bit.
-    """
-    if (w.ndim != 2 or down.ndim != 2 or up.ndim != 2 or down.shape[0] != w.shape[0]
-            or up.shape != (down.shape[1], w.shape[1])):
-        raise ShapeError(f"lora_linear: factors {down.shape}, {up.shape} do not fit weight {w.shape}")
-    base = matmul(x, w)
-    (k, p), r = w.shape, down.shape[1]
-    x2, ad, ud = x.data.reshape(-1, k), down.data, up.data
-    low = (x2 @ ad).reshape(x.shape[:-1] + (r,))
-    if mask is not None:
-        low = low * mask
-    low2 = low.reshape(-1, r)
-    base.data += (low2 @ ud).reshape(base.shape)
-
-    def pull(g):
-        g2 = np.ascontiguousarray(g).reshape(-1, p)
-        gx = gd = None
-        if x.requires_grad or down.requires_grad:
-            glow = (g2 @ ud.T).reshape(low.shape)
-            if mask is not None:
-                glow = glow * mask
-            glow2 = glow.reshape(-1, r)
-            gx = (glow2 @ ad.T).reshape(x.shape) if x.requires_grad else None
-            gd = x2.T @ glow2 if down.requires_grad else None
-        return (g, gx, gd, low2.T @ g2 if up.requires_grad else None)
-
-    return _emit(base.data, (base, x, down, up), pull)
-
-
 def take_rows(a: Tensor, ids) -> Tensor:
     """Gather rows of a 2D tensor by integer index; repeats accumulate grads."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -413,31 +378,63 @@ def slice_(a: Tensor, key) -> Tensor:
     return _emit(data, (a,), pull)
 
 
-# ------------------------------------------------------------ normalizers
-
-
-def rmsnorm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
-    """RMS-normalize the last axis and scale by a learned gain vector."""
-    d = x.data.shape[-1]
-    if weight.data.shape != (d,):
-        raise ShapeError(f"rmsnorm: weight shape {weight.shape} does not match last axis {d}")
-    flat = np.ascontiguousarray(x.data.reshape(-1, d))
-    yflat, inv = kernels.rmsnorm_rows(flat, weight.data, float(eps))
-    data = yflat.reshape(x.data.shape)
-
-    def pull(g):
-        g2 = np.ascontiguousarray(g.reshape(-1, d))
-        gx = gw = None
-        if x.requires_grad:
-            gx = kernels.rmsnorm_rows_grad(flat, weight.data, inv, g2).reshape(x.data.shape)
-        if weight.requires_grad:
-            gw = kernels.rmsnorm_gain_grad(flat, inv, g2)
-        return gx, gw
-
-    return _emit(data, (x, weight), pull)
-
-
 # -------------------------------------------------------------- attention
+
+
+def _attend(qd, kd, vd, heads, mask, keep):
+    """Multi-head attention over arrays; head h owns columns [h*dh, (h+1)*dh).
+
+    Returns the context, shaped like qd, and what `_attend_grads` needs, or
+    None when `keep` is unset: the head-major operands and the probabilities
+    are then dropped as soon as their product is formed.
+    """
+    shape, d = qd.shape, qd.shape[-1]
+    dh = d // heads
+    # keys shared by every query: fold the batch into the query rows so each
+    # head's key and value grads stay one product over all rows
+    if kd.ndim == 2:
+        qd = qd.reshape(-1, d)
+    q4, k4, v4 = (x.reshape(x.shape[:-1] + (heads, dh)) for x in (qd, kd, vd))
+    qp = np.ascontiguousarray(q4.swapaxes(-3, -2))  # (.., H, N, dh)
+    kp = np.ascontiguousarray(k4.swapaxes(-3, -2).swapaxes(-2, -1))  # (.., H, dh, M)
+    vp = np.ascontiguousarray(v4.swapaxes(-3, -2))  # (.., H, M, dh)
+    c = float(1.0 / np.sqrt(dh))
+    scores = qp @ kp  # (.., H, N, M)
+    if not keep:
+        del qp, kp
+    scores *= c
+    if mask is not None:
+        scores += mask
+    m = scores.shape[-1]
+    probs = kernels.softmax_rows(scores.reshape(-1, m)).reshape(scores.shape)
+    del scores
+    ctx = probs @ vp  # (.., H, N, dh)
+    if not keep:
+        del probs, vp
+    ctx_t = np.ascontiguousarray(ctx.swapaxes(-3, -2))  # (.., N, H, dh)
+    return ctx_t.reshape(shape), ((qp, kp, vp, probs, c, ctx_t.shape) if keep else None)
+
+
+def _attend_grads(saved, g, k_shape, v_shape, need_q, need_k, need_v):
+    """Grads of `_attend`'s q, k and v from its output grad g; None where not needed."""
+    qp, kp, vp, probs, c, ctx_t_shape = saved
+    gctx = g.reshape(ctx_t_shape).swapaxes(-3, -2)
+    gq = gk = gv = None
+    if need_v:
+        gvp = _unbroadcast(probs.swapaxes(-1, -2) @ gctx, vp.shape)
+        gv = gvp.swapaxes(-3, -2).reshape(v_shape)
+    if need_q or need_k:
+        m = probs.shape[-1]
+        gp = (gctx @ vp.swapaxes(-1, -2)).reshape(-1, m)
+        gs = kernels.softmax_rows_grad(probs.reshape(-1, m), gp).reshape(probs.shape)
+        gs *= c
+        if need_q:
+            gqp = gs @ kp.swapaxes(-1, -2)
+            gq = gqp.swapaxes(-3, -2).reshape(g.shape)
+        if need_k:
+            gkp = _unbroadcast(qp.swapaxes(-1, -2) @ gs, kp.shape)
+            gk = gkp.swapaxes(-2, -1).swapaxes(-3, -2).reshape(k_shape)  # (.., M, H, dh)
+    return gq, gk, gv
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Tensor | None = None) -> Tensor:
@@ -454,59 +451,188 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Tensor | None =
     whenever q, k and v are distinct tensors. Outside a tape the head-major
     operands are dropped as soon as their product is formed.
     """
-    shape, d = q.shape, q.shape[-1]
+    d = q.shape[-1]
     if d % heads != 0 or k.shape[-1] != d or v.shape[-1] != d:
         raise ShapeError(f"attention: {heads} heads over q {q.shape}, k {k.shape}, v {v.shape}")
-    dh = d // heads
-    # keys shared by every query: fold the batch into the query rows so each
-    # head's key and value grads stay one product over all rows
-    qd = q.data.reshape(-1, d) if k.ndim == 2 else q.data
-    q4, k4, v4 = (x.reshape(x.shape[:-1] + (heads, dh)) for x in (qd, k.data, v.data))
-    qp = np.ascontiguousarray(np.swapaxes(q4, -3, -2))  # (.., H, N, dh)
-    kp = np.ascontiguousarray(np.moveaxis(k4, -3, -1))  # (.., H, dh, M)
-    vp = np.ascontiguousarray(np.swapaxes(v4, -3, -2))  # (.., H, M, dh)
-    c = float(1.0 / np.sqrt(dh))
     recording = _LOCAL.tape is not None and (q.requires_grad or k.requires_grad
                                              or v.requires_grad)
     try:
-        scores = qp @ kp  # (.., H, N, M)
-        if not recording:
-            del qp, kp
-        scores *= c
-        if mask is not None:
-            scores += mask.data
-        m = scores.shape[-1]
-        probs = kernels.softmax_rows(scores.reshape(-1, m)).reshape(scores.shape)
-        del scores
-        ctx = probs @ vp  # (.., H, N, dh)
-        if not recording:
-            del probs, vp
-        ctx_t = np.ascontiguousarray(np.swapaxes(ctx, -3, -2))  # (.., N, H, dh)
-        data = ctx_t.reshape(shape)
+        data, saved = _attend(q.data, k.data, v.data, heads,
+                              None if mask is None else mask.data, recording)
     except ValueError as e:
         raise ShapeError(f"attention: leading axes of q {q.shape}, k {k.shape}, v {v.shape}"
                          f" and mask {None if mask is None else mask.shape} do not fit") from e
-    ctx_t_shape = ctx_t.shape
 
     def pull(g):
-        gctx = np.swapaxes(g.reshape(ctx_t_shape), -3, -2)
-        gq = gk = gv = None
-        if v.requires_grad:
-            gvp = _unbroadcast(np.swapaxes(probs, -1, -2) @ gctx, vp.shape)
-            gv = np.swapaxes(gvp, -3, -2).reshape(v.shape)
-        if q.requires_grad or k.requires_grad:
-            gp = (gctx @ np.swapaxes(vp, -1, -2)).reshape(-1, m)
-            gs = kernels.softmax_rows_grad(probs.reshape(-1, m), gp).reshape(probs.shape)
-            gs *= c
-            if q.requires_grad:
-                gqp = gs @ np.swapaxes(kp, -1, -2)
-                gq = np.swapaxes(gqp, -3, -2).reshape(shape)
-            if k.requires_grad:
-                gkp = _unbroadcast(np.swapaxes(qp, -1, -2) @ gs, kp.shape)
-                gk = np.moveaxis(gkp, -1, -3).reshape(k.shape)
-        return gq, gk, gv
+        return _attend_grads(saved, g, k.shape, v.shape,
+                             q.requires_grad, k.requires_grad, v.requires_grad)
 
     return _emit(data, (q, k, v), pull)
+
+
+# ------------------------------------------------------------------ blocks
+
+
+def _linear_grads(gz, g, saved, weight: Tensor, need_z):
+    """Grads of one adapted linear from its output grad g.
+
+    `saved` is the linear's input, the gated rank-r rows and mask that
+    `dlora.apply` returned, and its adapter when the delta ran, else None.
+    The input's grad is added into gz (None: nothing yet), the delta's share
+    before the base product's, as the lora_linear and matmul records added
+    theirs. Returns gz and the weight, down and up grads, each None where
+    not needed.
+    """
+    z, low, mask, adapter = saved
+    k, p = weight.shape
+    g2, z2 = g.reshape(-1, p), z.reshape(-1, k)
+    gd = gu = None
+    if adapter is not None:
+        down, up = adapter.down, adapter.up
+        if need_z or down.requires_grad:
+            glow = g2 @ up.data.T
+            if mask is not None:
+                glow = (glow.reshape(z.shape[:-1] + low.shape[1:]) * mask).reshape(low.shape)
+            if need_z:
+                gz = _accumulate(gz, (glow @ down.data.T).reshape(z.shape))
+            gd = z2.T @ glow if down.requires_grad else None
+        gu = low.T @ g2 if up.requires_grad else None
+    if need_z:
+        gz = _accumulate(gz, (g2 @ weight.data.T).reshape(z.shape))
+    return gz, z2.T @ g2 if weight.requires_grad else None, gd, gu
+
+
+def _accumulate(acc, g):
+    """acc + g, in place into acc; g itself when nothing came before."""
+    if acc is None:
+        return g
+    acc += g
+    return acc
+
+
+def transformer_block(h: Tensor, linears, attn_norm: Tensor, ffn_norm: Tensor, heads: int,
+                      mask, eps: float, apply) -> Tensor:
+    """One pre-norm transformer block over (.., N, d) token states as one op.
+
+    h1 = h + o(attention(q(x), k(x), v(x))) with x = rmsnorm(h), then
+    out = h1 + down(silu(gate(x2)) * up(x2)) with x2 = rmsnorm(h1).
+    `linears` holds the seven (weight, adapter, gate) triples in q, k, v, o,
+    gate, up, down order. Each runs through `apply(x, weight, bias, adapter,
+    gate)`, the array-level adapted linear (`dlora.apply`), which returns the
+    output, the gated rank-r intermediate (None when no delta ran) and its
+    mask; the down and up factors of each delta that ran join the op's
+    inputs. `mask` is None or an additive attention mask array.
+
+    Forward and backward run the numpy expressions of the composed rmsnorm,
+    matmul, lora_linear, attention, add, silu and mul records
+    (tests/oracles.py) in their order, and the grads of a state used twice
+    add up in the order those records gave them, so values and grads match
+    the records bit for bit whenever nothing recorded after the block reads
+    h. Trunk weight and gain grads are formed only when those require grad.
+    Outside a tape the intermediates still live until the op returns:
+    dropping each one once used made the allocator hand pages back and
+    fault them in again, and a batch-64 desk forward ran slower.
+    """
+    d = h.shape[-1]
+    weights = [w for w, _, _ in linears]
+    shapes = [w.shape for w in weights]
+    f = shapes[-1][0] if shapes else 0  # down_proj is (ffn, d)
+    if (shapes != [(d, d)] * 4 + [(d, f)] * 2 + [(f, d)] or d % heads
+            or attn_norm.shape != (d,) or ffn_norm.shape != (d,)):
+        raise ShapeError(f"transformer_block: {heads} heads, linears {shapes} and norms"
+                         f" {attn_norm.shape}, {ffn_norm.shape} do not fit states {h.shape}")
+    inputs = [h, attn_norm, ffn_norm, *weights]
+    hd, shape = h.data, h.shape
+    saved = []  # per linear: input, gated rank-r rows, mask, adapter if its delta ran
+
+    def linear(i, z):
+        w, adapter, gate = linears[i]
+        out, low, m = apply(z, w.data, None, adapter, gate)
+        if low is None:
+            adapter = None
+        else:
+            inputs.extend((adapter.down, adapter.up))
+        saved.append((z, low, m, adapter))
+        return out
+
+    x, inv1 = kernels.rmsnorm_rows(hd.reshape(-1, d), attn_norm.data, eps)
+    x = x.reshape(shape)
+    q, k, v = linear(0, x), linear(1, x), linear(2, x)
+    try:
+        ctx, att = _attend(q, k, v, heads, mask, _LOCAL.tape is not None)
+    except ValueError as e:
+        raise ShapeError(f"transformer_block: mask {np.shape(mask)} does not fit"
+                         f" states {shape}") from e
+    h1 = hd + linear(3, ctx)
+    x2, inv2 = kernels.rmsnorm_rows(h1.reshape(-1, d), ffn_norm.data, eps)
+    x2 = x2.reshape(shape)
+    gate_out = linear(4, x2)
+    gated = kernels.silu(gate_out.reshape(-1)).reshape(gate_out.shape)
+    up = linear(5, x2)
+    prod = gated * up
+    out = h1 + linear(6, prod)
+
+    def pull(g):
+        # which intermediates need a grad, as the composed records' _emit set it
+        rg = [t.requires_grad for t in inputs[:10]]
+        needs = [rg[3 + i] or (a is not None and (a.down.requires_grad or a.up.requires_grad))
+                 for i, (*_, a) in enumerate(saved)]  # a linear's own tensors need grad
+        need_x = rg[0] or rg[1]
+        need_q, need_k, need_v = (need_x or needs[i] for i in range(3))
+        need_ctx = need_q or need_k or need_v
+        need_h1 = rg[0] or need_ctx or needs[3]
+        need_x2 = need_h1 or rg[2]
+        need_gate, need_up = need_x2 or needs[4], need_x2 or needs[5]
+        grads = [None] * 10
+        factor_grads = [(None, None)] * 7  # down and up grads of each linear's delta
+
+        def back(i, gz, gout, need_z):
+            gz, grads[3 + i], gd, gu = _linear_grads(gz, gout, saved[i], inputs[3 + i], need_z)
+            factor_grads[i] = (gd, gu)
+            return gz
+
+        # Tape.backward hands over a grad no other tensor holds, so the
+        # norm's share of h1's grad is added into it in place, as the tape did
+        g = np.ascontiguousarray(g)
+        gprod = back(6, None, g, need_gate or need_up)
+        gx2 = None
+        if need_up:
+            gx2 = back(5, gx2, gprod * gated, need_x2)
+        if need_gate:
+            ggated = np.ascontiguousarray(gprod * up).reshape(-1)
+            ggate = kernels.silu_grad(gate_out.reshape(-1), ggated).reshape(gate_out.shape)
+            gx2 = back(4, gx2, ggate, need_x2)
+        gh1 = g  # the residual's share, then the norm's
+        if need_x2:
+            g2 = np.ascontiguousarray(gx2.reshape(-1, d))
+            rows = h1.reshape(-1, d)
+            if need_h1:
+                gh1 += kernels.rmsnorm_rows_grad(rows, ffn_norm.data, inv2, g2).reshape(shape)
+            if rg[2]:
+                grads[2] = kernels.rmsnorm_gain_grad(rows, inv2, g2)
+        if need_h1:
+            gctx = back(3, None, gh1, need_ctx)
+            gx = None
+            if need_ctx:
+                gq, gk, gv = _attend_grads(att, gctx, shape, shape, need_q, need_k, need_v)
+                for i, gi in ((2, gv), (1, gk), (0, gq)):
+                    if gi is not None:
+                        gx = back(i, gx, gi, need_x)
+            if need_x:
+                g2 = np.ascontiguousarray(gx.reshape(-1, d))
+                rows = hd.reshape(-1, d)
+                if rg[0]:
+                    gh1 += kernels.rmsnorm_rows_grad(rows, attn_norm.data, inv1,
+                                                     g2).reshape(shape)
+                if rg[1]:
+                    grads[1] = kernels.rmsnorm_gain_grad(rows, inv1, g2)
+            grads[0] = gh1 if rg[0] else None
+        for (*_, adapter), pair in zip(saved, factor_grads):
+            if adapter is not None:
+                grads += pair
+        return grads
+
+    return _emit(out, tuple(inputs), pull)
 
 
 # ---------------------------------------------------------------- routing

@@ -1,13 +1,16 @@
 """Reference ops that only tests run.
 
-The model records fused ops (`tensor.attention`, `tensor.router_probs`)
-whose values and grads must match a chain of plain records bit for bit.
-The ops of that chain which the model itself never records live here, on
-the same `_emit` and `_unbroadcast` machinery as `tokencast.tensor`, so
-the bit-identity tests compare against exactly the numpy expressions they
-always did. Each op keeps its own finite-difference test. `np_attention`
-is the per-head numpy loop that the attention and block tests check values
-against.
+The model records fused ops (`tensor.transformer_block`,
+`tensor.attention`, `tensor.router_probs`) whose values and grads must
+match a chain of plain records bit for bit. The ops of that chain which
+the model itself never records live here, on the same `_emit` and
+`_unbroadcast` machinery as `tokencast.tensor`, so the bit-identity tests
+compare against exactly the numpy expressions they always did. Each op
+keeps its own finite-difference test. `composed_block` is a transformer
+block built from those records. `np_attention` is the per-head numpy loop
+that the attention and block tests check values against. The kernel
+expressions at the end are the plain forms that `tokencast.kernels`
+computes with in-place passes.
 """
 
 import math
@@ -15,7 +18,9 @@ import math
 import numpy as np
 
 from tokencast import kernels
-from tokencast.tensor import Tensor, _emit, _unbroadcast
+from tokencast import tensor as T
+from tokencast.backbone import MASK_FILL, NORM_EPS
+from tokencast.tensor import ShapeError, Tensor, _emit, _unbroadcast
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -80,6 +85,96 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(data, (a, b), pull)
 
 
+def lora_linear(x: Tensor, w: Tensor, down: Tensor, up: Tensor, mask) -> Tensor:
+    """x W + ((x A) mask) B with the low-rank delta as one op.
+
+    The base product x W is its own matmul record; the delta is added in
+    place into that fresh buffer, which never leaves this function, so the
+    tape keeps one out-sized array per adapted linear. `mask` is None (all
+    open) or an array that broadcasts against the rank-r intermediate
+    x A of shape (.., r). The delta's pull hands g on to the base product,
+    so grads match the unfused matmul, mul and add records bit for bit.
+    """
+    if (w.ndim != 2 or down.ndim != 2 or up.ndim != 2 or down.shape[0] != w.shape[0]
+            or up.shape != (down.shape[1], w.shape[1])):
+        raise ShapeError(f"lora_linear: factors {down.shape}, {up.shape} do not fit weight {w.shape}")
+    base = T.matmul(x, w)
+    (k, p), r = w.shape, down.shape[1]
+    x2, ad, ud = x.data.reshape(-1, k), down.data, up.data
+    low = (x2 @ ad).reshape(x.shape[:-1] + (r,))
+    if mask is not None:
+        low = low * mask
+    low2 = low.reshape(-1, r)
+    base.data += (low2 @ ud).reshape(base.shape)
+
+    def pull(g):
+        g2 = np.ascontiguousarray(g).reshape(-1, p)
+        gx = gd = None
+        if x.requires_grad or down.requires_grad:
+            glow = (g2 @ ud.T).reshape(low.shape)
+            if mask is not None:
+                glow = glow * mask
+            glow2 = glow.reshape(-1, r)
+            gx = (glow2 @ ad.T).reshape(x.shape) if x.requires_grad else None
+            gd = x2.T @ glow2 if down.requires_grad else None
+        return (g, gx, gd, low2.T @ g2 if up.requires_grad else None)
+
+    return _emit(base.data, (base, x, down, up), pull)
+
+
+def rmsnorm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
+    """RMS-normalize the last axis and scale by a learned gain vector."""
+    d = x.data.shape[-1]
+    if weight.data.shape != (d,):
+        raise ShapeError(f"rmsnorm: weight shape {weight.shape} does not match last axis {d}")
+    flat = np.ascontiguousarray(x.data.reshape(-1, d))
+    yflat, inv = kernels.rmsnorm_rows(flat, weight.data, float(eps))
+    data = yflat.reshape(x.data.shape)
+
+    def pull(g):
+        g2 = np.ascontiguousarray(g.reshape(-1, d))
+        gx = gw = None
+        if x.requires_grad:
+            gx = kernels.rmsnorm_rows_grad(flat, weight.data, inv, g2).reshape(x.data.shape)
+        if weight.requires_grad:
+            gw = kernels.rmsnorm_gain_grad(flat, inv, g2)
+        return gx, gw
+
+    return _emit(data, (x, weight), pull)
+
+
+def adapted_linear(x: Tensor, weight: Tensor, adapter, gate) -> Tensor:
+    """An adapted linear as a matmul record plus, for an open gate, a lora_linear record."""
+    mask = None if adapter is None or gate is None else np.asarray(gate, dtype=np.float64)
+    if mask is None or not mask.any():
+        return T.matmul(x, weight)
+    if mask.all():
+        return lora_linear(x, weight, adapter.down, adapter.up, None)
+    mask = mask.reshape(mask.shape + (1,) * (x.ndim - mask.ndim))
+    return lora_linear(x, weight, adapter.down, adapter.up, mask)
+
+
+def composed_block(block, h: Tensor, adapters=None, gates=None) -> Tensor:
+    """`backbone.TransformerBlock.forward` as a chain of plain records."""
+
+    def linear(x, name):
+        return adapted_linear(x, block.weights[name], adapters.get(name) if adapters else None,
+                              gates.get(name) if gates else None)
+
+    cfg = block.cfg
+    x = rmsnorm(h, block.attn_norm, NORM_EPS)
+    q, k, v = linear(x, "q_proj"), linear(x, "k_proj"), linear(x, "v_proj")
+    n = h.shape[-2]
+    mask = None
+    if cfg.causal_mask and n > 1:
+        mask = Tensor(np.triu(np.full((n, n), MASK_FILL), k=1))
+    h = T.add(h, linear(T.attention(q, k, v, cfg.heads, mask), "o_proj"))
+    x2 = rmsnorm(h, block.ffn_norm, NORM_EPS)
+    gated = T.silu(linear(x2, "gate_proj"))
+    ffn = linear(T.mul(gated, linear(x2, "up_proj")), "down_proj")
+    return T.add(h, ffn)
+
+
 def np_attention(q, k, v, heads, mask=None):
     """Multi-head attention as a per-head numpy loop; head h owns columns [h*dh, (h+1)*dh)."""
     dh = q.shape[-1] // heads
@@ -92,3 +187,42 @@ def np_attention(q, k, v, heads, mask=None):
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         out.append(e / e.sum(axis=-1, keepdims=True) @ v[..., s])
     return np.concatenate(out, axis=-1)
+
+
+# ------------------------------------------------------------------ kernels
+
+
+def softmax_rows(x):
+    shifted = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def softmax_rows_grad(y, gout):
+    dot = (y * gout).sum(axis=1, keepdims=True)
+    return y * (gout - dot)
+
+
+def rmsnorm_rows(x, weight, eps):
+    inv = 1.0 / np.sqrt((x * x).mean(axis=1) + eps)
+    return x * inv[:, None] * weight, inv
+
+
+def rmsnorm_rows_grad(x, weight, inv, gout):
+    d = x.shape[1]
+    proj = (gout * weight * x).sum(axis=1)
+    return gout * weight * inv[:, None] - x * (proj * inv**3 / d)[:, None]
+
+
+def rmsnorm_gain_grad(x, inv, gout):
+    return (gout * x * inv[:, None]).sum(axis=0)
+
+
+def silu(x):
+    s = 1.0 / (1.0 + np.exp(-x))
+    return x * s
+
+
+def silu_grad(x, gout):
+    s = 1.0 / (1.0 + np.exp(-x))
+    return gout * (s * (1.0 + x * (1.0 - s)))

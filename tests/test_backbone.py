@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import rand
-from oracles import np_attention
+from helpers import rand, tape_ops
+from oracles import composed_block, np_attention
 from tokencast import rng
 from tokencast import tensor as T
 from tokencast.backbone import Backbone, pretrain_then_freeze
@@ -121,6 +121,72 @@ def test_block_single_token_attention_is_identity_weight():
     h = rand((1, 8), 9)
     ours = block.forward(Tensor(h)).data
     np.testing.assert_allclose(ours, np_block(h, block), atol=1e-12)
+
+
+# per-module gates for a batch of b samples
+GATE_PATTERNS = {
+    "no_adapters": None,
+    "open_scalar": lambda j, b: 1.0,
+    "open_rows": lambda j, b: np.ones(b),
+    "closed_rows": lambda j, b: np.zeros(b),
+    # module j opens the samples i with i + j even: at b=1 every other
+    # module is all open and the rest all closed, at b=3 each is partial
+    "mixed_rows": lambda j, b: ((np.arange(b) + j) % 2 == 0).astype(np.float64),
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(GATE_PATTERNS))
+@pytest.mark.parametrize("causal", [False, True], ids=["bidirectional", "causal"])
+@pytest.mark.parametrize("shape", [(1, 4, 8), (3, 4, 8), (5, 8)], ids=["b1", "b3", "2d"])
+@pytest.mark.parametrize("learn", ["states", "trunk", "adapters"])
+def test_block_op_bit_identical_to_composed_records(pattern, causal, shape, learn):
+    # one transformer_block record against the rmsnorm, matmul, lora_linear,
+    # attention, silu, mul and add records it replaces: output and every
+    # grad equal bit for bit. `states` is the frozen trunk of a forecaster,
+    # `trunk` pretraining, and `adapters` a constant input.
+    def run(forward):
+        block = Backbone(small_cfg(heads=4, causal_mask=causal, seed=41)).blocks[0]
+        for t in block.tensors("b").values():
+            t.requires_grad = learn == "trunk"
+        adapters = gates = None
+        leaves = [*block.tensors("b").values()]
+        if GATE_PATTERNS[pattern] is not None:
+            adapters = make_adapters(block, seed=42)
+            gates = {name: GATE_PATTERNS[pattern](j, shape[0])
+                     for j, name in enumerate(MODULE_NAMES)}
+            leaves += [t for ad in adapters.values() for t in (ad.down, ad.up)]
+        h = Tensor(rand(shape, 43), requires_grad=learn != "adapters")
+        with T.Tape() as tape:
+            out = forward(block, h, adapters, gates)
+            ops = tape_ops(tape)
+            if out.requires_grad:
+                tape.backward(T.total(T.square(out)))
+        return ops, [out.data, h.grad] + [t.grad for t in leaves]
+
+    ops, fused = run(lambda block, *args: block.forward(*args))
+    _, oracle = run(composed_block)
+    # closed gates run no delta, so a constant input leaves nothing to learn
+    learns = learn != "adapters" or pattern not in ("no_adapters", "closed_rows")
+    assert ops == (["transformer_block"] if learns else [])
+    for i, (a, b) in enumerate(zip(fused, oracle)):
+        assert (a is None) == (b is None), i
+        if a is not None:
+            np.testing.assert_array_equal(a, b, err_msg=str(i))
+
+
+def test_block_op_rejects_linears_that_do_not_fit():
+    block = Backbone(small_cfg(seed=44)).blocks[0]
+    linears = [(block.weights[name], None, None) for name in MODULE_NAMES]
+    h = Tensor(rand((2, 3, 8), 45))
+    args = (block.attn_norm, block.ffn_norm, 2, None, 1e-6, None)
+    with pytest.raises(ShapeError):
+        T.transformer_block(h, linears[:6], *args)
+    with pytest.raises(ShapeError):
+        T.transformer_block(h, linears[1:] + linears[:1], *args)  # down_proj first
+    with pytest.raises(ShapeError):
+        T.transformer_block(Tensor(rand((2, 3, 6), 46)), linears, *args)
+    with pytest.raises(ShapeError):
+        T.transformer_block(h, linears, block.attn_norm, block.ffn_norm, 3, None, 1e-6, None)
 
 
 def test_zero_layer_backbone_is_identity():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tokencast import cli
+from tokencast import cli, model
 from tokencast.backbone import pretrain_then_freeze
 from tokencast.checkpoint import read_header
 from tokencast.config import RunConfig
@@ -508,6 +508,23 @@ def test_multi_model_verbs_pretrain_one_trunk(tmp_path, monkeypatch, verb):
                      "--pretrain-steps", "2", "--out", str(tmp_path)])
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("verb", [["ablate"], ["sweep-n", "--n-values", "1,2,4"]],
+                         ids=["ablate", "sweep-n"])
+def test_multi_model_verbs_build_one_trunk(tmp_path, monkeypatch, verb):
+    # later models take the first one's trunk instead of drawing their own
+    built = []
+
+    class CountingBackbone(model.Backbone):
+        def __init__(self, cfg):
+            built.append(cfg.variant)
+            super().__init__(cfg)
+
+    monkeypatch.setattr(model, "Backbone", CountingBackbone)
+    code = cli.main([*verb, *TINY, "--epochs", "1", "--out", str(tmp_path)])
+    assert code == 0
+    assert len(built) == 1
 
 
 def test_sweep_n_rejects_bad_values(tmp_path, capsys):

@@ -8,6 +8,8 @@ from helpers import assert_grads_match, autograd_gradients, rand, tape_ops
 from tokencast import dlora
 from tokencast import rng
 from tokencast import tensor as T
+from tokencast.backbone import Backbone
+from tokencast.config import RunConfig
 from tokencast.dlora import (
     LoraAdapter,
     LoraRouter,
@@ -30,21 +32,19 @@ def make_adapter(d_in=6, d_out=6, r=2, seed=0):
 def test_apply_closed_gate_equals_base():
     ad = make_adapter()
     ad.up.data[...] = rand((2, 6), 1)  # nonzero so the gate is doing the work
-    x = Tensor(rand((4, 6), 2))
-    w = Tensor(rand((6, 6), 3))
-    b = Tensor(rand((6,), 4))
-    gated = apply(x, w, b, ad, 0.0)
-    base = apply(x, w, b, None, None)
-    np.testing.assert_array_equal(gated.data, base.data)
+    x, w, b = rand((4, 6), 2), rand((6, 6), 3), rand((6,), 4)
+    gated, low, mask = apply(x, w, b, ad, 0.0)
+    base, _, _ = apply(x, w, b, None, None)
+    assert low is None and mask is None
+    np.testing.assert_array_equal(gated, base)
 
 
 def test_apply_zero_up_factor_equals_base():
     ad = make_adapter()  # up starts at zero
-    x = Tensor(rand((4, 6), 5))
-    w = Tensor(rand((6, 6), 6))
-    open_gate = apply(x, w, None, ad, 1.0)
-    base = apply(x, w, None, None, None)
-    np.testing.assert_array_equal(open_gate.data, base.data)
+    x, w = rand((4, 6), 5), rand((6, 6), 6)
+    open_gate, _, _ = apply(x, w, None, ad, 1.0)
+    base, _, _ = apply(x, w, None, None, None)
+    np.testing.assert_array_equal(open_gate, base)
 
 
 def test_apply_rank_one_hand_example():
@@ -52,23 +52,21 @@ def test_apply_rank_one_hand_example():
     ad = make_adapter(d_in=2, d_out=2, r=1)
     ad.down.data[...] = [[1.0], [0.0]]
     ad.up.data[...] = [[0.0, 1.0]]
-    x = Tensor([[2.0, 3.0]])
-    w = Tensor(np.eye(2))
-    out = apply(x, w, None, ad, 1.0)
-    np.testing.assert_array_equal(out.data, [[2.0, 5.0]])
+    out, low, _ = apply(np.array([[2.0, 3.0]]), np.eye(2), None, ad, 1.0)
+    np.testing.assert_array_equal(out, [[2.0, 5.0]])
+    np.testing.assert_array_equal(low, [[2.0]])
 
 
 def test_apply_per_sample_mask():
     ad = make_adapter()
     ad.up.data[...] = rand((2, 6), 7)
-    x = Tensor(rand((3, 5, 6), 8))
-    w = Tensor(rand((6, 6), 9))
-    out = apply(x, w, None, ad, np.array([1.0, 0.0, 1.0]))
-    base = (x.data @ w.data)
-    delta = (x.data @ ad.down.data) @ ad.up.data
-    np.testing.assert_allclose(out.data[0], base[0] + delta[0], atol=1e-14)
-    np.testing.assert_array_equal(out.data[1], base[1])
-    np.testing.assert_allclose(out.data[2], base[2] + delta[2], atol=1e-14)
+    x, w = rand((3, 5, 6), 8), rand((6, 6), 9)
+    out, _, _ = apply(x, w, None, ad, np.array([1.0, 0.0, 1.0]))
+    base = x @ w
+    delta = (x @ ad.down.data) @ ad.up.data
+    np.testing.assert_allclose(out[0], base[0] + delta[0], atol=1e-14)
+    np.testing.assert_array_equal(out[1], base[1])
+    np.testing.assert_allclose(out[2], base[2] + delta[2], atol=1e-14)
 
 
 def test_apply_gate_at_rank_r_matches_numpy_oracle():
@@ -76,55 +74,73 @@ def test_apply_gate_at_rank_r_matches_numpy_oracle():
     ad.up.data[...] = rand((2, 6), 10)
     x, w = rand((3, 5, 6), 11), rand((6, 6), 12)
     g = np.array([1.0, 0.0, 1.0])
-    out = apply(Tensor(x), Tensor(w), None, ad, g)
+    out, low, mask = apply(x, w, None, ad, g)
+    np.testing.assert_array_equal(mask, g[:, None, None])
+    np.testing.assert_array_equal(low, ((x @ ad.down.data) * mask).reshape(15, 2))
     oracle = x @ w + ((x @ ad.down.data) * g[:, None, None]) @ ad.up.data
-    np.testing.assert_allclose(out.data, oracle, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-14)
+
+
+def block_with_adapters(gate_of, seed=13, trunk_trainable=False):
+    """A dim-6 block whose linears all carry adapters, gated by gate_of(name)."""
+    cfg = RunConfig(layers=1, dim=6, heads=2, ffn_dim=6, rank=2, seed=seed)
+    block = Backbone(cfg).blocks[0]
+    for t in block.tensors("b").values():
+        t.requires_grad = trunk_trainable
+    adapters = {name: make_adapter(seed=seed + i) for i, name in enumerate(dlora.MODULE_NAMES)}
+    for i, ad in enumerate(adapters.values()):
+        ad.up.data[...] = rand((2, 6), seed + 20 + i)
+    gates = {name: gate_of(name) for name in dlora.MODULE_NAMES}
+    return block, adapters, gates
 
 
 def test_apply_gate_at_rank_r_gradients():
-    ad = make_adapter()
-    ad.up.data[...] = rand((2, 6), 13)
-    x, w = T.parameter(rand((3, 5, 6), 14)), T.parameter(rand((6, 6), 15))
-    g = np.array([1.0, 0.0, 1.0])
-    assert_grads_match(lambda: T.total(T.square(apply(x, w, None, ad, g))),
-                       [x, w, ad.down, ad.up])
+    # the block op forms the adapted linears' grads from apply's gated
+    # rank-r intermediate: a mixed per-sample gate on every linear
+    block, adapters, gates = block_with_adapters(lambda name: np.array([1.0, 0.0, 1.0]),
+                                                 trunk_trainable=True)
+    h = T.parameter(rand((3, 4, 6), 14))
+    learn = [h, *block.tensors("b").values()] + [
+        t for ad in adapters.values() for t in (ad.down, ad.up)]
+    assert_grads_match(lambda: T.total(T.square(block.forward(h, adapters, gates))), learn)
 
 
-@pytest.mark.parametrize("gate, ops", [
-    (1.0, ["matmul", "lora_linear"]),
-    (np.ones(3), ["matmul", "lora_linear"]),
-    (np.array([1.0, 0.0, 1.0]), ["matmul", "lora_linear"]),
-    (np.zeros(3), ["matmul"]),
-    (0.0, ["matmul"]),
+@pytest.mark.parametrize("gate, delta", [
+    (1.0, True),
+    (np.ones(3), True),
+    (np.array([1.0, 0.0, 1.0]), True),
+    (np.zeros(3), False),
+    (0.0, False),
 ], ids=["open_scalar", "open_rows", "mixed_rows", "closed_rows", "closed_scalar"])
-def test_apply_gate_records(gate, ops):
-    # an open gate adds one delta op on the base product; an all-closed one none
-    ad = make_adapter()
+def test_apply_gate_records(gate, delta):
+    # an open gate runs the delta, and the block's one record takes the
+    # adapter's factors as inputs; an all-closed gate runs no delta
+    _, low, _ = apply(rand((3, 5, 6), 16), rand((6, 6), 17), None, make_adapter(), gate)
+    assert (low is not None) == delta
+    block, adapters, gates = block_with_adapters(
+        lambda name: gate if name == "q_proj" else None)
     with T.Tape() as tape:
-        apply(Tensor(rand((3, 5, 6), 16)), T.parameter(rand((6, 6), 17)), None, ad, gate)
-    assert tape_ops(tape) == ops
-
-
-def _open_gate_run(linear):
-    ad = make_adapter()
-    ad.up.data[...] = rand((2, 6), 18)
-    x, w = T.parameter(rand((3, 5, 6), 19)), T.parameter(rand((6, 6), 20))
-    with T.Tape() as tape:
-        out = linear(x, w, ad)
-        tape.backward(T.total(T.square(out)))
-    return [out.data, x.grad, w.grad, ad.down.grad, ad.up.grad]
+        block.forward(T.parameter(rand((3, 5, 6), 18)), adapters, gates)
+    assert tape_ops(tape) == ["transformer_block"]
+    (_, inputs, _), = tape._records
+    factors = [adapters["q_proj"].down, adapters["q_proj"].up] if delta else []
+    assert list(inputs[10:]) == factors
 
 
 @pytest.mark.parametrize("gate", [1.0, np.ones(3)], ids=["open_scalar", "open_rows"])
-def test_apply_open_gate_skips_gate_product(gate, monkeypatch):
-    # an all-open gate passes no mask, and gives what a gate of ones gives
-    fused, masks = T.lora_linear, []
-    monkeypatch.setattr(T, "lora_linear", lambda *args: masks.append(args[-1]) or fused(*args))
-    open_run = _open_gate_run(lambda x, w, ad: apply(x, w, None, ad, gate))
-    assert masks == [None]
-    ones_run = _open_gate_run(lambda x, w, ad: fused(x, w, ad.down, ad.up, np.ones((3, 1, 1))))
-    for a, b in zip(open_run, ones_run):
-        np.testing.assert_array_equal(a, b)
+def test_apply_open_gate_skips_gate_product(gate):
+    # an all-open gate returns no mask, and gives what a gate of ones gives
+    ad = make_adapter()
+    ad.up.data[...] = rand((2, 6), 18)
+    x, w = rand((3, 5, 6), 19), rand((6, 6), 20)
+    out, low, mask = apply(x, w, None, ad, gate)
+    assert mask is None
+    ones_low = ((x.reshape(-1, 6) @ ad.down.data).reshape(3, 5, 2)
+                * np.ones((3, 1, 1))).reshape(15, 2)
+    ones_out = (x.reshape(-1, 6) @ w).reshape(3, 5, 6)
+    ones_out += (ones_low @ ad.up.data).reshape(3, 5, 6)
+    np.testing.assert_array_equal(low, ones_low)
+    np.testing.assert_array_equal(out, ones_out)
 
 
 def test_adapter_never_materializes_product():

@@ -1,7 +1,9 @@
-"""Hand values and stability of the numpy kernels."""
+"""Hand values, stability and bit-exact plain forms of the numpy kernels."""
 
 import numpy as np
+import pytest
 
+import oracles as O
 from tokencast import kernels
 
 
@@ -39,4 +41,56 @@ def test_adamw_matches_textbook_formula():
         p_ref -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p_ref)
         np.testing.assert_array_equal(m, m_ref)
         np.testing.assert_array_equal(v, v_ref)
+        np.testing.assert_array_equal(p, p_ref)
+
+
+def kernel_args(name):
+    gen = np.random.Generator(np.random.PCG64(5))
+    x = gen.normal(size=(9, 7)) * 3.0
+    x[0] = 0.0  # a zero row: rmsnorm's eps alone keeps it finite
+    gout = gen.normal(size=(9, 7))
+    weight = gen.uniform(0.5, 1.5, size=7)
+    inv = 1.0 / np.sqrt((x * x).mean(axis=1) + 1e-6)
+    return {
+        "softmax_rows": (x,),
+        "softmax_rows_grad": (O.softmax_rows(x), gout),
+        "rmsnorm_rows": (x, weight, 1e-6),
+        "rmsnorm_rows_grad": (x, weight, inv, gout),
+        "rmsnorm_gain_grad": (x, inv, gout),
+        "silu": (x.reshape(-1),),
+        "silu_grad": (x.reshape(-1), gout.reshape(-1)),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["softmax_rows", "softmax_rows_grad", "rmsnorm_rows",
+                                  "rmsnorm_rows_grad", "rmsnorm_gain_grad", "silu",
+                                  "silu_grad"])
+def test_kernels_match_their_plain_expressions(name):
+    # the in-place passes perform the plain expressions' operations in their
+    # order, so the bits are the same, and the arguments stay untouched
+    args = kernel_args(name)
+    before = [np.copy(a) for a in args]
+    got, want = getattr(kernels, name)(*args), getattr(O, name)(*args)
+    for g, w in zip(*(r if isinstance(r, tuple) else (r,) for r in (got, want))):
+        np.testing.assert_array_equal(g, w)
+    for a, b in zip(args, before):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.01])
+def test_adamw_steps_match_the_unconditional_formula(wd):
+    # a zero decay skips the p * wd pass, which adds only zeros
+    gen = np.random.Generator(np.random.PCG64(4))
+    p, m, v = gen.normal(size=129), np.zeros(129), np.zeros(129)
+    p_ref = p.copy()
+    m_ref, v_ref = m.copy(), v.copy()
+    lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+    for step in range(1, 8):
+        g = gen.normal(size=129)
+        kernels.adamw_update(p, g, m, v, step, lr, beta1, beta2, eps, wd, np.empty((2, 129)))
+        m_ref = beta1 * m_ref + (1.0 - beta1) * g
+        v_ref = beta2 * v_ref + (1.0 - beta2) * (g * g)
+        mhat = m_ref / (1.0 - beta1**step)
+        vhat = v_ref / (1.0 - beta2**step)
+        p_ref -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p_ref)
         np.testing.assert_array_equal(p, p_ref)

@@ -7,12 +7,14 @@ import pytest
 
 from tokencast import tensor as T
 from tokencast import training
+from tokencast.backbone import TransformerBlock
 from tokencast.config import ConfigError, RunConfig, build_config
 from tokencast.data import SplitSpec, WindowSet, chronological_split, synth_generate
 from tokencast.dlora import N_MODULES, batch_stats, load_balance_loss
 from tokencast.model import Forecaster
 from tokencast.tensor import Tensor
 
+import oracles as O
 from helpers import finite_difference, tape_ops
 
 
@@ -179,10 +181,46 @@ def test_desk_dispatch_op_counts(monkeypatch):
 
     monkeypatch.setattr(T, "_emit", counting_emit)
     m.predict(batch(cfg, b=1, n=cfg.channels))
-    assert emitted <= 92
+    # 4 routers, 4 blocks and 16 ops outside the trunk
+    assert emitted <= 24
     with T.Tape() as tape:
         m.forward_array(batch(cfg, b=cfg.batch_size, n=cfg.channels))
-    assert len(tape._records) <= 104
+    assert len(tape._records) <= 24
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("causal", [False, True], ids=["bidirectional", "causal"])
+@pytest.mark.parametrize("trunk", ["frozen", "trainable"])
+def test_forecaster_bit_identical_with_composed_blocks(monkeypatch, variant, b, causal, trunk):
+    # the model's prediction, loss and every grad are the same bits whether
+    # each block is one transformer_block record or the records it replaces;
+    # at b=1 a routed module's gate is all open or all closed
+    def run():
+        m = Forecaster(tiny_cfg(variant=variant, causal_mask=causal, n_active=3, seed=7))
+        gen = np.random.Generator(np.random.PCG64(8))
+        for adapters in m.adapters:
+            for ad in adapters.values():
+                ad.up.data[...] = gen.normal(size=ad.up.shape) * 0.1
+        params = m.named_parameters()
+        if trunk == "trainable":
+            for t in m.backbone.tensors().values():
+                t.requires_grad = True
+        x = batch(m.cfg, b=b)
+        with T.Tape() as tape:
+            pred, probs = m.forward_array(x)
+            task = training.task_loss("mse", pred, x[:, :, :m.cfg.horizon])
+            loss = training.total_loss(task, probs, batch_stats(probs)[0], 0.1)
+            tape.backward(loss)
+        return [pred.data, loss.data] + [params[k].grad for k in sorted(params)]
+
+    fused = run()
+    monkeypatch.setattr(TransformerBlock, "forward", O.composed_block)
+    oracle = run()
+    for i, (a, o) in enumerate(zip(fused, oracle)):
+        assert (a is None) == (o is None), i
+        if a is not None:
+            np.testing.assert_array_equal(a, o, err_msg=str(i))
 
 
 def test_forward_records_no_balance_means():

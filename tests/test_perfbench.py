@@ -5,16 +5,20 @@ the flops of a tape pull whose qualified name starts with `matmul`. If a
 rename or a rewrite of those functions breaks either, the benchmark's
 per-layer counts silently drop to zero; the tracer test fails instead.
 perfbench/run.py also calls tokencast functions directly; a short run of
-one workload fails when one of their signatures changes.
+one workload fails when one of their signatures changes. A traced run
+needs every per-layer span to be called and some adapter delta rows to be
+counted, so short traced runs of the desk workloads guard that contract.
 """
 
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tokencast import dlora, tensor
 from tokencast import training as tr
@@ -71,15 +75,29 @@ def test_tracer_counts_a_train_step_and_restores_every_patch():
         assert getattr(owner, attr) is original, f"{owner}.{attr} left patched"
 
 
+def run_workload(*args):
+    return subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_desk_pretrain_workload_runs_clean():
     # perfbench calls cli.train_config, backbone.pretrain_then_freeze(...,
     # steps=, seed=) and Forecaster(cfg) directly; a signature change there
     # fails this one-second run instead of the benchmark
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "desk_pretrain",
-         "--seed", "0", "--seconds", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
-    )
+    proc = run_workload("--workload", "desk_pretrain", "--seed", "0", "--seconds", "1")
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0 and result["attempted"] > 0
+
+
+@pytest.mark.parametrize("workload", ["desk_train", "desk_serve"])
+def test_traced_desk_workload_runs_clean(workload):
+    # a traced run raises when a per-layer span gets no calls, and divides by
+    # zero when no adapter delta rows are counted
+    proc = run_workload("--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "1")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0 and result["attempted"] > 0
+    assert result["metrics"]
+    for name, metric in result["metrics"].items():
+        assert math.isfinite(metric["value"]), name

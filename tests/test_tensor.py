@@ -69,7 +69,7 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_rmsnorm_hand_value():
-    out = T.rmsnorm(Tensor([[3.0, 4.0]]), Tensor([1.0, 1.0]), eps=0.0)
+    out = O.rmsnorm(Tensor([[3.0, 4.0]]), Tensor([1.0, 1.0]), eps=0.0)
     expected = np.array([[3.0, 4.0]]) / math.sqrt(12.5)
     np.testing.assert_allclose(out.data, expected, atol=1e-15)
 
@@ -192,13 +192,13 @@ def test_clamp_min_gradient_away_from_boundary():
 def test_rmsnorm_gradient():
     x = T.parameter(rand((3, 4), 16))
     w = T.parameter(rand((4,), 17, 0.5, 1.5))
-    assert_grads_match(lambda: T.total(T.square(T.rmsnorm(x, w, eps=1e-6))), [x, w])
+    assert_grads_match(lambda: T.total(T.square(O.rmsnorm(x, w, eps=1e-6))), [x, w])
 
 
 def test_rmsnorm_gradient_with_frozen_gain():
     x = T.parameter(rand((2, 3, 4), 50))
     w = Tensor(rand((4,), 51, 0.5, 1.5))
-    assert_grads_match(lambda: T.total(T.square(T.rmsnorm(x, w, eps=1e-6))), [x])
+    assert_grads_match(lambda: T.total(T.square(O.rmsnorm(x, w, eps=1e-6))), [x])
     assert w.grad is None
 
 
@@ -468,7 +468,7 @@ def sibling_run(linear, masks, trunk_trainable, seed=60):
     gain = T.parameter(rand((8,), seed + 1))
     leaves = [x0, gain]
     with Tape() as tape:
-        x = T.rmsnorm(x0, gain)
+        x = O.rmsnorm(x0, gain)
         outs = []
         for i, mask in enumerate(masks):
             w = Tensor(rand((8, 8), seed + 10 + i), requires_grad=trunk_trainable)
@@ -489,7 +489,7 @@ def sibling_run(linear, masks, trunk_trainable, seed=60):
 ], ids=["all_open", "scalar", "mixed_rows"])
 @pytest.mark.parametrize("trunk_trainable", [False, True], ids=["frozen_trunk", "pretrain"])
 def test_lora_linear_bit_identical_to_unfused_records(masks, trunk_trainable):
-    fused = sibling_run(T.lora_linear, masks, trunk_trainable)
+    fused = sibling_run(O.lora_linear, masks, trunk_trainable)
     oracle = sibling_run(unfused_lora, masks, trunk_trainable)
     assert (fused[3] is None) == (not trunk_trainable)
     for a, b in zip(fused, oracle):
@@ -503,16 +503,16 @@ def test_lora_linear_gradients(trainable):
     down, up = T.parameter(rand((6, 2), 72)), T.parameter(rand((2, 5), 73))
     mask = np.array([1.0, 0.0, 1.0]).reshape(3, 1, 1)
     learn = [t for t in (x, w, down, up) if t.requires_grad]
-    assert_grads_match(lambda: T.total(T.square(T.lora_linear(x, w, down, up, mask))), learn)
+    assert_grads_match(lambda: T.total(T.square(O.lora_linear(x, w, down, up, mask))), learn)
     assert all(t.grad is None for t in (x, w) if not t.requires_grad)
 
 
 def test_lora_linear_rejects_factors_that_do_not_fit():
     x, w = Tensor(np.zeros((2, 6))), Tensor(np.zeros((6, 5)))
     with pytest.raises(ShapeError):
-        T.lora_linear(x, w, Tensor(np.zeros((6, 2))), Tensor(np.zeros((2, 4))), None)
+        O.lora_linear(x, w, Tensor(np.zeros((6, 2))), Tensor(np.zeros((2, 4))), None)
     with pytest.raises(ShapeError):
-        T.lora_linear(x, w, Tensor(np.zeros((5, 2))), Tensor(np.zeros((2, 5))), None)
+        O.lora_linear(x, w, Tensor(np.zeros((5, 2))), Tensor(np.zeros((2, 5))), None)
 
 
 @st.composite
@@ -544,7 +544,7 @@ def test_lora_linear_matches_unfused_records_property(case):
             tape.backward(T.total(T.square(y)))
         return [y.data, x.grad, w.grad, down.grad, up.grad]
 
-    for a, b in zip(run(T.lora_linear), run(unfused_lora)):
+    for a, b in zip(run(O.lora_linear), run(unfused_lora)):
         np.testing.assert_array_equal(a, b)
 
 
