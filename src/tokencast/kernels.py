@@ -111,8 +111,7 @@ def adamw_update(p, g, m, v, step, lr, beta1, beta2, eps, weight_decay, scratch)
     np.sqrt(b, out=b)
     b += eps
     a /= b
-    if weight_decay:  # at the default 0 the term is p * 0: skip both passes
-        np.multiply(p, weight_decay, out=b)
-        a += b
+    np.multiply(p, weight_decay, out=b)
+    a += b
     a *= lr
     p -= a

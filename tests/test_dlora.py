@@ -127,20 +127,52 @@ def test_apply_gate_records(gate, delta):
     assert list(inputs[10:]) == factors
 
 
+def _ones_gate_apply(x, weight, bias, adapter, gate):
+    """dlora.apply with its gate product run on an explicit gate of ones."""
+    assert bias is None
+    if adapter is None or gate is None:
+        return apply(x, weight, bias, adapter, gate)
+    mask = np.ones((x.shape[0],) + (1,) * (x.ndim - 1))
+    x2 = x.reshape(-1, weight.shape[0])
+    low = x2 @ adapter.down.data
+    low = (low.reshape(x.shape[:-1] + low.shape[1:]) * mask).reshape(low.shape)
+    out = x2 @ weight
+    out += low @ adapter.up.data
+    return out.reshape(x.shape[:-1] + weight.shape[1:]), low, mask
+
+
 @pytest.mark.parametrize("gate", [1.0, np.ones(3)], ids=["open_scalar", "open_rows"])
-def test_apply_open_gate_skips_gate_product(gate):
-    # an all-open gate returns no mask, and gives what a gate of ones gives
-    ad = make_adapter()
-    ad.up.data[...] = rand((2, 6), 18)
-    x, w = rand((3, 5, 6), 19), rand((6, 6), 20)
-    out, low, mask = apply(x, w, None, ad, gate)
-    assert mask is None
-    ones_low = ((x.reshape(-1, 6) @ ad.down.data).reshape(3, 5, 2)
-                * np.ones((3, 1, 1))).reshape(15, 2)
-    ones_out = (x.reshape(-1, 6) @ w).reshape(3, 5, 6)
-    ones_out += (ones_low @ ad.up.data).reshape(3, 5, 6)
-    np.testing.assert_array_equal(low, ones_low)
-    np.testing.assert_array_equal(out, ones_out)
+def test_apply_open_gate_skips_gate_product(gate, monkeypatch):
+    # an all-open gate returns no mask, and the block's output and every
+    # grad are those of a gate of ones run through the gate product
+    block, adapters, gates = block_with_adapters(lambda name: gate, trunk_trainable=True)
+    h = T.parameter(rand((3, 5, 6), 19))
+    learn = [h, *block.tensors("b").values()] + [
+        t for ad in adapters.values() for t in (ad.down, ad.up)]
+
+    def run():
+        for p in learn:
+            p.zero_grad()
+        with T.Tape() as tape:
+            out = block.forward(h, adapters, gates)
+            tape.backward(T.total(T.square(out)))
+        return [out.data.copy()] + [p.grad.copy() for p in learn]
+
+    masks = []
+
+    def spy(*args):
+        result = apply(*args)
+        masks.append(result[2])
+        return result
+
+    monkeypatch.setattr(dlora, "apply", spy)
+    open_run = run()
+    assert masks == [None] * 7
+    monkeypatch.setattr(dlora, "apply", _ones_gate_apply)
+    ones_run = run()
+    assert len(open_run) == 1 + 1 + 9 + 14  # out; h, 9 trunk tensors, 7 adapters
+    for a, b in zip(open_run, ones_run):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_adapter_never_materializes_product():

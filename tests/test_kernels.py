@@ -76,21 +76,3 @@ def test_kernels_match_their_plain_expressions(name):
     for a, b in zip(args, before):
         np.testing.assert_array_equal(a, b)
 
-
-@pytest.mark.parametrize("wd", [0.0, 0.01])
-def test_adamw_steps_match_the_unconditional_formula(wd):
-    # a zero decay skips the p * wd pass, which adds only zeros
-    gen = np.random.Generator(np.random.PCG64(4))
-    p, m, v = gen.normal(size=129), np.zeros(129), np.zeros(129)
-    p_ref = p.copy()
-    m_ref, v_ref = m.copy(), v.copy()
-    lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
-    for step in range(1, 8):
-        g = gen.normal(size=129)
-        kernels.adamw_update(p, g, m, v, step, lr, beta1, beta2, eps, wd, np.empty((2, 129)))
-        m_ref = beta1 * m_ref + (1.0 - beta1) * g
-        v_ref = beta2 * v_ref + (1.0 - beta2) * (g * g)
-        mhat = m_ref / (1.0 - beta1**step)
-        vhat = v_ref / (1.0 - beta2**step)
-        p_ref -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p_ref)
-        np.testing.assert_array_equal(p, p_ref)
