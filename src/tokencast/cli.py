@@ -95,8 +95,7 @@ def prepare_data(cfg: RunConfig):
     else:
         series = load_csv(cfg.csv_path, date_column=cfg.date_column or None,
                           name=cfg.dataset_name or None, frequency=cfg.frequency)
-    test_frac = max(1.0 - cfg.train_frac - cfg.val_frac, 0.0)
-    spec = split_spec_for(series.length, (cfg.train_frac, cfg.val_frac, test_frac))
+    spec = split_spec_for(series.length, cfg.train_frac, cfg.val_frac)
     if cfg.global_standardize:
         series = standardize_by_train(series, spec.train_len)
     views = chronological_split(series, spec, cfg.lookback)
@@ -254,6 +253,12 @@ def cmd_eval(args) -> int:
 
 def cmd_forecast(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
+    if model.cfg.global_standardize and not model.cfg.normalize:
+        raise ConfigError(
+            "forecast cannot use a checkpoint trained with global_standardize=true and "
+            "normalize=false: the checkpoint does not keep the training split's statistics, "
+            "so raw inputs would meet a model fitted to standardized ones"
+        )
     series = load_csv(args.input, date_column=args.date_column or None)
     lookback = model.cfg.lookback
     if series.length < lookback:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -103,11 +104,13 @@ class RunConfig:
             )
         if not (0.0 < self.few_shot <= 1.0):
             raise ConfigError(f"few_shot must be in (0, 1], got {self.few_shot}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        for key in ("noise", "weight_decay", "clip_norm", "lambda_lb"):
-            if not getattr(self, key) >= 0:
-                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        for key in ("noise", "weight_decay", "lambda_lb"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        if not self.clip_norm >= 0:  # inf never clips
+            raise ConfigError(f"clip_norm must be >= 0, got {self.clip_norm}")
         try:
             words = self.prompt_text().split()
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:

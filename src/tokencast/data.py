@@ -162,10 +162,10 @@ class SplitSpec:
     test_len: int
 
 
-def split_spec_for(total: int, fractions=(0.7, 0.1, 0.2)) -> SplitSpec:
+def split_spec_for(total: int, train_frac: float, val_frac: float) -> SplitSpec:
     """Integer split lengths from fractions; remainder goes to the test split."""
-    train = int(total * fractions[0])
-    val = int(total * fractions[1])
+    train = int(total * train_frac)
+    val = int(total * val_frac)
     return SplitSpec(train, val, total - train - val)
 
 

@@ -4,8 +4,12 @@ Operations executed inside an active Tape are recorded in execution order;
 Tape.backward walks the record list once, in reverse, and leaves grads on
 leaf tensors only: a tensor used twice receives the sum of both
 contributions, and an op output's grad is dropped once its pull has run.
-Each pull forms only the grads of inputs that require them, so frozen
-weights and constant inputs cost no backward work. The ops here are exactly
+Every pull skips the grads of frozen weights. The elementwise ops and
+matmul also skip those of constant inputs, which the model feeds them (the
+embedder's input, targets, norm stats). The fused ops (transformer_block,
+attention, router_probs) always form the grads of their state inputs: the
+learning embedder makes those require grad in every training step, and
+Tape.backward drops a grad an input does not require. The ops here are exactly
 the ones the model records, no more. matmul takes a 2-D weight and folds the
 leading axes of its left operand into rows, so it runs as one GEMM, forward
 and backward. A whole pre-norm transformer block is one op
@@ -415,26 +419,20 @@ def _attend(qd, kd, vd, heads, mask, keep):
     return ctx_t.reshape(shape), ((qp, kp, vp, probs, c, ctx_t.shape) if keep else None)
 
 
-def _attend_grads(saved, g, k_shape, v_shape, need_q, need_k, need_v):
-    """Grads of `_attend`'s q, k and v from its output grad g; None where not needed."""
+def _attend_grads(saved, g, k_shape, v_shape):
+    """Grads of `_attend`'s q, k and v from its output grad g."""
     qp, kp, vp, probs, c, ctx_t_shape = saved
     gctx = g.reshape(ctx_t_shape).swapaxes(-3, -2)
-    gq = gk = gv = None
-    if need_v:
-        gvp = _unbroadcast(probs.swapaxes(-1, -2) @ gctx, vp.shape)
-        gv = gvp.swapaxes(-3, -2).reshape(v_shape)
-    if need_q or need_k:
-        m = probs.shape[-1]
-        gp = (gctx @ vp.swapaxes(-1, -2)).reshape(-1, m)
-        gs = kernels.softmax_rows_grad(probs.reshape(-1, m), gp).reshape(probs.shape)
-        gs *= c
-        if need_q:
-            gqp = gs @ kp.swapaxes(-1, -2)
-            gq = gqp.swapaxes(-3, -2).reshape(g.shape)
-        if need_k:
-            gkp = _unbroadcast(qp.swapaxes(-1, -2) @ gs, kp.shape)
-            gk = gkp.swapaxes(-2, -1).swapaxes(-3, -2).reshape(k_shape)  # (.., M, H, dh)
-    return gq, gk, gv
+    gvp = _unbroadcast(probs.swapaxes(-1, -2) @ gctx, vp.shape)
+    m = probs.shape[-1]
+    gp = (gctx @ vp.swapaxes(-1, -2)).reshape(-1, m)
+    gs = kernels.softmax_rows_grad(probs.reshape(-1, m), gp).reshape(probs.shape)
+    gs *= c
+    gqp = gs @ kp.swapaxes(-1, -2)
+    gkp = _unbroadcast(qp.swapaxes(-1, -2) @ gs, kp.shape)
+    return (gqp.swapaxes(-3, -2).reshape(g.shape),
+            gkp.swapaxes(-2, -1).swapaxes(-3, -2).reshape(k_shape),  # (.., M, H, dh)
+            gvp.swapaxes(-3, -2).reshape(v_shape))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Tensor | None = None) -> Tensor:
@@ -448,24 +446,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Tensor | None =
     (H, rows of q, M). Forward and backward run the numpy expressions of the
     equivalent reshape, transpose, matmul, scale, add and softmax records
     (tests/oracles.py) in their order, so values and grads match those records bit for bit
-    whenever q, k and v are distinct tensors. Outside a tape the head-major
-    operands are dropped as soon as their product is formed.
+    whenever q, k and v are distinct tensors. The pull always forms all
+    three grads. Outside a tape the head-major operands are dropped as soon
+    as their product is formed.
     """
     d = q.shape[-1]
     if d % heads != 0 or k.shape[-1] != d or v.shape[-1] != d:
         raise ShapeError(f"attention: {heads} heads over q {q.shape}, k {k.shape}, v {v.shape}")
-    recording = _LOCAL.tape is not None and (q.requires_grad or k.requires_grad
-                                             or v.requires_grad)
     try:
         data, saved = _attend(q.data, k.data, v.data, heads,
-                              None if mask is None else mask.data, recording)
+                              None if mask is None else mask.data, _LOCAL.tape is not None)
     except ValueError as e:
         raise ShapeError(f"attention: leading axes of q {q.shape}, k {k.shape}, v {v.shape}"
                          f" and mask {None if mask is None else mask.shape} do not fit") from e
 
     def pull(g):
-        return _attend_grads(saved, g, k.shape, v.shape,
-                             q.requires_grad, k.requires_grad, v.requires_grad)
+        return _attend_grads(saved, g, k.shape, v.shape)
 
     return _emit(data, (q, k, v), pull)
 
@@ -473,7 +469,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Tensor | None =
 # ------------------------------------------------------------------ blocks
 
 
-def _linear_grads(gz, g, saved, weight: Tensor, need_z):
+def _linear_grads(gz, g, saved, weight: Tensor):
     """Grads of one adapted linear from its output grad g.
 
     `saved` is the linear's input, the gated rank-r rows and mask that
@@ -481,7 +477,7 @@ def _linear_grads(gz, g, saved, weight: Tensor, need_z):
     The input's grad is added into gz (None: nothing yet), the delta's share
     before the base product's, as the lora_linear and matmul records added
     theirs. Returns gz and the weight, down and up grads, each None where
-    not needed.
+    that parameter is frozen.
     """
     z, low, mask, adapter = saved
     k, p = weight.shape
@@ -489,16 +485,13 @@ def _linear_grads(gz, g, saved, weight: Tensor, need_z):
     gd = gu = None
     if adapter is not None:
         down, up = adapter.down, adapter.up
-        if need_z or down.requires_grad:
-            glow = g2 @ up.data.T
-            if mask is not None:
-                glow = (glow.reshape(z.shape[:-1] + low.shape[1:]) * mask).reshape(low.shape)
-            if need_z:
-                gz = _accumulate(gz, (glow @ down.data.T).reshape(z.shape))
-            gd = z2.T @ glow if down.requires_grad else None
+        glow = g2 @ up.data.T
+        if mask is not None:
+            glow = (glow.reshape(z.shape[:-1] + low.shape[1:]) * mask).reshape(low.shape)
+        gz = _accumulate(gz, (glow @ down.data.T).reshape(z.shape))
+        gd = z2.T @ glow if down.requires_grad else None
         gu = low.T @ g2 if up.requires_grad else None
-    if need_z:
-        gz = _accumulate(gz, (g2 @ weight.data.T).reshape(z.shape))
+    gz = _accumulate(gz, (g2 @ weight.data.T).reshape(z.shape))
     return gz, z2.T @ g2 if weight.requires_grad else None, gd, gu
 
 
@@ -528,7 +521,8 @@ def transformer_block(h: Tensor, linears, attn_norm: Tensor, ffn_norm: Tensor, h
     (tests/oracles.py) in their order, and the grads of a state used twice
     add up in the order those records gave them, so values and grads match
     the records bit for bit whenever nothing recorded after the block reads
-    h. Trunk weight and gain grads are formed only when those require grad.
+    h. The grad of h is always formed; the grads of trunk weights, gains
+    and adapter factors only when those require grad.
     Outside a tape the intermediates still live until the op returns:
     dropping each one once used made the allocator hand pages back and
     fault them in again, and a batch-64 desk forward ran slower.
@@ -573,60 +567,39 @@ def transformer_block(h: Tensor, linears, attn_norm: Tensor, ffn_norm: Tensor, h
     out = h1 + linear(6, prod)
 
     def pull(g):
-        # which intermediates need a grad, as the composed records' _emit set it
-        rg = [t.requires_grad for t in inputs[:10]]
-        needs = [rg[3 + i] or (a is not None and (a.down.requires_grad or a.up.requires_grad))
-                 for i, (*_, a) in enumerate(saved)]  # a linear's own tensors need grad
-        need_x = rg[0] or rg[1]
-        need_q, need_k, need_v = (need_x or needs[i] for i in range(3))
-        need_ctx = need_q or need_k or need_v
-        need_h1 = rg[0] or need_ctx or needs[3]
-        need_x2 = need_h1 or rg[2]
-        need_gate, need_up = need_x2 or needs[4], need_x2 or needs[5]
         grads = [None] * 10
         factor_grads = [(None, None)] * 7  # down and up grads of each linear's delta
 
-        def back(i, gz, gout, need_z):
-            gz, grads[3 + i], gd, gu = _linear_grads(gz, gout, saved[i], inputs[3 + i], need_z)
+        def back(i, gz, gout):
+            gz, grads[3 + i], gd, gu = _linear_grads(gz, gout, saved[i], inputs[3 + i])
             factor_grads[i] = (gd, gu)
             return gz
 
         # Tape.backward hands over a grad no other tensor holds, so the
-        # norm's share of h1's grad is added into it in place, as the tape did
+        # norms' shares of h's grad are added into it in place, as the tape did
         g = np.ascontiguousarray(g)
-        gprod = back(6, None, g, need_gate or need_up)
-        gx2 = None
-        if need_up:
-            gx2 = back(5, gx2, gprod * gated, need_x2)
-        if need_gate:
-            ggated = np.ascontiguousarray(gprod * up).reshape(-1)
-            ggate = kernels.silu_grad(gate_out.reshape(-1), ggated).reshape(gate_out.shape)
-            gx2 = back(4, gx2, ggate, need_x2)
-        gh1 = g  # the residual's share, then the norm's
-        if need_x2:
-            g2 = np.ascontiguousarray(gx2.reshape(-1, d))
-            rows = h1.reshape(-1, d)
-            if need_h1:
-                gh1 += kernels.rmsnorm_rows_grad(rows, ffn_norm.data, inv2, g2).reshape(shape)
-            if rg[2]:
-                grads[2] = kernels.rmsnorm_gain_grad(rows, inv2, g2)
-        if need_h1:
-            gctx = back(3, None, gh1, need_ctx)
-            gx = None
-            if need_ctx:
-                gq, gk, gv = _attend_grads(att, gctx, shape, shape, need_q, need_k, need_v)
-                for i, gi in ((2, gv), (1, gk), (0, gq)):
-                    if gi is not None:
-                        gx = back(i, gx, gi, need_x)
-            if need_x:
-                g2 = np.ascontiguousarray(gx.reshape(-1, d))
-                rows = hd.reshape(-1, d)
-                if rg[0]:
-                    gh1 += kernels.rmsnorm_rows_grad(rows, attn_norm.data, inv1,
-                                                     g2).reshape(shape)
-                if rg[1]:
-                    grads[1] = kernels.rmsnorm_gain_grad(rows, inv1, g2)
-            grads[0] = gh1 if rg[0] else None
+        gprod = back(6, None, g)
+        gx2 = back(5, None, gprod * gated)
+        ggated = np.ascontiguousarray(gprod * up).reshape(-1)
+        ggate = kernels.silu_grad(gate_out.reshape(-1), ggated).reshape(gate_out.shape)
+        gx2 = back(4, gx2, ggate)
+        gh1 = g  # the residual's share, then the norms'
+        g2 = np.ascontiguousarray(gx2.reshape(-1, d))
+        rows = h1.reshape(-1, d)
+        gh1 += kernels.rmsnorm_rows_grad(rows, ffn_norm.data, inv2, g2).reshape(shape)
+        if ffn_norm.requires_grad:
+            grads[2] = kernels.rmsnorm_gain_grad(rows, inv2, g2)
+        gctx = back(3, None, gh1)
+        gq, gk, gv = _attend_grads(att, gctx, shape, shape)
+        gx = back(2, None, gv)
+        gx = back(1, gx, gk)
+        gx = back(0, gx, gq)
+        g2 = np.ascontiguousarray(gx.reshape(-1, d))
+        rows = hd.reshape(-1, d)
+        gh1 += kernels.rmsnorm_rows_grad(rows, attn_norm.data, inv1, g2).reshape(shape)
+        if attn_norm.requires_grad:
+            grads[1] = kernels.rmsnorm_gain_grad(rows, inv1, g2)
+        grads[0] = gh1
         for (*_, adapter), pair in zip(saved, factor_grads):
             if adapter is not None:
                 grads += pair
@@ -645,7 +618,8 @@ def router_probs(h: Tensor, weight: Tensor, squash: bool) -> Tensor:
     summarised by its last token row, squashed by tanh when `squash` is set.
     Forward and backward run the numpy expressions of the equivalent slice,
     reshape, tanh, matmul and softmax records (tests/oracles.py) in their
-    order, so values and grads match those records bit for bit.
+    order, so values and grads match those records bit for bit. The grad
+    of h is always formed, the weight's only when it requires grad.
     """
     if h.ndim != 3 or weight.ndim != 2 or weight.shape[0] != h.shape[2]:
         raise ShapeError(f"router_probs: states {h.shape} do not fit weight {weight.shape}")
@@ -658,13 +632,11 @@ def router_probs(h: Tensor, weight: Tensor, squash: bool) -> Tensor:
 
     def pull(g):
         glogits = kernels.softmax_rows_grad(probs, np.ascontiguousarray(g))
-        gh = None
-        if h.requires_grad:
-            gx = glogits @ wd.T
-            if squash:
-                gx = gx * (1.0 - x * x)
-            gh = np.zeros_like(h.data)
-            gh[key] = gx.reshape(b, 1, d)
+        gx = glogits @ wd.T
+        if squash:
+            gx = gx * (1.0 - x * x)
+        gh = np.zeros_like(h.data)
+        gh[key] = gx.reshape(b, 1, d)
         return gh, x.T @ glogits if weight.requires_grad else None
 
     return _emit(probs, (h, weight), pull)

@@ -90,7 +90,8 @@ def test_unknown_key_exits_2_listing_valid_keys(tmp_path, capsys):
     ("--channels", "0"), ("--length", "-10"), ("--stride", "0"), ("--synthetic", "bogus"),
     ("--noise", "-1"), ("--noise", "nan"), ("--pretrain-steps", "-3"),
     ("--lambda-lb", "-1"), ("--loss-kind", "rmse"), ("--patience", "-2"), ("--seed", "-1"),
-    ("--frequency", "bogus"),
+    ("--frequency", "bogus"), ("--noise", "inf"), ("--lr", "inf"), ("--weight-decay", "inf"),
+    ("--lambda-lb", "inf"),
 ])
 def test_structural_config_error_exits_2(tmp_path, capsys, flag, value):
     # TINY has dim 8 and ffn_dim 16: 3 heads cannot split it, rank caps at 4;
@@ -159,6 +160,31 @@ def test_train_with_other_scaling_runs(tmp_path, setting):
     assert header.startswith("epoch,train_loss,val_loss,lb_loss") and len(rows) == 2
     for row in rows:
         assert all(np.isfinite(float(v)) for v in row.split(",")[1:])
+
+
+def test_infinite_clip_norm_never_clips(tmp_path):
+    assert RunConfig(clip_norm=math.inf).validate().clip_norm == math.inf
+    train_tiny(tmp_path, ["--clip-norm", "inf"])
+
+
+@pytest.mark.parametrize("normalize", ["true", "false"])
+def test_forecast_refuses_globally_standardized_raw_model(tmp_path, capsys, normalize):
+    # the checkpoint keeps no training statistics, so without instance norm
+    # a raw history would meet a model fitted to standardized inputs
+    ckpt = train_tiny(tmp_path / "run", ["--set", "global_standardize=true",
+                                         "--set", f"normalize={normalize}"])
+    hist = tmp_path / "hist.csv"
+    assert cli.main(["synth", "--length", "40", "--output", str(hist)]) == 0
+    capsys.readouterr()
+    fc = tmp_path / "fc.csv"
+    code = cli.main(["forecast", "--checkpoint", str(ckpt), "--input", str(hist),
+                     "--date-column", "date", "--output", str(fc)])
+    if normalize == "true":
+        assert code == 0 and fc.exists()
+        return
+    assert code == 2 and not fc.exists()
+    err = capsys.readouterr().err
+    assert "config error:" in err and "global_standardize" in err and "Traceback" not in err
 
 
 def test_global_standardization_ignores_the_test_split(tmp_path):
@@ -547,8 +573,8 @@ def test_synth_deterministic_and_sidecar(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--kind", "brownian"), ("--length", "-5"), ("--frequency", "bogus"),
-], ids=["kind", "length", "frequency"])
+    ("--kind", "brownian"), ("--length", "-5"), ("--frequency", "bogus"), ("--noise", "inf"),
+], ids=["kind", "length", "frequency", "noise"])
 def test_synth_bad_config_exits_2(tmp_path, capsys, flag, value):
     # synth checks its values as train does, before it writes anything
     out = tmp_path / "x.csv"

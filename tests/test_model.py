@@ -7,7 +7,7 @@ import pytest
 
 from tokencast import tensor as T
 from tokencast import training
-from tokencast.backbone import TransformerBlock
+from tokencast.backbone import TransformerBlock, pretrain_then_freeze
 from tokencast.config import ConfigError, RunConfig, build_config
 from tokencast.data import SplitSpec, WindowSet, chronological_split, synth_generate
 from tokencast.dlora import N_MODULES, batch_stats, load_balance_loss
@@ -221,6 +221,44 @@ def test_forecaster_bit_identical_with_composed_blocks(monkeypatch, variant, b, 
         assert (a is None) == (o is None), i
         if a is not None:
             np.testing.assert_array_equal(a, o, err_msg=str(i))
+
+
+FUSED_STATE_INPUTS = {"transformer_block": 1, "router_probs": 1, "attention": 3}
+
+
+@pytest.mark.parametrize("run", VARIANTS + ["pretrain_then_freeze"])
+def test_fused_ops_only_see_states_that_require_grad(monkeypatch, run):
+    # the transformer_block, router_probs and attention pulls always form the
+    # grads of their state inputs; that costs nothing only while every
+    # training step feeds them states that require grad, as the learning
+    # embedder makes them
+    seen = []
+    record = T.Tape.record
+
+    def spy(tape, out, inputs, pull):
+        op = pull.__qualname__.partition(".")[0]
+        if op in FUSED_STATE_INPUTS:
+            seen.append((op, [t.requires_grad for t in inputs[:FUSED_STATE_INPUTS[op]]]))
+        return record(tape, out, inputs, pull)
+
+    monkeypatch.setattr(T.Tape, "record", spy)
+    pretrain = run == "pretrain_then_freeze"
+    cfg = tiny_cfg(variant="full" if pretrain else run,
+                   pretrain_mode=run if pretrain else "random_frozen", epochs=1, batch_size=64)
+    m = Forecaster(cfg)
+    view, _, _ = chronological_split(synth_generate("sine_mixture", 2, 40, 0),
+                                     SplitSpec(40, 0, 0), cfg.lookback)
+    windows = WindowSet(view, cfg.lookback, cfg.horizon)  # 25 windows: one step
+    if pretrain:
+        pretrain_then_freeze(m.backbone, view, cfg.lookback, cfg.horizon, steps=1,
+                             batch_size=cfg.batch_size)
+        assert [op for op, _ in seen] == ["transformer_block"] * cfg.layers
+    training.train(m, windows, None, cfg)
+    ops = [op for op, _ in seen]
+    assert ops.count("transformer_block") == cfg.layers * (1 + pretrain)
+    assert ops.count("router_probs") == (cfg.layers if m.uses_routers else 0)
+    assert ops.count("attention") == (1 if m.uses_alignment else 0)
+    assert all(all(needs) for _, needs in seen), seen
 
 
 def test_forward_records_no_balance_means():
