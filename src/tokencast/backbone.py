@@ -2,13 +2,12 @@
 
 Each block is pre-norm: RMS-normalized multi-head self-attention over the
 token axis, then an RMS-normalized gated feed-forward, both residual. A
-whole block is one tape op (`tensor.transformer_block`) with a hand-written
-pull.
+whole block is one tape op (`transformer_block`) with a hand-written pull.
 Attention is bidirectional by default because channel tokens carry no
 temporal order; a causal flag exists for ablation. The seven linears have
 no bias, as in LLaMA, and each can carry a low-rank adapter chosen per
-sample by a router: every one is x W + ((x A) g) B (`dlora.apply`, on
-arrays, called by the block op once per linear).
+sample by a router: every one is x W + ((x A) g) B (`dlora.apply` and
+`dlora.apply_grads`, on arrays, called by the block op once per linear).
 
 The stack is a stand-in for a pretrained language-model trunk at desk
 scale: either randomly initialized and frozen, or briefly pretrained by
@@ -16,9 +15,10 @@ scale: either randomly initialized and frozen, or briefly pretrained by
 stack is frozen from construction on; pretraining unfreezes it for its run.
 
 Every shape comes straight from the run's RunConfig (dim, heads, ffn_dim,
-layers, causal_mask, pretrain_mode) and the trunk draws from `cfg.seed`.
-Nothing here re-checks the config: `RunConfig.validate()` holds the bounds,
-and `Forecaster` calls it before building the trunk.
+layers, causal_mask, pretrain_mode; the linears' through `module_dims`) and
+the trunk draws from `cfg.seed`. Nothing here re-checks the config:
+`RunConfig.validate()` holds the bounds, and `Forecaster` calls it before
+building the trunk.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import dlora
-from . import rng
+from . import dlora, kernels, rng
 from . import tensor as T
 from .config import RunConfig
 from .data import DataError, WindowSet
@@ -62,18 +61,8 @@ class TransformerBlock:
         self.ffn_norm = T.parameter(np.ones(cfg.dim))
 
     def forward(self, h: Tensor, adapters=None, gates=None) -> Tensor:
-        """One block pass over (.., N, dim) token states: one `tensor.transformer_block` op."""
-        if h.shape[-1] != self.cfg.dim:
-            raise ShapeError(f"block dim {self.cfg.dim} does not match input {h.shape}")
-        n = h.shape[-2]
-        mask = None
-        if self.cfg.causal_mask and n > 1:
-            mask = np.triu(np.full((n, n), MASK_FILL), k=1)
-        linears = [(self.weights[name], adapters.get(name) if adapters else None,
-                    gates.get(name) if gates else None) for name in dlora.MODULE_NAMES]
-        # looked up on every call, so a wrapper set on dlora.apply at run time is used
-        return T.transformer_block(h, linears, self.attn_norm, self.ffn_norm, self.cfg.heads,
-                                   mask, NORM_EPS, dlora.apply)
+        """One block pass over (.., N, dim) token states: one `transformer_block` op."""
+        return transformer_block(self, h, adapters, gates)
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:
         out = {}
@@ -82,6 +71,106 @@ class TransformerBlock:
         out[f"{prefix}.attn_norm"] = self.attn_norm
         out[f"{prefix}.ffn_norm"] = self.ffn_norm
         return out
+
+
+def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=None) -> Tensor:
+    """One pre-norm transformer block over (.., N, dim) token states as one op.
+
+    h1 = h + o(attention(q(x), k(x), v(x))) with x = rmsnorm(h), then
+    out = h1 + down(silu(gate(x2)) * up(x2)) with x2 = rmsnorm(h1).
+    The seven linears are the block's weights in `dlora.MODULE_NAMES`
+    order, each with its adapter and gate from `adapters` and `gates`
+    (dicts by module name, or None). Each runs through `dlora.apply`, and
+    the down and up factors of each delta that ran join the op's inputs;
+    the pull forms each linear's grads with `dlora.apply_grads`. Heads and
+    the causal mask come from the block's config.
+
+    Forward and backward run the numpy expressions of the composed rmsnorm,
+    matmul, lora_linear, attention, add, silu and mul records
+    (tests/oracles.py) in their order, and the grads of a state used twice
+    add up in the order those records gave them, so values and grads match
+    the records bit for bit whenever nothing recorded after the block reads
+    h. The grad of h is always formed; the grads of trunk weights, gains
+    and adapter factors only when those require grad.
+    Outside a tape the intermediates still live until the op returns:
+    dropping each one once used made the allocator hand pages back and
+    fault them in again, and a batch-64 desk forward ran slower.
+    """
+    cfg, attn_norm, ffn_norm = block.cfg, block.attn_norm, block.ffn_norm
+    d = cfg.dim
+    if h.shape[-1] != d:
+        raise ShapeError(f"block dim {d} does not match input {h.shape}")
+    weights = [block.weights[name] for name in dlora.MODULE_NAMES]
+    inputs = [h, attn_norm, ffn_norm, *weights]
+    hd, shape = h.data, h.shape
+    n = shape[-2]
+    mask = np.triu(np.full((n, n), MASK_FILL), k=1) if cfg.causal_mask and n > 1 else None
+    saved = []  # per linear: input, adapter, and apply's gated rank-r rows and mask
+
+    def linear(i, z):
+        name = dlora.MODULE_NAMES[i]
+        adapter = adapters.get(name) if adapters else None
+        out, low, m = dlora.apply(z, weights[i].data, None, adapter,
+                                  gates.get(name) if gates else None)
+        if low is not None:
+            inputs.extend((adapter.down, adapter.up))
+        saved.append((z, adapter, low, m))
+        return out
+
+    x, inv1 = kernels.rmsnorm_rows(hd.reshape(-1, d), attn_norm.data, NORM_EPS)
+    x = x.reshape(shape)
+    q, k, v = linear(0, x), linear(1, x), linear(2, x)
+    ctx, att = T.attend(q, k, v, cfg.heads, mask, T.recording())
+    h1 = hd + linear(3, ctx)
+    x2, inv2 = kernels.rmsnorm_rows(h1.reshape(-1, d), ffn_norm.data, NORM_EPS)
+    x2 = x2.reshape(shape)
+    gate_out = linear(4, x2)
+    gated = kernels.silu(gate_out.reshape(-1)).reshape(gate_out.shape)
+    up = linear(5, x2)
+    prod = gated * up
+    out = h1 + linear(6, prod)
+
+    def pull(g):
+        grads = [None] * 10
+        factor_grads = [(None, None)] * 7  # down and up grads of each linear's delta
+
+        def back(i, gz, gout):
+            z, adapter, low, m = saved[i]
+            gz, grads[3 + i], gd, gu = dlora.apply_grads(gz, gout, z, weights[i], adapter, low, m)
+            factor_grads[i] = (gd, gu)
+            return gz
+
+        # Tape.backward hands over a grad no other tensor holds, so the
+        # norms' shares of h's grad are added into it in place, as the tape did
+        g = np.ascontiguousarray(g)
+        gprod = back(6, None, g)
+        gx2 = back(5, None, gprod * gated)
+        ggated = np.ascontiguousarray(gprod * up).reshape(-1)
+        ggate = kernels.silu_grad(gate_out.reshape(-1), ggated).reshape(gate_out.shape)
+        gx2 = back(4, gx2, ggate)
+        gh1 = g  # the residual's share, then the norms'
+        g2 = np.ascontiguousarray(gx2.reshape(-1, d))
+        rows = h1.reshape(-1, d)
+        gh1 += kernels.rmsnorm_rows_grad(rows, ffn_norm.data, inv2, g2).reshape(shape)
+        if ffn_norm.requires_grad:
+            grads[2] = kernels.rmsnorm_gain_grad(rows, inv2, g2)
+        gctx = back(3, None, gh1)
+        gq, gk, gv = T.attend_grads(att, gctx, shape, shape)
+        gx = back(2, None, gv)
+        gx = back(1, gx, gk)
+        gx = back(0, gx, gq)
+        g2 = np.ascontiguousarray(gx.reshape(-1, d))
+        rows = hd.reshape(-1, d)
+        gh1 += kernels.rmsnorm_rows_grad(rows, attn_norm.data, inv1, g2).reshape(shape)
+        if attn_norm.requires_grad:
+            grads[1] = kernels.rmsnorm_gain_grad(rows, inv1, g2)
+        grads[0] = gh1
+        for (_, _, low, _), pair in zip(saved, factor_grads):
+            if low is not None:
+                grads += pair
+        return grads
+
+    return T.emit(out, tuple(inputs), pull)
 
 
 class Backbone:

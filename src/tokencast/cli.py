@@ -52,6 +52,7 @@ from .data import (
     synth_generate,
     write_series_csv,
 )
+from .dlora import RoutingStats
 from .metrics import MetricError, build_report, naive_seasonal_forecast, seasonality_for
 from .model import Forecaster
 from .training import (
@@ -133,10 +134,9 @@ def train_config(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def routing_payload(model: Forecaster, windows) -> dict:
-    if not model.uses_routers or windows.count < 1:
+def routing_payload(model: Forecaster, stats: RoutingStats | None) -> dict:
+    if stats is None:
         return {"routed": False, "variant": model.variant}
-    stats = model.collect_routing_stats(windows)
     payload = stats.to_json_dict()
     payload["routed"] = True
     payload["variant"] = model.variant
@@ -144,15 +144,19 @@ def routing_payload(model: Forecaster, windows) -> dict:
 
 
 def predict_blocks(model: Forecaster, windows, batch_size: int = 64):
-    """Stacked (windows, channels, horizon) truths, predictions, lookbacks."""
+    """Stacked (windows, channels, horizon) truths, predictions, lookbacks,
+    and the routing stats of the same forwards (None for an unrouted model)."""
     if windows.count < 1:
         raise DataError("no evaluation windows; split is too short")
-    xs, ys, ps = [], [], []
+    xs, ys, ps, probs = [], [], [], []
     for batch in windows.iter_batches(batch_size):
+        pred, batch_probs = model.forward_array(batch.x)
         xs.append(batch.x)
         ys.append(batch.y)
-        ps.append(model.predict(batch.x))
-    return np.concatenate(xs), np.concatenate(ys), np.concatenate(ps)
+        ps.append(pred.data)
+        probs.append(batch_probs)
+    stats = model.routing_stats(probs) if model.uses_routers else None
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(ps), stats
 
 
 # ------------------------------------------------------------------- verbs
@@ -201,7 +205,8 @@ def cmd_train(args) -> int:
         save_checkpoint(out / "checkpoint.ckpt", model,
                         step=result.steps_run, prng_state=result.rng_state)
         write_history_csv(result, out / "history.csv", layers=cfg.layers)
-    _write_json(out / "routing_stats.json", routing_payload(model, train_ws))
+    stats = model.collect_routing_stats(train_ws) if model.uses_routers else None
+    _write_json(out / "routing_stats.json", routing_payload(model, stats))
 
     last = result.history[-1]
     print(f"trained {result.epochs_run} epochs ({result.steps_run} steps), "
@@ -231,7 +236,7 @@ def cmd_eval(args) -> int:
             )
     out = _output_dir(args.out)
     series, views, (_, _, test_ws) = prepare_data(cfg)
-    x, y_true, y_pred = predict_blocks(model, test_ws)
+    x, y_true, y_pred, stats = predict_blocks(model, test_ws)
 
     s = seasonality_for(cfg.frequency)
     naive_pred = naive_seasonal_forecast(x, s, cfg.horizon) if x.shape[2] >= s else None
@@ -244,7 +249,7 @@ def cmd_eval(args) -> int:
     _write_json(out / "metrics.json", report.to_json_dict())
     table = report.to_text_table()
     _write_text(out / "metrics.txt", table + "\n")
-    _write_json(out / "routing_stats.json", routing_payload(model, test_ws))
+    _write_json(out / "routing_stats.json", routing_payload(model, stats))
     print(table)
     print(f"wrote {out / 'metrics.json'}, {out / 'metrics.txt'}, "
           f"{out / 'routing_stats.json'}")

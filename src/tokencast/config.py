@@ -69,6 +69,10 @@ class RunConfig:
     clip_norm: float = 5.0
 
     def validate(self) -> "RunConfig":
+        for key, kind in _FIELDS.items():
+            value = getattr(self, key)
+            if not isinstance(value, _TYPES[kind]) or (kind != "bool" and isinstance(value, bool)):
+                raise ConfigError(f"{key} must be of type {kind}, got {value!r}")
         for key, allowed in (("variant", VARIANTS), ("data_kind", ("synthetic", "csv")),
                              ("synthetic", SYNTH_KINDS + tuple(SYNTH_ALIASES)),
                              ("frequency", tuple(SEASONALITY)),
@@ -149,6 +153,8 @@ PRESETS = {
 }
 
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
+# values each annotation accepts; a bool passes only as a bool
+_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 def _coerce(key: str, raw: str):

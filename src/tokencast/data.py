@@ -49,6 +49,8 @@ class MultivariateSeries:
                 f"series '{self.name}': {len(self.channel_names)} channel names for "
                 f"{vals.shape[1]} channels"
             )
+        if len(set(self.channel_names)) != len(self.channel_names):
+            raise DataError(f"series '{self.name}': repeated channel names {self.channel_names}")
 
     @property
     def length(self) -> int:

@@ -4,11 +4,11 @@ Every block linear can carry an adapter: x' = x W + ((x A) g) B, with
 g a binary gate chosen per sample by that layer's router and applied to the
 rank-r intermediate x A, so a closed gate zeroes r columns, not d_out. The
 product A B is never materialized: `apply` adds the delta, two thin
-matmuls, in place into the base product x W. It works on arrays, inside
-the block's one tape op (`tensor.transformer_block`), whose pull forms the
-adapter grads. A router is one tape op too (`tensor.router_probs`): it
-pools each sample's last token, squashes it, projects it onto the modules
-and takes the softmax.
+matmuls, in place into the base product x W, and `apply_grads` forms the
+linear's grads from what `apply` returned. Both work on arrays, inside the
+block's one tape op (`backbone.transformer_block`). A router is one tape op
+(`router_probs`): it pools each sample's last token, squashes it, projects
+it onto the modules and takes the softmax.
 The forward's list of router outputs is a batch's one routing record:
 `batch_stats` reads constant (f, p-hat) off it, and `load_balance_loss`
 records the mean probabilities it needs. Gates are constants to the tape,
@@ -26,9 +26,9 @@ from functools import reduce
 
 import numpy as np
 
-from . import rng
+from . import kernels, rng
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import ShapeError, Tensor
 
 MODULE_NAMES = ("q_proj", "k_proj", "v_proj", "o_proj", "gate_proj", "up_proj", "down_proj")
 N_MODULES = len(MODULE_NAMES)
@@ -54,8 +54,8 @@ def apply(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
     (out, low, mask). low is the gated rank-r intermediate (x A) g with the
     leading axes of x folded into rows, None when no delta ran; mask is g
     shaped to broadcast against the unfolded (.., r) intermediate, None when
-    every gate is open. `tensor.transformer_block` calls this once per
-    linear and forms the grads from low and mask.
+    every gate is open. `backbone.transformer_block` calls this once per
+    linear and hands low and mask to `apply_grads`.
     """
     g = None if adapter is None or gate is None else np.asarray(gate, dtype=np.float64)
     lead = x.shape[:-1]
@@ -74,6 +74,71 @@ def apply(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
     return out.reshape(lead + weight.shape[1:]), low, mask
 
 
+def apply_grads(gx, g, x: np.ndarray, weight: Tensor, adapter: LoraAdapter | None,
+                low: np.ndarray | None, mask: np.ndarray | None):
+    """Grads of one adapted linear without bias from its output grad g.
+
+    x is the linear's input and low and mask are what `apply` returned for
+    it; the delta's grads are formed only when low shows that it ran. The
+    input's grad is added into gx (None: nothing yet), the delta's share
+    before the base product's, as the lora_linear and matmul records added
+    theirs. Returns gx and the weight, down and up grads, each None where
+    that parameter is frozen or its delta did not run.
+    """
+    k, p = weight.shape
+    g2, x2 = g.reshape(-1, p), x.reshape(-1, k)
+    gd = gu = None
+    if low is not None:
+        down, up = adapter.down, adapter.up
+        glow = g2 @ up.data.T
+        if mask is not None:
+            glow = (glow.reshape(x.shape[:-1] + low.shape[1:]) * mask).reshape(low.shape)
+        gx = _accumulate(gx, (glow @ down.data.T).reshape(x.shape))
+        gd = x2.T @ glow if down.requires_grad else None
+        gu = low.T @ g2 if up.requires_grad else None
+    gx = _accumulate(gx, (g2 @ weight.data.T).reshape(x.shape))
+    return gx, x2.T @ g2 if weight.requires_grad else None, gd, gu
+
+
+def _accumulate(acc, g):
+    """acc + g, in place into acc; g itself when nothing came before."""
+    if acc is None:
+        return g
+    acc += g
+    return acc
+
+
+def router_probs(h: Tensor, weight: Tensor, squash: bool) -> Tensor:
+    """softmax(act(h[:, -1]) @ weight) as one op: per-sample probabilities.
+
+    h is (B, N, d) and weight (d, m); the result is (B, m). Each sample is
+    summarised by its last token row, squashed by tanh when `squash` is set.
+    Forward and backward run the numpy expressions of the equivalent slice,
+    reshape, tanh, matmul and softmax records (tests/oracles.py) in their
+    order, so values and grads match those records bit for bit. The grad
+    of h is always formed, the weight's only when it requires grad.
+    """
+    if h.ndim != 3 or weight.ndim != 2 or weight.shape[0] != h.shape[2]:
+        raise ShapeError(f"router_probs: states {h.shape} do not fit weight {weight.shape}")
+    b, n, d = h.shape
+    key = (slice(None), slice(n - 1, n), slice(None))
+    pooled = np.ascontiguousarray(h.data[key]).reshape(b, d)
+    x = np.tanh(pooled) if squash else pooled
+    wd = weight.data
+    probs = kernels.softmax_rows(x @ wd)
+
+    def pull(g):
+        glogits = kernels.softmax_rows_grad(probs, np.ascontiguousarray(g))
+        gx = glogits @ wd.T
+        if squash:
+            gx = gx * (1.0 - x * x)
+        gh = np.zeros_like(h.data)
+        gh[key] = gx.reshape(b, 1, d)
+        return gh, x.T @ glogits if weight.requires_grad else None
+
+    return T.emit(probs, (h, weight), pull)
+
+
 class LoraRouter:
     """Per-layer gate chooser: probs = softmax(tanh(h[:, -1]) @ weight), one tape op.
 
@@ -88,7 +153,7 @@ class LoraRouter:
 
     def probs(self, h: Tensor) -> Tensor:
         """(B, N, dim) block input -> (B, N_MODULES) gate probabilities."""
-        return T.router_probs(h, self.weight, self.activation == "tanh")
+        return router_probs(h, self.weight, self.activation == "tanh")
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.weight": self.weight}

@@ -6,19 +6,16 @@ leaf tensors only: a tensor used twice receives the sum of both
 contributions, and an op output's grad is dropped once its pull has run.
 Every pull skips the grads of frozen weights. The elementwise ops and
 matmul also skip those of constant inputs, which the model feeds them (the
-embedder's input, targets, norm stats). The fused ops (transformer_block,
-attention, router_probs) always form the grads of their state inputs: the
-learning embedder makes those require grad in every training step, and
-Tape.backward drops a grad an input does not require. The ops here are exactly
-the ones the model records, no more. matmul takes a 2-D weight and folds the
-leading axes of its left operand into rows, so it runs as one GEMM, forward
-and backward. A whole pre-norm transformer block is one op
-(transformer_block): its two norms, seven adapted linears, multi-head
-attention, gated feed-forward and residual adds share one record and one
-hand-written pull. Multi-head attention, which the alignment records, is one
-op too, and so is a D-LoRA router (router_probs: last-token pooling, tanh,
-projection and softmax). Outside a tape every op is forward-only, which is
-what inference wants.
+embedder's input, targets, norm stats). The fused ops (attention here,
+`backbone.transformer_block`, `dlora.router_probs`) always form the grads
+of their state inputs: the learning embedder makes those require grad in
+every training step, and Tape.backward drops a grad an input does not
+require. The ops here and those two are exactly the ones the model
+records, no more; ops defined elsewhere record through `emit`, ask
+`recording`, and run attention on arrays with `attend`/`attend_grads`.
+matmul takes a 2-D weight and folds the leading axes of its left operand
+into rows, so it runs as one GEMM, forward and backward. Outside a tape
+every op is forward-only, which is what inference wants.
 
 A Tape and the tensors recorded on it belong to one thread. Independent
 model instances may run on separate threads, each with its own tape.
@@ -138,8 +135,13 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def _emit(data, inputs, pull) -> Tensor:
-    """Create the output tensor, recording the op if a tape is active."""
+def recording() -> bool:
+    """Whether this thread has an active tape, so an op must keep what its pull reads."""
+    return _LOCAL.tape is not None
+
+
+def emit(data, inputs, pull) -> Tensor:
+    """Create the output tensor, recording the op if a tape is active; pull names the op."""
     req = False
     for t in inputs:
         if t.requires_grad:
@@ -178,7 +180,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
                 _unbroadcast(g, b.shape) if b.requires_grad else None)
 
-    return _emit(data, (a, b), pull)
+    return emit(data, (a, b), pull)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -191,7 +193,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
                 _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
-    return _emit(data, (a, b), pull)
+    return emit(data, (a, b), pull)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -205,7 +207,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return (_unbroadcast(g * bd, a.shape) if a.requires_grad else None,
                 _unbroadcast(g * ad, b.shape) if b.requires_grad else None)
 
-    return _emit(data, (a, b), pull)
+    return emit(data, (a, b), pull)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -219,7 +221,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         return (_unbroadcast(g / bd, a.shape) if a.requires_grad else None,
                 _unbroadcast(-g * ad / (bd * bd), b.shape) if b.requires_grad else None)
 
-    return _emit(data, (a, b), pull)
+    return emit(data, (a, b), pull)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -228,7 +230,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def pull(g):
         return (g * c,)
 
-    return _emit(a.data * c, (a,), pull)
+    return emit(a.data * c, (a,), pull)
 
 
 def silu(a: Tensor) -> Tensor:
@@ -239,7 +241,7 @@ def silu(a: Tensor) -> Tensor:
     def pull(g):
         return (kernels.silu_grad(flat, np.ascontiguousarray(g).reshape(-1)).reshape(x.shape),)
 
-    return _emit(data, (a,), pull)
+    return emit(data, (a,), pull)
 
 
 def square(a: Tensor) -> Tensor:
@@ -248,7 +250,7 @@ def square(a: Tensor) -> Tensor:
     def pull(g):
         return (g * (2.0 * x),)
 
-    return _emit(x * x, (a,), pull)
+    return emit(x * x, (a,), pull)
 
 
 def absolute(a: Tensor) -> Tensor:
@@ -257,7 +259,7 @@ def absolute(a: Tensor) -> Tensor:
     def pull(g):
         return (g * np.sign(x),)
 
-    return _emit(np.abs(x), (a,), pull)
+    return emit(np.abs(x), (a,), pull)
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
@@ -268,7 +270,7 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     def pull(g):
         return (g * (x > floor),)
 
-    return _emit(np.maximum(x, floor), (a,), pull)
+    return emit(np.maximum(x, floor), (a,), pull)
 
 
 # -------------------------------------------------------------- reductions
@@ -281,7 +283,7 @@ def total(a: Tensor) -> Tensor:
     def pull(g):
         return (np.broadcast_to(g, x.shape),)
 
-    return _emit(x.sum(), (a,), pull)
+    return emit(x.sum(), (a,), pull)
 
 
 def mean(a: Tensor, axis=None) -> Tensor:
@@ -294,7 +296,7 @@ def mean(a: Tensor, axis=None) -> Tensor:
         ge = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(ge / count, x.shape),)
 
-    return _emit(data, (a,), pull)
+    return emit(data, (a,), pull)
 
 
 # ------------------------------------------------------------------ linear
@@ -320,7 +322,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ((g2 @ bd.T).reshape(ad.shape) if a.requires_grad else None,
                 ad.reshape(-1, k).T @ g2 if b.requires_grad else None)
 
-    return _emit(data, (a, b), pull)
+    return emit(data, (a, b), pull)
 
 
 def take_rows(a: Tensor, ids) -> Tensor:
@@ -335,7 +337,7 @@ def take_rows(a: Tensor, ids) -> Tensor:
         np.add.at(gt, ids, g)
         return (gt,)
 
-    return _emit(rows, (a,), pull)
+    return emit(rows, (a,), pull)
 
 
 # ----------------------------------------------------------- restructuring
@@ -360,7 +362,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
             pieces.append(g[tuple(idx)])
         return tuple(pieces)
 
-    return _emit(data, tuple(tensors), pull)
+    return emit(data, tuple(tensors), pull)
 
 
 def slice_(a: Tensor, key) -> Tensor:
@@ -379,16 +381,16 @@ def slice_(a: Tensor, key) -> Tensor:
         gt[key] = g
         return (gt,)
 
-    return _emit(data, (a,), pull)
+    return emit(data, (a,), pull)
 
 
 # -------------------------------------------------------------- attention
 
 
-def _attend(qd, kd, vd, heads, mask, keep):
+def attend(qd, kd, vd, heads, mask, keep):
     """Multi-head attention over arrays; head h owns columns [h*dh, (h+1)*dh).
 
-    Returns the context, shaped like qd, and what `_attend_grads` needs, or
+    Returns the context, shaped like qd, and what `attend_grads` needs, or
     None when `keep` is unset: the head-major operands and the probabilities
     are then dropped as soon as their product is formed.
     """
@@ -419,8 +421,8 @@ def _attend(qd, kd, vd, heads, mask, keep):
     return ctx_t.reshape(shape), ((qp, kp, vp, probs, c, ctx_t.shape) if keep else None)
 
 
-def _attend_grads(saved, g, k_shape, v_shape):
-    """Grads of `_attend`'s q, k and v from its output grad g."""
+def attend_grads(saved, g, k_shape, v_shape):
+    """Grads of `attend`'s q, k and v from its output grad g."""
     qp, kp, vp, probs, c, ctx_t_shape = saved
     gctx = g.reshape(ctx_t_shape).swapaxes(-3, -2)
     gvp = _unbroadcast(probs.swapaxes(-1, -2) @ gctx, vp.shape)
@@ -454,189 +456,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Tensor | None =
     if d % heads != 0 or k.shape[-1] != d or v.shape[-1] != d:
         raise ShapeError(f"attention: {heads} heads over q {q.shape}, k {k.shape}, v {v.shape}")
     try:
-        data, saved = _attend(q.data, k.data, v.data, heads,
-                              None if mask is None else mask.data, _LOCAL.tape is not None)
+        data, saved = attend(q.data, k.data, v.data, heads,
+                             None if mask is None else mask.data, recording())
     except ValueError as e:
         raise ShapeError(f"attention: leading axes of q {q.shape}, k {k.shape}, v {v.shape}"
                          f" and mask {None if mask is None else mask.shape} do not fit") from e
 
     def pull(g):
-        return _attend_grads(saved, g, k.shape, v.shape)
+        return attend_grads(saved, g, k.shape, v.shape)
 
-    return _emit(data, (q, k, v), pull)
-
-
-# ------------------------------------------------------------------ blocks
-
-
-def _linear_grads(gz, g, saved, weight: Tensor):
-    """Grads of one adapted linear from its output grad g.
-
-    `saved` is the linear's input, the gated rank-r rows and mask that
-    `dlora.apply` returned, and its adapter when the delta ran, else None.
-    The input's grad is added into gz (None: nothing yet), the delta's share
-    before the base product's, as the lora_linear and matmul records added
-    theirs. Returns gz and the weight, down and up grads, each None where
-    that parameter is frozen.
-    """
-    z, low, mask, adapter = saved
-    k, p = weight.shape
-    g2, z2 = g.reshape(-1, p), z.reshape(-1, k)
-    gd = gu = None
-    if adapter is not None:
-        down, up = adapter.down, adapter.up
-        glow = g2 @ up.data.T
-        if mask is not None:
-            glow = (glow.reshape(z.shape[:-1] + low.shape[1:]) * mask).reshape(low.shape)
-        gz = _accumulate(gz, (glow @ down.data.T).reshape(z.shape))
-        gd = z2.T @ glow if down.requires_grad else None
-        gu = low.T @ g2 if up.requires_grad else None
-    gz = _accumulate(gz, (g2 @ weight.data.T).reshape(z.shape))
-    return gz, z2.T @ g2 if weight.requires_grad else None, gd, gu
-
-
-def _accumulate(acc, g):
-    """acc + g, in place into acc; g itself when nothing came before."""
-    if acc is None:
-        return g
-    acc += g
-    return acc
-
-
-def transformer_block(h: Tensor, linears, attn_norm: Tensor, ffn_norm: Tensor, heads: int,
-                      mask, eps: float, apply) -> Tensor:
-    """One pre-norm transformer block over (.., N, d) token states as one op.
-
-    h1 = h + o(attention(q(x), k(x), v(x))) with x = rmsnorm(h), then
-    out = h1 + down(silu(gate(x2)) * up(x2)) with x2 = rmsnorm(h1).
-    `linears` holds the seven (weight, adapter, gate) triples in q, k, v, o,
-    gate, up, down order. Each runs through `apply(x, weight, bias, adapter,
-    gate)`, the array-level adapted linear (`dlora.apply`), which returns the
-    output, the gated rank-r intermediate (None when no delta ran) and its
-    mask; the down and up factors of each delta that ran join the op's
-    inputs. `mask` is None or an additive attention mask array.
-
-    Forward and backward run the numpy expressions of the composed rmsnorm,
-    matmul, lora_linear, attention, add, silu and mul records
-    (tests/oracles.py) in their order, and the grads of a state used twice
-    add up in the order those records gave them, so values and grads match
-    the records bit for bit whenever nothing recorded after the block reads
-    h. The grad of h is always formed; the grads of trunk weights, gains
-    and adapter factors only when those require grad.
-    Outside a tape the intermediates still live until the op returns:
-    dropping each one once used made the allocator hand pages back and
-    fault them in again, and a batch-64 desk forward ran slower.
-    """
-    d = h.shape[-1]
-    weights = [w for w, _, _ in linears]
-    shapes = [w.shape for w in weights]
-    f = shapes[-1][0] if shapes else 0  # down_proj is (ffn, d)
-    if (shapes != [(d, d)] * 4 + [(d, f)] * 2 + [(f, d)] or d % heads
-            or attn_norm.shape != (d,) or ffn_norm.shape != (d,)):
-        raise ShapeError(f"transformer_block: {heads} heads, linears {shapes} and norms"
-                         f" {attn_norm.shape}, {ffn_norm.shape} do not fit states {h.shape}")
-    inputs = [h, attn_norm, ffn_norm, *weights]
-    hd, shape = h.data, h.shape
-    saved = []  # per linear: input, gated rank-r rows, mask, adapter if its delta ran
-
-    def linear(i, z):
-        w, adapter, gate = linears[i]
-        out, low, m = apply(z, w.data, None, adapter, gate)
-        if low is None:
-            adapter = None
-        else:
-            inputs.extend((adapter.down, adapter.up))
-        saved.append((z, low, m, adapter))
-        return out
-
-    x, inv1 = kernels.rmsnorm_rows(hd.reshape(-1, d), attn_norm.data, eps)
-    x = x.reshape(shape)
-    q, k, v = linear(0, x), linear(1, x), linear(2, x)
-    try:
-        ctx, att = _attend(q, k, v, heads, mask, _LOCAL.tape is not None)
-    except ValueError as e:
-        raise ShapeError(f"transformer_block: mask {np.shape(mask)} does not fit"
-                         f" states {shape}") from e
-    h1 = hd + linear(3, ctx)
-    x2, inv2 = kernels.rmsnorm_rows(h1.reshape(-1, d), ffn_norm.data, eps)
-    x2 = x2.reshape(shape)
-    gate_out = linear(4, x2)
-    gated = kernels.silu(gate_out.reshape(-1)).reshape(gate_out.shape)
-    up = linear(5, x2)
-    prod = gated * up
-    out = h1 + linear(6, prod)
-
-    def pull(g):
-        grads = [None] * 10
-        factor_grads = [(None, None)] * 7  # down and up grads of each linear's delta
-
-        def back(i, gz, gout):
-            gz, grads[3 + i], gd, gu = _linear_grads(gz, gout, saved[i], inputs[3 + i])
-            factor_grads[i] = (gd, gu)
-            return gz
-
-        # Tape.backward hands over a grad no other tensor holds, so the
-        # norms' shares of h's grad are added into it in place, as the tape did
-        g = np.ascontiguousarray(g)
-        gprod = back(6, None, g)
-        gx2 = back(5, None, gprod * gated)
-        ggated = np.ascontiguousarray(gprod * up).reshape(-1)
-        ggate = kernels.silu_grad(gate_out.reshape(-1), ggated).reshape(gate_out.shape)
-        gx2 = back(4, gx2, ggate)
-        gh1 = g  # the residual's share, then the norms'
-        g2 = np.ascontiguousarray(gx2.reshape(-1, d))
-        rows = h1.reshape(-1, d)
-        gh1 += kernels.rmsnorm_rows_grad(rows, ffn_norm.data, inv2, g2).reshape(shape)
-        if ffn_norm.requires_grad:
-            grads[2] = kernels.rmsnorm_gain_grad(rows, inv2, g2)
-        gctx = back(3, None, gh1)
-        gq, gk, gv = _attend_grads(att, gctx, shape, shape)
-        gx = back(2, None, gv)
-        gx = back(1, gx, gk)
-        gx = back(0, gx, gq)
-        g2 = np.ascontiguousarray(gx.reshape(-1, d))
-        rows = hd.reshape(-1, d)
-        gh1 += kernels.rmsnorm_rows_grad(rows, attn_norm.data, inv1, g2).reshape(shape)
-        if attn_norm.requires_grad:
-            grads[1] = kernels.rmsnorm_gain_grad(rows, inv1, g2)
-        grads[0] = gh1
-        for (*_, adapter), pair in zip(saved, factor_grads):
-            if adapter is not None:
-                grads += pair
-        return grads
-
-    return _emit(out, tuple(inputs), pull)
-
-
-# ---------------------------------------------------------------- routing
-
-
-def router_probs(h: Tensor, weight: Tensor, squash: bool) -> Tensor:
-    """softmax(act(h[:, -1]) @ weight) as one op: per-sample probabilities.
-
-    h is (B, N, d) and weight (d, m); the result is (B, m). Each sample is
-    summarised by its last token row, squashed by tanh when `squash` is set.
-    Forward and backward run the numpy expressions of the equivalent slice,
-    reshape, tanh, matmul and softmax records (tests/oracles.py) in their
-    order, so values and grads match those records bit for bit. The grad
-    of h is always formed, the weight's only when it requires grad.
-    """
-    if h.ndim != 3 or weight.ndim != 2 or weight.shape[0] != h.shape[2]:
-        raise ShapeError(f"router_probs: states {h.shape} do not fit weight {weight.shape}")
-    b, n, d = h.shape
-    key = (slice(None), slice(n - 1, n), slice(None))
-    pooled = np.ascontiguousarray(h.data[key]).reshape(b, d)
-    x = np.tanh(pooled) if squash else pooled
-    wd = weight.data
-    probs = kernels.softmax_rows(x @ wd)
-
-    def pull(g):
-        glogits = kernels.softmax_rows_grad(probs, np.ascontiguousarray(g))
-        gx = glogits @ wd.T
-        if squash:
-            gx = gx * (1.0 - x * x)
-        gh = np.zeros_like(h.data)
-        gh[key] = gx.reshape(b, 1, d)
-        return gh, x.T @ glogits if weight.requires_grad else None
-
-    return _emit(probs, (h, weight), pull)
+    return emit(data, (q, k, v), pull)

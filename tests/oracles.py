@@ -1,9 +1,9 @@
 """Reference ops that only tests run.
 
-The model records fused ops (`tensor.transformer_block`,
-`tensor.attention`, `tensor.router_probs`) whose values and grads must
+The model records fused ops (`backbone.transformer_block`,
+`tensor.attention`, `dlora.router_probs`) whose values and grads must
 match a chain of plain records bit for bit. The ops of that chain which
-the model itself never records live here, on the same `_emit` and
+the model itself never records live here, on the same `emit` and
 `_unbroadcast` machinery as `tokencast.tensor`, so the bit-identity tests
 compare against exactly the numpy expressions they always did. Each op
 keeps its own finite-difference test. `composed_block` is a transformer
@@ -20,7 +20,7 @@ import numpy as np
 from tokencast import kernels
 from tokencast import tensor as T
 from tokencast.backbone import MASK_FILL, NORM_EPS
-from tokencast.tensor import ShapeError, Tensor, _emit, _unbroadcast
+from tokencast.tensor import ShapeError, Tensor, emit, _unbroadcast
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -29,7 +29,7 @@ def tanh(a: Tensor) -> Tensor:
     def pull(g):
         return (g * (1.0 - y * y),)
 
-    return _emit(y, (a,), pull)
+    return emit(y, (a,), pull)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -41,7 +41,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     def pull(g):
         return (g.transpose(inverse),)
 
-    return _emit(np.ascontiguousarray(a.data.transpose(axes)), (a,), pull)
+    return emit(np.ascontiguousarray(a.data.transpose(axes)), (a,), pull)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -50,7 +50,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def pull(g):
         return (g.reshape(orig),)
 
-    return _emit(a.data.reshape(shape), (a,), pull)
+    return emit(a.data.reshape(shape), (a,), pull)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -66,7 +66,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         gx = kernels.softmax_rows_grad(yflat, gm)
         return (np.ascontiguousarray(np.moveaxis(gx.reshape(moved.shape), -1, ax)),)
 
-    return _emit(data, (a,), pull)
+    return emit(data, (a,), pull)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -82,7 +82,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if a.requires_grad else None,
                 _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if b.requires_grad else None)
 
-    return _emit(data, (a, b), pull)
+    return emit(data, (a, b), pull)
 
 
 def lora_linear(x: Tensor, w: Tensor, down: Tensor, up: Tensor, mask) -> Tensor:
@@ -119,7 +119,7 @@ def lora_linear(x: Tensor, w: Tensor, down: Tensor, up: Tensor, mask) -> Tensor:
             gd = x2.T @ glow2 if down.requires_grad else None
         return (g, gx, gd, low2.T @ g2 if up.requires_grad else None)
 
-    return _emit(base.data, (base, x, down, up), pull)
+    return emit(base.data, (base, x, down, up), pull)
 
 
 def rmsnorm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
@@ -140,7 +140,7 @@ def rmsnorm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
             gw = kernels.rmsnorm_gain_grad(flat, inv, g2)
         return gx, gw
 
-    return _emit(data, (x, weight), pull)
+    return emit(data, (x, weight), pull)
 
 
 def adapted_linear(x: Tensor, weight: Tensor, adapter, gate) -> Tensor:

@@ -174,19 +174,10 @@ def test_block_op_bit_identical_to_composed_records(pattern, causal, shape, lear
             np.testing.assert_array_equal(a, b, err_msg=str(i))
 
 
-def test_block_op_rejects_linears_that_do_not_fit():
+def test_block_rejects_states_of_the_wrong_width():
     block = Backbone(small_cfg(seed=44)).blocks[0]
-    linears = [(block.weights[name], None, None) for name in MODULE_NAMES]
-    h = Tensor(rand((2, 3, 8), 45))
-    args = (block.attn_norm, block.ffn_norm, 2, None, 1e-6, None)
     with pytest.raises(ShapeError):
-        T.transformer_block(h, linears[:6], *args)
-    with pytest.raises(ShapeError):
-        T.transformer_block(h, linears[1:] + linears[:1], *args)  # down_proj first
-    with pytest.raises(ShapeError):
-        T.transformer_block(Tensor(rand((2, 3, 6), 46)), linears, *args)
-    with pytest.raises(ShapeError):
-        T.transformer_block(h, linears, block.attn_norm, block.ffn_norm, 3, None, 1e-6, None)
+        block.forward(Tensor(rand((2, 3, 6), 46)))
 
 
 def test_zero_layer_backbone_is_identity():

@@ -133,7 +133,14 @@ def test_corrupt_header_json_rejected(tmp_path):
     ({"bogus": 1}, "bogus"),  # key RunConfig does not have
     ({"heads": 3}, "heads"),  # fails RunConfig.validate()
     ({"frequency": "bogus"}, "frequency"),  # no seasonality, so eval could never run
-], ids=["unknown_key", "heads_not_dividing_dim", "unknown_frequency"])
+    # mistyped values pass every bound and fail later: a TypeError in
+    # forecast and eval, an IndexError in eval, or "false" read as true
+    ({"n_active": 4.0}, "n_active must be of type int"),
+    ({"heads": 2.0}, "heads must be of type int"),
+    ({"stride": 1.0}, "stride must be of type int"),
+    ({"normalize": "false"}, "normalize must be of type bool"),
+], ids=["unknown_key", "heads_not_dividing_dim", "unknown_frequency", "float_n_active",
+        "float_heads", "float_stride", "string_normalize"])
 def test_invalid_header_config_rejected(tmp_path, config_edit, match):
     header = {"config": {**dataclasses.asdict(tiny_cfg()), **config_edit}, "seed": 5, "step": 0,
               "prng_state": None}

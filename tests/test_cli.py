@@ -246,6 +246,20 @@ def test_training_split_without_windows_exits_3(tmp_path, capsys):
     assert "no usable windows" in assert_data_error(code, capsys)
 
 
+def test_repeated_channel_name_exits_3(tiny_run, tmp_path, capsys):
+    # eval would key both channels named a into one per-series entry
+    rows = "".join(f"2020-01-{i % 28 + 1:02d},{i},{2 * i},{3 * i}\n" for i in range(60))
+    csv_path = tmp_path / "dup.csv"
+    csv_path.write_text("date,a,a,b\n" + rows)
+    code = cli.main(["train", *TINY, "--data-kind", "csv", "--csv-path", str(csv_path),
+                     "--out", str(tmp_path / "out")])
+    assert "repeated channel names" in assert_data_error(code, capsys)
+    ckpt, _ = tiny_run
+    code = cli.main(["forecast", "--checkpoint", str(ckpt), "--input", str(csv_path),
+                     "--date-column", "date", "--output", str(tmp_path / "fc.csv")])
+    assert "repeated channel names" in assert_data_error(code, capsys)
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert cli.main(["train", "--config", str(tmp_path / "nope.ini")]) == 2
 

@@ -37,6 +37,15 @@ def test_load_csv_with_date_column(tmp_path):
     assert s.channel_names == ["a", "b"]
 
 
+def test_repeated_channel_names_rejected(tmp_path):
+    # a repeated name would key two channels into one per-series metric
+    p = write(tmp_path, "date,a,a,b\n2020-01-01,1,2,3\n2020-01-02,4,5,6\n")
+    with pytest.raises(DataError, match="repeated channel names"):
+        load_csv(p, date_column="date")
+    with pytest.raises(DataError, match="repeated channel names"):
+        MultivariateSeries("s", np.zeros((2, 2)), channel_names=["x", "x"])
+
+
 def test_load_csv_missing_date_column(tmp_path):
     p = write(tmp_path, "a,b\n1,2\n")
     with pytest.raises(DataError, match="date column"):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles as O
 from helpers import assert_grads_match, rand, tape_ops
+from tokencast import dlora
 from tokencast import tensor as T
 from tokencast.tensor import Tape, Tensor, ShapeError
 
@@ -576,7 +577,7 @@ def test_router_probs_bit_identical_to_unfused_records(squash, batch, trainable)
                 tape.backward(T.total(T.mul(f, T.mean(p, axis=0))))
         return records, [p.data, h.grad, w.grad]
 
-    records, fused = run(T.router_probs)
+    records, fused = run(dlora.router_probs)
     _, oracle = run(unfused_router)
     assert records == (1 if any(trainable) else 0)
     for a, b, learn in zip(fused, oracle, (True,) + trainable):
@@ -588,6 +589,6 @@ def test_router_probs_bit_identical_to_unfused_records(squash, batch, trainable)
 def test_router_probs_rejects_states_that_do_not_fit():
     w = Tensor(np.zeros((6, 7)))
     with pytest.raises(ShapeError):
-        T.router_probs(Tensor(np.zeros((2, 6))), w, True)
+        dlora.router_probs(Tensor(np.zeros((2, 6))), w, True)
     with pytest.raises(ShapeError):
-        T.router_probs(Tensor(np.zeros((2, 3, 5))), w, True)
+        dlora.router_probs(Tensor(np.zeros((2, 3, 5))), w, True)
