@@ -59,6 +59,7 @@ from .training import (
     NumericError,
     evaluate_mse,
     naive_repeat_last_mse,
+    stacked_mse,
     train,
     write_history_csv,
 )
@@ -264,7 +265,9 @@ def cmd_forecast(args) -> int:
             "normalize=false: the checkpoint does not keep the training split's statistics, "
             "so raw inputs would meet a model fitted to standardized ones"
         )
-    series = load_csv(args.input, date_column=args.date_column or None)
+    # the checkpoint's date column unless the flag names one; "" names none
+    date_column = model.cfg.date_column if args.date_column is None else args.date_column
+    series = load_csv(args.input, date_column=date_column or None)
     lookback = model.cfg.lookback
     if series.length < lookback:
         raise DataError(
@@ -295,13 +298,15 @@ def cmd_ablate(args) -> int:
     for vcfg, model in zip(vcfgs, build_models(vcfgs, views[0])):
         result = train(model, train_ws, val_ws, vcfg)
         report = model.parameter_report()
-        if model.uses_routers and test_ws.count:
-            entropy = float(np.mean(model.collect_routing_stats(test_ws).entropy_bits()))
-        else:
-            entropy = 0.0  # constant gates carry no selection variability
+        test_mse, stats = float("nan"), None
+        if test_ws.count:
+            _, y_true, y_pred, stats = predict_blocks(model, test_ws)
+            test_mse = stacked_mse(y_true, y_pred)
+        # constant gates carry no selection variability
+        entropy = float(np.mean(stats.entropy_bits())) if stats is not None else 0.0
         rows.append({
             "variant": vcfg.variant,
-            "test_mse": evaluate_mse(model, test_ws) if test_ws.count else float("nan"),
+            "test_mse": test_mse,
             "best_val_mse": result.best_val if result.best_val is not None else float("nan"),
             "trainable_params": report["trainable"],
             "adapter_params": report["adapters"],
@@ -338,13 +343,17 @@ def cmd_sweep_n(args) -> int:
     for ncfg, model in zip(ncfgs, build_models(ncfgs, views[0])):
         n = ncfg.n_active
         train(model, train_ws, val_ws, ncfg)
-        stats = model.collect_routing_stats(test_ws if test_ws.count else train_ws)
+        if test_ws.count:
+            _, y_true, y_pred, stats = predict_blocks(model, test_ws)
+            test_mse = stacked_mse(y_true, y_pred)
+        else:
+            test_mse, stats = float("nan"), model.collect_routing_stats(train_ws)
         payload = stats.to_json_dict()
         payload["n_active"] = n
         _write_json(out / f"routing_n{n}.json", payload)
         rows.append({
             "n_active": n,
-            "test_mse": evaluate_mse(model, test_ws) if test_ws.count else float("nan"),
+            "test_mse": test_mse,
             "mean_entropy_bits": float(np.mean(stats.entropy_bits())),
         })
     path = out / "sweep_n.csv"
@@ -425,7 +434,7 @@ def _forecast_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help="CSV with at least lookback rows")
     p.add_argument("--output", default="forecast.csv")
-    p.add_argument("--date-column", default="")
+    p.add_argument("--date-column", default=None)
 
 
 def _sweep_n_args(p: argparse.ArgumentParser) -> None:

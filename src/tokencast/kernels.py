@@ -97,6 +97,9 @@ def adamw_update(p, g, m, v, step, lr, beta1, beta2, eps, weight_decay, scratch)
     `scratch` is a float64 array of shape (2, >= p.size) that the step
     overwrites instead of allocating its temporaries; the operations and
     their order are those of the textbook formula, so results are unchanged.
+    Every operation is elementwise, so `training.AdamW` calls it once per
+    fixed-size slice of its flat buffers and gets the bits of one call over
+    the whole buffers, with a scratch of one slice.
     """
     a, b = scratch[0, : p.size], scratch[1, : p.size]
     m *= beta1

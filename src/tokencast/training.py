@@ -10,8 +10,10 @@ for the balance term and `lb_loss`; the entropy columns merge them with
 weight 1 per step, so a shorter last batch counts in full.
 
 The loop is single-threaded and fully deterministic for a given seed:
-batch order comes from one seeded generator and parameters update in sorted
-name order.
+batch order comes from one seeded generator, and AdamW updates each value
+by the textbook formula however its flat buffers are sliced. The early-stop
+snapshot is one copy of AdamW's value buffer; `train` returns with every
+trainable's grad None, which frees its grad buffer.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .dlora import N_MODULES, RoutingStats, batch_stats, load_balance_loss, merg
 from .tensor import Tape, Tensor
 
 DIVERGENCE_FACTOR = 1e6  # the divergence guard's factor; `train` says what it multiplies
+CHUNK = 1 << 14  # elements per `kernels.adamw_update` call: AdamW's scratch is (2, CHUNK)
 
 
 class NumericError(RuntimeError):
@@ -64,7 +67,16 @@ def total_loss(task: Tensor, probs: list[Tensor], f: np.ndarray, lambda_lb: floa
 
 
 class AdamW:
-    """Decoupled weight decay Adam over a named parameter dict."""
+    """Decoupled weight decay Adam over a named parameter dict.
+
+    The trainable tensors' values, grads and both moments each live in one
+    flat float64 buffer (`data`, `grad`, and the moments), laid out in sorted
+    name order. Construction copies each tensor's values (and any grad it
+    holds) in and rebinds its `data` and `grad` to C-contiguous views of the
+    buffers, so a backward pass accumulates straight into the grad buffer
+    and a step updates every tensor in a few `kernels.adamw_update` calls
+    over CHUNK-element slices.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
@@ -75,24 +87,53 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m = {name: np.zeros(p.size) for name, p in self.params.items()}
-        self._v = {name: np.zeros(p.size) for name, p in self.params.items()}
-        self._scratch = np.empty((2, max((p.size for p in self.params.values()), default=0)))
+        total = sum(p.size for p in self.params.values())
+        self.data = np.empty(total)
+        self.grad = np.zeros(total)
+        self._m = np.zeros(total)
+        self._v = np.zeros(total)
+        self._scratch = np.empty((2, min(CHUNK, total)))
+        self._grads = []  # each tensor's view of the grad buffer
+        start = 0
+        for p in self.params.values():
+            end = start + p.size
+            data = self.data[start:end].reshape(p.shape)
+            data[...] = p.data
+            grad = self.grad[start:end].reshape(p.shape)
+            if p.grad is not None:
+                grad[...] = p.grad
+            p.data, p.grad = data, grad
+            self._grads.append(grad)
+            start = end
 
     def step(self) -> None:
+        """Update every tensor from its grad; a grad None counts as zeros.
+
+        A grad a caller assigned in place of the tensor's view is copied into
+        the view first.
+        """
         self.step_count += 1
-        for name, p in self.params.items():
-            g = p.grad.reshape(-1) if p.grad is not None else np.zeros(p.size)
+        for p, grad in zip(self.params.values(), self._grads):
+            if p.grad is not grad:
+                if p.grad is None:
+                    grad.fill(0.0)
+                else:
+                    grad[...] = p.grad
+        for start in range(0, self.data.size, CHUNK):
+            end = start + CHUNK
             kernels.adamw_update(
-                p.data.reshape(-1), np.ascontiguousarray(g),
-                self._m[name], self._v[name], self.step_count,
+                self.data[start:end], self.grad[start:end],
+                self._m[start:end], self._v[start:end], self.step_count,
                 self.lr, self.beta1, self.beta2, self.eps, self.weight_decay,
                 self._scratch,
             )
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+        """Zero the grad buffer and bind every tensor's grad to its view again."""
+        self.grad.fill(0.0)
+        for p, grad in zip(self.params.values(), self._grads):
+            if p.grad is not grad:
+                p.grad = grad
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
@@ -132,6 +173,15 @@ def evaluate_mse(model, windows, batch_size: int = 64) -> float:
         total_se += float(((pred - batch.y) ** 2).sum())
         count += batch.y.size
     return total_se / count
+
+
+def stacked_mse(y_true: np.ndarray, y_pred: np.ndarray, batch_size: int = 64) -> float:
+    """evaluate_mse of stacked truths and predictions: the same per-batch sums, in order."""
+    total_se = 0.0
+    for start in range(0, len(y_true), batch_size):
+        end = start + batch_size
+        total_se += float(((y_pred[start:end] - y_true[start:end]) ** 2).sum())
+    return total_se / y_true.size
 
 
 def naive_repeat_last_mse(windows, batch_size: int = 64) -> float:
@@ -242,7 +292,7 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
             if result.best_val is None or val_mse < result.best_val:
                 result.best_val = val_mse
                 result.best_epoch = epoch
-                best_snapshot = {n: p.data.copy() for n, p in params.items()}
+                best_snapshot = opt.data.copy()
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -253,8 +303,9 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
             break
 
     if best_snapshot is not None:
-        for name, p in params.items():
-            p.data[...] = best_snapshot[name]
+        np.copyto(opt.data, best_snapshot)
+    for p in params.values():
+        p.grad = None  # releases the grad buffer
     result.steps_run = opt.step_count
     result.rng_state = rng.state_dict(gen)
     return result

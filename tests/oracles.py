@@ -10,14 +10,15 @@ keeps its own finite-difference test. `composed_block` is a transformer
 block built from those records. `np_attention` is the per-head numpy loop
 that the attention and block tests check values against. The kernel
 expressions at the end are the plain forms that `tokencast.kernels`
-computes with in-place passes.
+computes with in-place passes. `LoopAdamW` is the optimizer as a loop over
+the tensors, which the flat-buffer `training.AdamW` must match bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from tokencast import kernels
+from tokencast import kernels, training
 from tokencast import tensor as T
 from tokencast.backbone import MASK_FILL, NORM_EPS
 from tokencast.tensor import ShapeError, Tensor, emit, _unbroadcast
@@ -226,3 +227,41 @@ def silu(x):
 def silu_grad(x, gout):
     s = 1.0 / (1.0 + np.exp(-x))
     return gout * (s * (1.0 + x * (1.0 - s)))
+
+
+# ---------------------------------------------------------------- optimizer
+
+
+class LoopAdamW(training.AdamW):
+    """`training.AdamW` stepping one tensor at a time, as it did before its flat buffers.
+
+    Each tensor has its own moments and its own `kernels.adamw_update`
+    call, a None grad steps as zeros, and zero_grad drops every grad, so
+    a backward stores fresh ones. The values still live in the base
+    class's value buffer, which `training.train` snapshots for early
+    stopping.
+    """
+
+    def __init__(self, params, **kwargs):
+        grads = [p.grad for p in params.values()]
+        super().__init__(params, **kwargs)
+        for p, grad in zip(params.values(), grads):
+            p.grad = grad  # what the caller left, not a view of the grad buffer
+        self._m = {name: np.zeros(p.size) for name, p in self.params.items()}
+        self._v = {name: np.zeros(p.size) for name, p in self.params.items()}
+        self._scratch = np.empty((2, max((p.size for p in self.params.values()), default=0)))
+
+    def step(self) -> None:
+        self.step_count += 1
+        for name, p in self.params.items():
+            g = p.grad.reshape(-1) if p.grad is not None else np.zeros(p.size)
+            kernels.adamw_update(
+                p.data.reshape(-1), np.ascontiguousarray(g),
+                self._m[name], self._v[name], self.step_count,
+                self.lr, self.beta1, self.beta2, self.eps, self.weight_decay,
+                self._scratch,
+            )
+
+    def zero_grad(self) -> None:
+        for p in self.params.values():
+            p.zero_grad()

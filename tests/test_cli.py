@@ -23,6 +23,7 @@ from tokencast.backbone import pretrain_then_freeze
 from tokencast.checkpoint import read_header
 from tokencast.config import RunConfig
 from tokencast.data import load_csv
+from tokencast.training import TrainResult
 
 TINY = [
     "--length", "260", "--lookback", "16", "--horizon", "4", "--dim", "8",
@@ -567,6 +568,27 @@ def test_multi_model_verbs_build_one_trunk(tmp_path, monkeypatch, verb):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("verb, models", [(["ablate"], 5), (["sweep-n", "--n-values", "1,2"], 2)],
+                         ids=["ablate", "sweep-n"])
+def test_multi_model_verbs_forward_the_test_split_once(tmp_path, monkeypatch, verb, models):
+    # training is stubbed out, so every forward left scores the test split:
+    # one pass per model gives its mse and its routing stats
+    forwarded = []
+    forward_array = model.Forecaster.forward_array
+
+    def counting(self, x):
+        forwarded.append(len(x))
+        return forward_array(self, x)
+
+    monkeypatch.setattr(model.Forecaster, "forward_array", counting)
+    monkeypatch.setattr(cli, "train", lambda *args: TrainResult())
+    code = cli.main([*verb, *TINY, "--length", "400", "--out", str(tmp_path)])
+    assert code == 0
+    _, _, (_, _, test_ws) = cli.prepare_data(RunConfig(length=400, lookback=16, horizon=4))
+    assert test_ws.count > 64  # more than one block of evaluate_mse's batch size
+    assert sum(forwarded) == models * test_ws.count
+
+
 def test_sweep_n_rejects_bad_values(tmp_path, capsys):
     assert cli.main(["sweep-n", *TINY, "--n-values", "0,9"]) == 2
     assert cli.main(["sweep-n", *TINY, "--n-values", "abc"]) == 2
@@ -896,6 +918,44 @@ def test_forecast_reads_csv_with_bom(tiny_run, tmp_path):
                          "--date-column", "date", "--output", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def forecast_csv(ckpt, src, out, *flags):
+    assert cli.main(["forecast", "--checkpoint", str(ckpt), "--input", str(src), *flags,
+                     "--output", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("column, stamp", [
+    ("date", str),
+    ("stamp", lambda i: f"2024-01-{i // 24 + 1:02d}T{i % 24:02d}:00"),
+], ids=["numeric", "iso"])
+def test_forecast_drops_the_checkpoints_date_column(tiny_run, tmp_path, column, stamp):
+    # without --date-column the checkpoint's date_column is dropped, so a
+    # numeric one is not forecast as one more channel
+    ckpt, hist = tiny_run
+    if column != "date":
+        ckpt = train_tiny(tmp_path / "run", ["--set", f"date_column={column}"])
+    header, *rows = hist.read_text().splitlines()
+    dated = tmp_path / "dated.csv"
+    dated.write_text("\n".join([header.replace("date", column, 1)] + [
+        ",".join([stamp(i), *row.split(",")[1:]]) for i, row in enumerate(rows)]) + "\n")
+    reference = forecast_csv(ckpt, hist, tmp_path / "ref.csv", "--date-column", "date")
+    assert forecast_csv(ckpt, dated, tmp_path / "fc.csv") == reference
+    assert reference.startswith(b"step,ch0,ch1,ch2\r\n")
+
+
+def test_forecast_empty_date_column_reads_every_column(tiny_run, tmp_path, capsys):
+    ckpt, hist = tiny_run
+    values = tmp_path / "values.csv"  # the history without its date column
+    values.write_text("".join(line.split(",", 1)[1] + "\n"
+                              for line in hist.read_text().splitlines()))
+    reference = forecast_csv(ckpt, hist, tmp_path / "ref.csv", "--date-column", "date")
+    assert forecast_csv(ckpt, values, tmp_path / "fc.csv", "--date-column", "") == reference
+    capsys.readouterr()
+    code = cli.main(["forecast", "--checkpoint", str(ckpt), "--input", str(values),
+                     "--output", str(tmp_path / "missing.csv")])
+    assert "date column 'date' not in header" in assert_data_error(code, capsys)
 
 
 def test_module_entry_point_forecasts_like_main(tiny_run, tmp_path):

@@ -7,6 +7,8 @@ import pytest
 
 from tokencast import training as tr
 from tokencast import tensor as T
+from tokencast.backbone import pretrain_then_freeze
+from tokencast.checkpoint import load_checkpoint, save_checkpoint
 from tokencast.config import RunConfig
 from tokencast.data import (
     DataError,
@@ -19,7 +21,8 @@ from tokencast.dlora import batch_stats
 from tokencast.model import Forecaster
 from tokencast.tensor import Tensor
 
-from helpers import tape_ops
+from helpers import rand, tape_ops
+from oracles import LoopAdamW
 
 
 def tiny_cfg(**kw):
@@ -135,16 +138,95 @@ def test_adamw_descends_against_gradient_sign():
 def test_adamw_step_allocates_no_array_sized_block():
     p = T.parameter(np.linspace(-1.0, 1.0, 50_000))
     small = T.parameter(np.ones(7))
-    opt = tr.AdamW({"p": p, "small": small}, lr=0.1, weight_decay=0.1)
-    p.grad, small.grad = np.full(p.shape, 0.5), np.ones(7)
-    opt.step()
-    tracemalloc.start()
-    try:
+    desk = Forecaster(RunConfig()).trainable()  # 71 tensors, 86992 values
+    for params in ({"p": p, "small": small}, desk):
+        opt = tr.AdamW(params, lr=0.1, weight_decay=0.1)
+        opt.grad.fill(0.5)
         opt.step()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < p.data.nbytes // 10
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < opt.data.nbytes // 10
+
+
+def test_adamw_matches_per_tensor_oracle():
+    # over 5 steps: grads added into the bound views (as a backward does),
+    # assigned from outside, or None; decay on, a frozen tensor, and one
+    # tensor longer than CHUNK in a total that is not a multiple of it
+    shapes = {"big": (tr.CHUNK + 37,), "w": (5, 3), "none": (4,)}
+
+    def params():
+        out = {name: T.parameter(rand(shape, i)) for i, (name, shape) in enumerate(shapes.items())}
+        out["frozen"] = Tensor(rand((6,), 9))
+        return out
+
+    flat, loop = params(), params()
+    opts = [tr.AdamW(flat, lr=1e-2, weight_decay=0.1), LoopAdamW(loop, lr=1e-2, weight_decay=0.1)]
+    assert sum(p.size for p in flat.values() if p.requires_grad) % tr.CHUNK != 0
+    for step in range(5):
+        for ps, opt in zip((flat, loop), opts):
+            for name in ("big", "w"):
+                g = rand(shapes[name], 10 * step + len(name))
+                if step % 2 and ps[name].grad is not None:
+                    ps[name].grad += g
+                else:
+                    ps[name].grad = g
+            ps["none"].grad = None
+            opt.step()
+            opt.zero_grad()
+        for name in flat:
+            np.testing.assert_array_equal(flat[name].data, loop[name].data, err_msg=name)
+    assert "frozen" not in opts[0].params and np.array_equal(flat["frozen"].data, rand((6,), 9))
+
+
+def test_adamw_binds_every_trainable_to_one_buffer():
+    # checkpoint loads read straight into each tensor's C-contiguous buffer
+    m = Forecaster(tiny_cfg())
+    before = {k: p.data.copy() for k, p in m.trainable().items()}
+    opt = tr.AdamW(m.trainable())
+    for name, p in m.trainable().items():
+        assert p.data.base is opt.data and p.data.flags.c_contiguous, name
+        assert p.grad.base is opt.grad and not p.grad.any(), name
+        np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+    assert opt.data.size == sum(p.size for p in before.values())
+
+
+def test_train_leaves_no_grads_and_round_trips_a_checkpoint(tmp_path):
+    train_ws, val_ws = sine_windows()
+    m = Forecaster(tiny_cfg())
+    tr.train(m, train_ws, val_ws, RunConfig(lr=1e-2, epochs=2, seed=0))
+    assert all(p.grad is None for p in m.named_parameters().values())
+    save_checkpoint(tmp_path / "m.ckpt", m)
+    loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+    x = val_ws.batch(np.arange(val_ws.count)).x
+    np.testing.assert_array_equal(loaded.predict(x), m.predict(x))
+
+
+@pytest.mark.parametrize("case", ["full", "v3_static_lora", "pretrain", "early_stop"])
+def test_train_matches_per_tensor_optimizer(monkeypatch, case):
+    # the flat buffers change no bit of a seeded run, pretraining and
+    # the early-stop restore included
+    def run():
+        train_ws, val_ws = sine_windows()
+        cfg = tiny_cfg(variant="v3_static_lora" if case == "v3_static_lora" else "full",
+                       pretrain_mode="pretrain_then_freeze" if case == "pretrain" else "random_frozen")
+        m = Forecaster(cfg)
+        if case == "pretrain":
+            pretrain_then_freeze(m.backbone, train_ws.view, 16, 4, steps=8, seed=5)
+        run_cfg = RunConfig(lr=3e-2, epochs=6, batch_size=16, seed=1, weight_decay=0.01,
+                            patience=1 if case == "early_stop" else 0)
+        res = tr.train(m, train_ws, val_ws if case == "early_stop" else None, run_cfg)
+        return res, {k: p.data.tobytes() for k, p in m.named_parameters().items()}
+
+    flat, flat_params = run()
+    monkeypatch.setattr(tr, "AdamW", LoopAdamW)
+    loop, loop_params = run()
+    assert flat.history == loop.history and flat_params == loop_params
+    if case == "early_stop":
+        assert flat.stopped_early and flat.best_epoch < flat.epochs_run - 1
 
 
 def test_adamw_skips_frozen_params():
