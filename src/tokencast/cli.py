@@ -56,10 +56,11 @@ from .dlora import RoutingStats
 from .metrics import MetricError, build_report, naive_seasonal_forecast, seasonality_for
 from .model import Forecaster
 from .training import (
+    EVAL_BATCH,
     NumericError,
+    evaluate,
     evaluate_mse,
     naive_repeat_last_mse,
-    stacked_mse,
     train,
     write_history_csv,
 )
@@ -144,13 +145,13 @@ def routing_payload(model: Forecaster, stats: RoutingStats | None) -> dict:
     return payload
 
 
-def predict_blocks(model: Forecaster, windows, batch_size: int = 64):
+def predict_blocks(model: Forecaster, windows):
     """Stacked (windows, channels, horizon) truths, predictions, lookbacks,
     and the routing stats of the same forwards (None for an unrouted model)."""
     if windows.count < 1:
         raise DataError("no evaluation windows; split is too short")
     xs, ys, ps, probs = [], [], [], []
-    for batch in windows.iter_batches(batch_size):
+    for batch in windows.iter_batches(EVAL_BATCH):
         pred, batch_probs = model.forward_array(batch.x)
         xs.append(batch.x)
         ys.append(batch.y)
@@ -300,8 +301,8 @@ def cmd_ablate(args) -> int:
         report = model.parameter_report()
         test_mse, stats = float("nan"), None
         if test_ws.count:
-            _, y_true, y_pred, stats = predict_blocks(model, test_ws)
-            test_mse = stacked_mse(y_true, y_pred)
+            test_mse, probs = evaluate(model, test_ws)
+            stats = model.routing_stats(probs) if model.uses_routers else None
         # constant gates carry no selection variability
         entropy = float(np.mean(stats.entropy_bits())) if stats is not None else 0.0
         rows.append({
@@ -344,8 +345,8 @@ def cmd_sweep_n(args) -> int:
         n = ncfg.n_active
         train(model, train_ws, val_ws, ncfg)
         if test_ws.count:
-            _, y_true, y_pred, stats = predict_blocks(model, test_ws)
-            test_mse = stacked_mse(y_true, y_pred)
+            test_mse, probs = evaluate(model, test_ws)
+            stats = model.routing_stats(probs)
         else:
             test_mse, stats = float("nan"), model.collect_routing_stats(train_ws)
         payload = stats.to_json_dict()

@@ -68,14 +68,13 @@ class Tape:
         so a leaf reached only off the path keeps grad None. Pulls return
         None for inputs that need no grad. An op output's grad is dropped
         once its pull has run; leaves keep theirs. A leaf whose grad is
-        bound (`training.AdamW` binds each trainable's grad to a zeroed view
-        of its grad buffer) accumulates every contribution in place; 0.0 + g
-        has the bits of g, except that a -0.0 turns +0.0. An unbound grad's
-        first contribution is stored as is, since nothing else holds it,
-        unless it is read-only or shares memory with another array the same
-        pull handed over (add gives one array to both inputs); then it is
-        copied. No two grads share memory, so later contributions add in
-        place.
+        already set accumulates every contribution in place; on a zeroed
+        grad, 0.0 + g has the bits of g, except that a -0.0 turns +0.0. A
+        None grad's first contribution is stored as is, since nothing else
+        holds it, unless it is read-only or shares memory with another array
+        the same pull handed over (add gives one array to both inputs); then
+        it is copied. No two grads share memory, so later contributions add
+        in place.
         """
         if loss.data.size != 1:
             raise ShapeError(

@@ -162,29 +162,30 @@ class TrainResult:
     rng_state: dict | None = None  # batch-order generator state at exit
 
 
-def evaluate_mse(model, windows, batch_size: int = 64) -> float:
+EVAL_BATCH = 64  # windows per forward when scoring a split
+
+
+def evaluate_mse(model, windows, batch_size: int = EVAL_BATCH) -> float:
     """Mean squared forecast error over every window, no gradient tape."""
+    return evaluate(model, windows, batch_size)[0]
+
+
+def evaluate(model, windows, batch_size: int = EVAL_BATCH) -> tuple[float, list]:
+    """evaluate_mse, and each batch's router outputs from the same forwards."""
     if windows.count < 1:
         raise ValueError("no windows to evaluate")
     total_se = 0.0
     count = 0
+    probs = []
     for batch in windows.iter_batches(batch_size):
-        pred = model.predict(batch.x)
-        total_se += float(((pred - batch.y) ** 2).sum())
+        pred, batch_probs = model.forward_array(batch.x)
+        total_se += float(((pred.data - batch.y) ** 2).sum())
         count += batch.y.size
-    return total_se / count
+        probs.append(batch_probs)
+    return total_se / count, probs
 
 
-def stacked_mse(y_true: np.ndarray, y_pred: np.ndarray, batch_size: int = 64) -> float:
-    """evaluate_mse of stacked truths and predictions: the same per-batch sums, in order."""
-    total_se = 0.0
-    for start in range(0, len(y_true), batch_size):
-        end = start + batch_size
-        total_se += float(((y_pred[start:end] - y_true[start:end]) ** 2).sum())
-    return total_se / y_true.size
-
-
-def naive_repeat_last_mse(windows, batch_size: int = 64) -> float:
+def naive_repeat_last_mse(windows, batch_size: int = EVAL_BATCH) -> float:
     """Baseline that repeats each window's final observation across the horizon."""
     total_se = 0.0
     count = 0

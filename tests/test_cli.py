@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -23,7 +24,7 @@ from tokencast.backbone import pretrain_then_freeze
 from tokencast.checkpoint import read_header
 from tokencast.config import RunConfig
 from tokencast.data import load_csv
-from tokencast.training import TrainResult
+from tokencast.training import EVAL_BATCH, TrainResult, evaluate_mse
 
 TINY = [
     "--length", "260", "--lookback", "16", "--horizon", "4", "--dim", "8",
@@ -573,7 +574,7 @@ def test_multi_model_verbs_build_one_trunk(tmp_path, monkeypatch, verb):
 def test_multi_model_verbs_forward_the_test_split_once(tmp_path, monkeypatch, verb, models):
     # training is stubbed out, so every forward left scores the test split:
     # one pass per model gives its mse and its routing stats
-    forwarded = []
+    forwarded, built = [], []
     forward_array = model.Forecaster.forward_array
 
     def counting(self, x):
@@ -581,12 +582,17 @@ def test_multi_model_verbs_forward_the_test_split_once(tmp_path, monkeypatch, ve
         return forward_array(self, x)
 
     monkeypatch.setattr(model.Forecaster, "forward_array", counting)
-    monkeypatch.setattr(cli, "train", lambda *args: TrainResult())
+    monkeypatch.setattr(cli, "train", lambda m, *args: built.append(m) or TrainResult())
     code = cli.main([*verb, *TINY, "--length", "400", "--out", str(tmp_path)])
     assert code == 0
     _, _, (_, _, test_ws) = cli.prepare_data(RunConfig(length=400, lookback=16, horizon=4))
-    assert test_ws.count > 64  # more than one block of evaluate_mse's batch size
+    # several blocks of evaluate_mse's batch size, the last one short
+    assert test_ws.count > EVAL_BATCH and test_ws.count % EVAL_BATCH
     assert sum(forwarded) == models * test_ws.count
+    # the written mse is evaluate_mse's, bit for bit
+    with open(next(tmp_path.glob("*.csv"))) as fh:
+        written = [float(row["test_mse"]) for row in csv.DictReader(fh)]
+    assert written == [evaluate_mse(m, test_ws) for m in built]
 
 
 def test_sweep_n_rejects_bad_values(tmp_path, capsys):
