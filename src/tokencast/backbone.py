@@ -36,7 +36,7 @@ from .config import RunConfig
 from .data import DataError, WindowSet
 from .embedding import OutputHead, TsEmbedder, denormalize, instance_normalize
 from .tensor import ShapeError, Tensor
-from .training import train
+from .training import flat_views, train
 
 INIT_STD = 0.02
 NORM_EPS = 1e-6
@@ -95,6 +95,20 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
     Outside a tape the intermediates still live until the op returns:
     dropping each one once used made the allocator hand pages back and
     fault them in again, and a batch-64 desk forward ran slower.
+
+    For its pull the op keeps x, x2, gate_out, up, h1, the per-row inverse
+    norms, attention's head-major q, k, v and probabilities, and each
+    delta's gated rank-r rows. It does not keep silu(gate_out), its product
+    with up, or the attention context: each is one product away from what
+    is kept, so the pull forms it again with the forward's own expression
+    (the same bits), only when a grad that reads it is formed, and drops it
+    after its last reader. The sigmoid of gate_out it forms for that also
+    serves the silu grad. x and x2 would cost a norm each, and rebuilding
+    them as well slowed desk training steps by 2-3%, so they stay kept.
+    The forward multiplies up into the silu's buffer in place: once the
+    two were no longer kept, a separate buffer for the product left one
+    more ffn-wide array per block for the allocator to hand back and fault
+    in again, and main_text training steps ran about 2% slower.
     """
     cfg, attn_norm, ffn_norm = block.cfg, block.attn_norm, block.ffn_norm
     d = cfg.dim
@@ -105,7 +119,7 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
     hd, shape = h.data, h.shape
     n = shape[-2]
     mask = np.triu(np.full((n, n), MASK_FILL), k=1) if cfg.causal_mask and n > 1 else None
-    saved = []  # per linear: input, adapter, and apply's gated rank-r rows and mask
+    saved = []  # per linear: adapter, and apply's gated rank-r rows and mask
 
     def linear(i, z):
         name = dlora.MODULE_NAMES[i]
@@ -114,7 +128,7 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
                                   gates.get(name) if gates else None)
         if low is not None:
             inputs.extend((adapter.down, adapter.up))
-        saved.append((z, adapter, low, m))
+        saved.append((adapter, low, m))
         return out
 
     x, inv1 = kernels.rmsnorm_rows(hd.reshape(-1, d), attn_norm.data, NORM_EPS)
@@ -125,17 +139,21 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
     x2, inv2 = kernels.rmsnorm_rows(h1.reshape(-1, d), ffn_norm.data, NORM_EPS)
     x2 = x2.reshape(shape)
     gate_out = linear(4, x2)
-    gated = kernels.silu(gate_out.reshape(-1)).reshape(gate_out.shape)
+    prod = kernels.silu(gate_out.reshape(-1)).reshape(gate_out.shape)
     up = linear(5, x2)
-    prod = gated * up
+    prod *= up  # silu(gate_out) * up, in the silu's buffer
     out = h1 + linear(6, prod)
 
     def pull(g):
         grads = [None] * 10
         factor_grads = [(None, None)] * 7  # down and up grads of each linear's delta
 
-        def back(i, gz, gout):
-            z, adapter, low, m = saved[i]
+        def reads_input(i):
+            adapter, low, _ = saved[i]
+            return dlora.reads_input(weights[i], adapter, low)
+
+        def back(i, gz, gout, z):
+            adapter, low, m = saved[i]
             gz, grads[3 + i], gd, gu = dlora.apply_grads(gz, gout, z, weights[i], adapter, low, m)
             factor_grads[i] = (gd, gu)
             return gz
@@ -143,29 +161,38 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
         # Tape.backward hands over a grad no other tensor holds, so the
         # norms' shares of h's grad are added into it in place, as the tape did
         g = np.ascontiguousarray(g)
-        gprod = back(6, None, g)
-        gx2 = back(5, None, gprod * gated)
+        flat = gate_out.reshape(-1)
+        s = kernels.sigmoid(flat)
+        gated = (s * flat).reshape(gate_out.shape)  # silu(gate_out), as kernels.silu forms it
+        prod = gated * up if reads_input(6) else None
+        gprod = back(6, None, g, prod)
+        del prod
+        gx2 = back(5, None, gprod * gated, x2)
+        del gated
         ggated = np.ascontiguousarray(gprod * up).reshape(-1)
-        ggate = kernels.silu_grad(gate_out.reshape(-1), ggated).reshape(gate_out.shape)
-        gx2 = back(4, gx2, ggate)
+        ggate = kernels.silu_grad(flat, ggated, s).reshape(gate_out.shape)
+        del s
+        gx2 = back(4, gx2, ggate, x2)
         gh1 = g  # the residual's share, then the norms'
         g2 = np.ascontiguousarray(gx2.reshape(-1, d))
         rows = h1.reshape(-1, d)
         gh1 += kernels.rmsnorm_rows_grad(rows, ffn_norm.data, inv2, g2).reshape(shape)
         if ffn_norm.requires_grad:
             grads[2] = kernels.rmsnorm_gain_grad(rows, inv2, g2)
-        gctx = back(3, None, gh1)
+        ctx = T.attend_context(att, shape) if reads_input(3) else None
+        gctx = back(3, None, gh1, ctx)
+        del ctx
         gq, gk, gv = T.attend_grads(att, gctx, shape, shape)
-        gx = back(2, None, gv)
-        gx = back(1, gx, gk)
-        gx = back(0, gx, gq)
+        gx = back(2, None, gv, x)
+        gx = back(1, gx, gk, x)
+        gx = back(0, gx, gq, x)
         g2 = np.ascontiguousarray(gx.reshape(-1, d))
         rows = hd.reshape(-1, d)
         gh1 += kernels.rmsnorm_rows_grad(rows, attn_norm.data, inv1, g2).reshape(shape)
         if attn_norm.requires_grad:
             grads[1] = kernels.rmsnorm_gain_grad(rows, inv1, g2)
         grads[0] = gh1
-        for (_, _, low, _), pair in zip(saved, factor_grads):
+        for (_, low, _), pair in zip(saved, factor_grads):
             if low is not None:
                 grads += pair
         return grads
@@ -222,7 +249,11 @@ def pretrain_then_freeze(backbone: Backbone, corpus_view, lookback: int,
 
     One `training.train` run of at least `steps` steps, in whole epochs, on
     the stack between a throwaway embedder and head; only the block weights
-    persist. Returns the per-epoch train losses.
+    persist. They are copied out of the run's flat value buffer into one
+    buffer of their own, so the embedder and head go with the run's; one
+    buffer, not one array per tensor, because the small copies spread over
+    the heap and a desk pretraining fit peaked 1.8 MB higher. Returns the
+    per-epoch train losses.
     """
     if backbone.cfg.pretrain_mode != "pretrain_then_freeze":
         raise ShapeError("backbone was not configured for pretraining")
@@ -248,5 +279,9 @@ def pretrain_then_freeze(backbone: Backbone, corpus_view, lookback: int,
     try:
         result = train(model, windows, None, cfg)
     finally:
+        trunk = list(backbone.tensors().values())
+        for t, home in zip(trunk, flat_views(np.empty(sum(t.size for t in trunk)), trunk)):
+            home[...] = t.data
+            t.data = home
         backbone.freeze()
     return [row["train_loss"] for row in result.history]

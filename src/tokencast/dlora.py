@@ -74,29 +74,37 @@ def apply(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
     return out.reshape(lead + weight.shape[1:]), low, mask
 
 
-def apply_grads(gx, g, x: np.ndarray, weight: Tensor, adapter: LoraAdapter | None,
+def reads_input(weight: Tensor, adapter: LoraAdapter | None, low: np.ndarray | None) -> bool:
+    """Whether `apply_grads` reads the linear's input: for the weight's or the down grad."""
+    return weight.requires_grad or (low is not None and adapter.down.requires_grad)
+
+
+def apply_grads(gx, g, x: np.ndarray | None, weight: Tensor, adapter: LoraAdapter | None,
                 low: np.ndarray | None, mask: np.ndarray | None):
     """Grads of one adapted linear without bias from its output grad g.
 
-    x is the linear's input and low and mask are what `apply` returned for
-    it; the delta's grads are formed only when low shows that it ran. The
-    input's grad is added into gx (None: nothing yet), the delta's share
-    before the base product's, as the lora_linear and matmul records added
-    theirs. Returns gx and the weight, down and up grads, each None where
-    that parameter is frozen or its delta did not run.
+    x is the linear's input, which may be None when `reads_input` is false,
+    and low and mask are what `apply` returned for it; the delta's grads
+    are formed only when low shows that it ran. The input's grad is added
+    into gx (None: nothing yet), the delta's share before the base
+    product's, as the lora_linear and matmul records added theirs. Returns
+    gx and the weight, down and up grads, each None where that parameter is
+    frozen or its delta did not run.
     """
     k, p = weight.shape
-    g2, x2 = g.reshape(-1, p), x.reshape(-1, k)
+    shape = g.shape[:-1] + (k,)
+    g2 = g.reshape(-1, p)
+    x2 = None if x is None else x.reshape(-1, k)
     gd = gu = None
     if low is not None:
         down, up = adapter.down, adapter.up
         glow = g2 @ up.data.T
         if mask is not None:
-            glow = (glow.reshape(x.shape[:-1] + low.shape[1:]) * mask).reshape(low.shape)
-        gx = _accumulate(gx, (glow @ down.data.T).reshape(x.shape))
+            glow = (glow.reshape(shape[:-1] + low.shape[1:]) * mask).reshape(low.shape)
+        gx = _accumulate(gx, (glow @ down.data.T).reshape(shape))
         gd = x2.T @ glow if down.requires_grad else None
         gu = low.T @ g2 if up.requires_grad else None
-    gx = _accumulate(gx, (g2 @ weight.data.T).reshape(x.shape))
+    gx = _accumulate(gx, (g2 @ weight.data.T).reshape(shape))
     return gx, x2.T @ g2 if weight.requires_grad else None, gd, gu
 
 

@@ -68,7 +68,8 @@ def rmsnorm_gain_grad(x, inv, gout):
     return t.sum(axis=0)
 
 
-def _sigmoid(x):
+def sigmoid(x):
+    """1 / (1 + exp(-x)), in one fresh buffer."""
     s = np.negative(x)
     np.exp(s, out=s)
     s += 1.0
@@ -76,13 +77,13 @@ def _sigmoid(x):
 
 
 def silu(x):
-    s = _sigmoid(x)
+    s = sigmoid(x)
     s *= x
     return s
 
 
-def silu_grad(x, gout):
-    s = _sigmoid(x)
+def silu_grad(x, gout, s):
+    """Grad of silu at x from its output grad, given s = sigmoid(x) that the caller holds."""
     t = np.subtract(1.0, s)
     t *= x
     t += 1.0

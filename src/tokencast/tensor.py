@@ -12,7 +12,8 @@ of their state inputs: the learning embedder makes those require grad in
 every training step, and Tape.backward drops a grad an input does not
 require. The ops here and those two are exactly the ones the model
 records, no more; ops defined elsewhere record through `emit`, ask
-`recording`, and run attention on arrays with `attend`/`attend_grads`.
+`recording`, and run attention on arrays with `attend`, `attend_context`
+and `attend_grads`.
 matmul takes a 2-D weight and folds the leading axes of its left operand
 into rows, so it runs as one GEMM, forward and backward. Outside a tape
 every op is forward-only, which is what inference wants.
@@ -75,13 +76,19 @@ class Tape:
         the same pull handed over (add gives one array to both inputs); then
         it is copied. No two grads share memory, so later contributions add
         in place.
+
+        A tape runs backward once: each record is dropped as its turn comes,
+        so what its pull kept is freed once its grads exist, and the tape is
+        empty when backward returns.
         """
         if loss.data.size != 1:
             raise ShapeError(
                 f"backward() needs a scalar loss, got shape {loss.data.shape}"
             )
         loss.grad = np.ones_like(loss.data)
-        for out, inputs, pull in reversed(self._records):
+        records = self._records
+        while records:
+            out, inputs, pull = records.pop()
             g = out.grad
             if g is None:
                 continue
@@ -242,7 +249,8 @@ def silu(a: Tensor) -> Tensor:
     data = kernels.silu(flat).reshape(x.shape)
 
     def pull(g):
-        return (kernels.silu_grad(flat, np.ascontiguousarray(g).reshape(-1)).reshape(x.shape),)
+        gflat = np.ascontiguousarray(g).reshape(-1)
+        return (kernels.silu_grad(flat, gflat, kernels.sigmoid(flat)).reshape(x.shape),)
 
     return emit(data, (a,), pull)
 
@@ -395,7 +403,9 @@ def attend(qd, kd, vd, heads, mask, keep):
 
     Returns the context, shaped like qd, and what `attend_grads` needs, or
     None when `keep` is unset: the head-major operands and the probabilities
-    are then dropped as soon as their product is formed.
+    are then dropped as soon as their product is formed. What is kept holds
+    the probabilities and values, so `attend_context` can form the context
+    again with the same bits.
     """
     shape, d = qd.shape, qd.shape[-1]
     dh = d // heads
@@ -417,11 +427,21 @@ def attend(qd, kd, vd, heads, mask, keep):
     m = scores.shape[-1]
     probs = kernels.softmax_rows(scores.reshape(-1, m)).reshape(scores.shape)
     del scores
-    ctx = probs @ vp  # (.., H, N, dh)
+    ctx_t = _context(probs, vp)
     if not keep:
         del probs, vp
-    ctx_t = np.ascontiguousarray(ctx.swapaxes(-3, -2))  # (.., N, H, dh)
     return ctx_t.reshape(shape), ((qp, kp, vp, probs, c, ctx_t.shape) if keep else None)
+
+
+def _context(probs, vp):
+    """The (.., N, H, dh) context of head-major probabilities and values."""
+    return np.ascontiguousarray((probs @ vp).swapaxes(-3, -2))
+
+
+def attend_context(saved, shape):
+    """The context `attend` returned, shaped `shape`, formed again from what it kept."""
+    _, _, vp, probs, _, _ = saved
+    return _context(probs, vp).reshape(shape)
 
 
 def attend_grads(saved, g, k_shape, v_shape):

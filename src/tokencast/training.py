@@ -66,6 +66,14 @@ def total_loss(task: Tensor, probs: list[Tensor], f: np.ndarray, lambda_lb: floa
     return T.add(task, T.scale(load_balance_loss(probs, f), lambda_lb))
 
 
+def flat_views(buffer: np.ndarray, tensors):
+    """Consecutive C-contiguous views of a flat buffer, one shaped like each tensor."""
+    start = 0
+    for t in tensors:
+        yield buffer[start:start + t.size].reshape(t.shape)
+        start += t.size
+
+
 class AdamW:
     """Decoupled weight decay Adam over a named parameter dict.
 
@@ -94,17 +102,14 @@ class AdamW:
         self._v = np.zeros(total)
         self._scratch = np.empty((2, min(CHUNK, total)))
         self._grads = []  # each tensor's view of the grad buffer
-        start = 0
-        for p in self.params.values():
-            end = start + p.size
-            data = self.data[start:end].reshape(p.shape)
+        params = list(self.params.values())
+        for p, data, grad in zip(params, flat_views(self.data, params),
+                                 flat_views(self.grad, params)):
             data[...] = p.data
-            grad = self.grad[start:end].reshape(p.shape)
             if p.grad is not None:
                 grad[...] = p.grad
             p.data, p.grad = data, grad
             self._grads.append(grad)
-            start = end
 
     def step(self) -> None:
         """Update every tensor from its grad; a grad None counts as zeros.

@@ -5,6 +5,8 @@ twice per coordinate with the raw numpy buffers perturbed in place, so it
 stays an independent check on the analytic backward pass.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from tokencast.tensor import Tape
@@ -61,6 +63,12 @@ def assert_grads_match(build_loss, params, rtol=1e-5, atol=1e-7, h=1e-5):
             a, n, rtol=rtol, atol=atol,
             err_msg=f"gradient mismatch for parameter of shape {p.data.shape}",
         )
+
+
+def numpy_bytes():
+    """Bytes of the numpy data buffers alive now, as tracemalloc (started) traces them."""
+    only_numpy = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    return sum(t.size for t in tracemalloc.take_snapshot().filter_traces([only_numpy]).traces)
 
 
 def tape_ops(tape):

@@ -219,6 +219,10 @@ def rmsnorm_gain_grad(x, inv, gout):
     return (gout * x * inv[:, None]).sum(axis=0)
 
 
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def silu(x):
     s = 1.0 / (1.0 + np.exp(-x))
     return x * s

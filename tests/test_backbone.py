@@ -1,9 +1,11 @@
 """Frozen trunk behavior, adapter equivalence, and pretraining."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import rand, tape_ops
+from helpers import numpy_bytes, rand, tape_ops
 from oracles import composed_block, np_attention
 from tokencast import rng
 from tokencast import tensor as T
@@ -279,6 +281,32 @@ def test_optimizer_step_leaves_frozen_backbone_unchanged():
     assert not np.array_equal(extra.data, rand((4, 4), 28))
 
 
+def test_taped_block_keeps_only_what_its_pull_cannot_rebuild():
+    # numpy buffers a taped block holds after its forward, beyond its output
+    # and the per-row inverse norms: x, x2, gate_out, up, h1, the head-major
+    # q, k, v, the probabilities and each delta's gated rank-r rows. The
+    # silu output, its product with up and the attention context are not
+    # kept; the pull forms them again.
+    cfg = small_cfg(heads=2, seed=44)
+    block = Backbone(cfg).blocks[0]
+    b, n, d, f, r = 3, 4, cfg.dim, cfg.ffn_dim, cfg.rank
+    adapters = make_adapters(block, r=r, seed=45)
+    gates = {name: GATE_PATTERNS["mixed_rows"](j, b) for j, name in enumerate(MODULE_NAMES)}
+    h = Tensor(rand((b, n, d), 46), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = numpy_bytes()
+        with T.Tape() as tape:
+            out = block.forward(h, adapters, gates)
+            retained = numpy_bytes() - before
+    finally:
+        tracemalloc.stop()
+    assert tape_ops(tape) == ["transformer_block"]
+    states = b * n * d  # each of x, x2, h1, q, k, v
+    kept = 6 * states + 2 * b * n * f + b * cfg.heads * n * n + len(MODULE_NAMES) * b * n * r
+    assert retained - out.data.nbytes - 2 * 8 * b * n == 8 * kept
+
+
 def sine_view(rows):
     series = MultivariateSeries(name="p", values=np.sin(np.arange(float(rows)) / 7.0)[:, None])
     return chronological_split(series, SplitSpec(rows, 0, 0), lookback=16)[0]
@@ -370,6 +398,30 @@ def test_pretrain_step_sees_only_its_own_batch_grads(monkeypatch):
     assert len(seen) == 2 and set(seen[1]) == set(alone[1])
     for name, grad in seen[1].items():
         np.testing.assert_array_equal(grad, alone[1][name], err_msg=name)
+
+
+def test_pretrained_trunk_leaves_the_pretraining_buffer(monkeypatch):
+    # after pretraining no trunk tensor is a view of the run's flat value
+    # buffer, which also holds the throwaway embedder and head; each is a
+    # C-contiguous array that a checkpoint load can read into
+    from tokencast.training import AdamW
+
+    bb = Backbone(small_cfg(pretrain_mode="pretrain_then_freeze", seed=35))
+    runs, step_fn = [], AdamW.step
+
+    def spy_step(opt):
+        step_fn(opt)
+        runs.append((opt.params, {k: p.data.copy() for k, p in opt.params.items()}))
+
+    monkeypatch.setattr(AdamW, "step", spy_step)
+    pretrain_then_freeze(bb, sine_view(100), lookback=16, horizon=4, steps=2, seed=35)
+    params, trained = runs[-1]
+    throwaway = [p.data for k, p in params.items() if k.startswith("pretrain_")]
+    assert throwaway and all(a.base is not None for a in throwaway)
+    for name, t in bb.tensors().items():
+        assert t.data.flags.c_contiguous, name
+        assert not any(np.shares_memory(t.data, a.base) for a in throwaway), name
+        np.testing.assert_array_equal(t.data, trained[name], err_msg=name)
 
 
 def test_pretrain_rejects_random_frozen_mode():

@@ -57,22 +57,25 @@ def kernel_args(name):
         "rmsnorm_rows": (x, weight, 1e-6),
         "rmsnorm_rows_grad": (x, weight, inv, gout),
         "rmsnorm_gain_grad": (x, inv, gout),
+        "sigmoid": (x.reshape(-1),),
         "silu": (x.reshape(-1),),
         "silu_grad": (x.reshape(-1), gout.reshape(-1)),
     }[name]
 
 
 @pytest.mark.parametrize("name", ["softmax_rows", "softmax_rows_grad", "rmsnorm_rows",
-                                  "rmsnorm_rows_grad", "rmsnorm_gain_grad", "silu",
-                                  "silu_grad"])
+                                  "rmsnorm_rows_grad", "rmsnorm_gain_grad", "sigmoid",
+                                  "silu", "silu_grad"])
 def test_kernels_match_their_plain_expressions(name):
     # the in-place passes perform the plain expressions' operations in their
-    # order, so the bits are the same, and the arguments stay untouched
+    # order, so the bits are the same, and the arguments stay untouched;
+    # silu_grad takes the sigmoid its caller holds beside the oracle's arguments
     args = kernel_args(name)
-    before = [np.copy(a) for a in args]
-    got, want = getattr(kernels, name)(*args), getattr(O, name)(*args)
+    held = (kernels.sigmoid(args[0]),) if name == "silu_grad" else ()
+    before = [np.copy(a) for a in args + held]
+    got, want = getattr(kernels, name)(*args, *held), getattr(O, name)(*args)
     for g, w in zip(*(r if isinstance(r, tuple) else (r,) for r in (got, want))):
         np.testing.assert_array_equal(g, w)
-    for a, b in zip(args, before):
+    for a, b in zip(args + held, before):
         np.testing.assert_array_equal(a, b)
 

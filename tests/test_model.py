@@ -283,7 +283,7 @@ def test_tensor_defines_exactly_the_ops_the_model_records():
     # an op that no taped forward or loss records is a test oracle and lives
     # in tests/oracles.py; the fused block and router ops live with the model
     # parts whose algorithm they are, on tensor's engine helpers
-    helpers = {"parameter", "emit", "recording", "attend", "attend_grads"}
+    helpers = {"parameter", "emit", "recording", "attend", "attend_context", "attend_grads"}
     ops = {name for name, fn in vars(T).items()
            if inspect.isfunction(fn) and fn.__module__ == T.__name__
            and not name.startswith("_") and name not in helpers}

@@ -3,6 +3,7 @@
 import itertools
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as O
-from helpers import assert_grads_match, rand, tape_ops
+from helpers import assert_grads_match, numpy_bytes, rand, tape_ops
 from tokencast import dlora
 from tokencast import tensor as T
+from tokencast.backbone import Backbone
+from tokencast.config import RunConfig
 from tokencast.tensor import Tape, Tensor, ShapeError
 
 
@@ -115,6 +118,29 @@ def test_backward_rejects_nonscalar():
         y = T.square(x)
         with pytest.raises(ShapeError):
             tape.backward(y)
+
+
+def test_backward_frees_the_forward_activations():
+    # each record goes once its pull has run, so by the time backward returns
+    # only the stack's output, the loss and the leaf grad are left of the
+    # forward, although the tape itself is still alive
+    stack = Backbone(RunConfig(layers=2, dim=8, heads=2, ffn_dim=16, seed=3))
+    h = T.parameter(rand((4, 6, 8), 6))
+    tracemalloc.start()
+    try:
+        before = numpy_bytes()
+        with Tape() as tape:
+            out = stack.forward(h)
+            loss = T.total(T.square(out))
+            taped = numpy_bytes() - before
+            tape.backward(loss)
+            left = numpy_bytes() - before
+    finally:
+        tracemalloc.stop()
+    floor = out.data.nbytes + h.grad.nbytes
+    assert taped > 5 * floor  # the blocks kept their activations for the pulls
+    assert floor <= left <= floor + 64  # and gave them back: the loss and its grad remain
+    assert tape_ops(tape) == []
 
 
 def test_no_recording_outside_tape():
