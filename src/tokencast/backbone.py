@@ -96,15 +96,17 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
     dropping each one once used made the allocator hand pages back and
     fault them in again, and a batch-64 desk forward ran slower.
 
-    For its pull the op keeps x, x2, gate_out, up, h1, the per-row inverse
-    norms, attention's head-major q, k, v and probabilities, and each
-    delta's gated rank-r rows. It does not keep silu(gate_out), its product
-    with up, or the attention context: each is one product away from what
-    is kept, so the pull forms it again with the forward's own expression
-    (the same bits), only when a grad that reads it is formed, and drops it
-    after its last reader. The sigmoid of gate_out it forms for that also
-    serves the silu grad. x and x2 would cost a norm each, and rebuilding
-    them as well slowed desk training steps by 2-3%, so they stay kept.
+    For its pull the op keeps gate_out, up, h1, the per-row inverse norms,
+    attention's head-major q, k, v and probabilities, each delta's gated
+    rank-r rows, and x (x2) when the grad of q, k or v (gate or up) reads
+    it (`dlora.reads_input`); a frozen trunk with no open delta keeps
+    neither. It does not keep silu(gate_out), its product with up, or the
+    attention context: each is one product away from what is kept, so the
+    pull forms it again with the forward's own expression (the same bits),
+    only when a grad that reads it is formed, and drops it after its last
+    reader. The sigmoid of gate_out it forms for that also serves the silu
+    grad. Rebuilding x and x2 would cost a norm each and slowed desk
+    training steps by 2-3%, so they are kept when read.
     The forward multiplies up into the silu's buffer in place: once the
     two were no longer kept, a separate buffer for the product left one
     more ffn-wide array per block for the allocator to hand back and fault
@@ -121,6 +123,10 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
     mask = np.triu(np.full((n, n), MASK_FILL), k=1) if cfg.causal_mask and n > 1 else None
     saved = []  # per linear: adapter, and apply's gated rank-r rows and mask
 
+    def reads_input(i):
+        adapter, low, _ = saved[i]
+        return dlora.reads_input(weights[i], adapter, low)
+
     def linear(i, z):
         name = dlora.MODULE_NAMES[i]
         adapter = adapters.get(name) if adapters else None
@@ -134,23 +140,24 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
     x, inv1 = kernels.rmsnorm_rows(hd.reshape(-1, d), attn_norm.data, NORM_EPS)
     x = x.reshape(shape)
     q, k, v = linear(0, x), linear(1, x), linear(2, x)
-    ctx, att = T.attend(q, k, v, cfg.heads, mask, T.recording())
+    recording = T.recording()
+    if recording and not any(reads_input(i) for i in (0, 1, 2)):
+        x = None  # the pull hands None to apply_grads for each
+    ctx, att = T.attend(q, k, v, cfg.heads, mask, recording)
     h1 = hd + linear(3, ctx)
     x2, inv2 = kernels.rmsnorm_rows(h1.reshape(-1, d), ffn_norm.data, NORM_EPS)
     x2 = x2.reshape(shape)
     gate_out = linear(4, x2)
     prod = kernels.silu(gate_out.reshape(-1)).reshape(gate_out.shape)
     up = linear(5, x2)
+    if recording and not (reads_input(4) or reads_input(5)):
+        x2 = None
     prod *= up  # silu(gate_out) * up, in the silu's buffer
     out = h1 + linear(6, prod)
 
     def pull(g):
         grads = [None] * 10
         factor_grads = [(None, None)] * 7  # down and up grads of each linear's delta
-
-        def reads_input(i):
-            adapter, low, _ = saved[i]
-            return dlora.reads_input(weights[i], adapter, low)
 
         def back(i, gz, gout, z):
             adapter, low, m = saved[i]

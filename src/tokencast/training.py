@@ -14,11 +14,22 @@ batch order comes from one seeded generator, and AdamW updates each value
 by the textbook formula however its flat buffers are sliced. The early-stop
 snapshot is one copy of AdamW's value buffer; `train` returns with every
 trainable's grad None, which frees its grad buffer.
+
+`train` and `evaluate` free and allocate the same array sizes batch after
+batch, so both first call `keep_freed_memory`. It asks glibc's allocator
+to serve every array below 32 MiB from the heap and not to hand the
+heap's top back to the kernel, for the rest of the process. Otherwise a
+step's activations went back to the kernel when it ended, and the next
+step faulted the same pages in again: about 28K minor faults (111 MiB)
+and 6% of a main_text train step. No value changes; where `mallopt` does
+not exist (not glibc) the call does nothing.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +44,21 @@ from .tensor import Tape, Tensor
 
 DIVERGENCE_FACTOR = 1e6  # the divergence guard's factor; `train` says what it multiplies
 CHUNK = 1 << 14  # elements per `kernels.adamw_update` call: AdamW's scratch is (2, CHUNK)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # mallopt(3) parameters, from glibc's malloc.h
+MMAP_THRESHOLD = 32 << 20  # glibc's own ceiling for its dynamic threshold on 64-bit
+TRIM_THRESHOLD = 1 << 30  # above any step's freed footprint
+
+
+@functools.cache
+def keep_freed_memory() -> None:
+    """Have glibc keep the heap memory this process frees (module docstring)."""
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):  # no C library to open by name None
+        return
+    if mallopt is not None:
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 class NumericError(RuntimeError):
@@ -179,6 +205,7 @@ def evaluate(model, windows, batch_size: int = EVAL_BATCH) -> tuple[float, list]
     """evaluate_mse, and each batch's router outputs from the same forwards."""
     if windows.count < 1:
         raise ValueError("no windows to evaluate")
+    keep_freed_memory()
     total_se = 0.0
     count = 0
     probs = []
@@ -235,6 +262,7 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
     """
     if train_windows.count < 1:
         raise DataError("training split has no usable windows")
+    keep_freed_memory()
     params = model.trainable()
     opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     gen = rng.generator(cfg.seed, "batch_order")

@@ -964,6 +964,27 @@ def test_forecast_empty_date_column_reads_every_column(tiny_run, tmp_path, capsy
     assert "date column 'date' not in header" in assert_data_error(code, capsys)
 
 
+@pytest.mark.parametrize("channels", [2, 5])
+def test_forecast_takes_any_channel_count(tiny_run, tmp_path, channels):
+    # each channel is one token, so a 3-channel checkpoint forecasts any
+    # number of them; lookback and horizon are what must match
+    ckpt, _ = tiny_run
+    hist = tmp_path / "hist.csv"
+    assert cli.main(["synth", "--channels", str(channels), "--length", "40",
+                     "--output", str(hist)]) == 0
+    header, *rows = forecast_csv(ckpt, hist, tmp_path / "fc.csv").decode().splitlines()
+    assert header.split(",") == ["step", *load_csv(hist, date_column="date").channel_names]
+    assert len(header.split(",")) == channels + 1 and len(rows) == 4
+
+
+def test_eval_takes_any_channel_count(tiny_run, tmp_path):
+    ckpt, _ = tiny_run
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--channels", "7", "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert list(metrics["per_series"]) == [f"ch{i}" for i in range(7)]
+
+
 def test_module_entry_point_forecasts_like_main(tiny_run, tmp_path):
     # a user's forecast is a fresh process, which builds the parser once
     ckpt, hist = tiny_run

@@ -1,5 +1,8 @@
 """Optimizer laws, loss oracles, and training-loop behavior."""
 
+import ctypes
+import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -227,6 +230,55 @@ def test_train_matches_per_tensor_optimizer(monkeypatch, case):
     assert flat.history == loop.history and flat_params == loop_params
     if case == "early_stop":
         assert flat.stopped_early and flat.best_epoch < flat.epochs_run - 1
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the process's minor faults")
+def test_training_steps_fault_in_no_new_memory(monkeypatch):
+    # after the first epoch, every step's arrays fit in memory that earlier
+    # steps freed and the allocator kept, so a step faults in no new pages
+    import resource
+
+    cfg = RunConfig(seed=3)
+    series = synth_generate("sine_mixture", cfg.channels, 399, 3)
+    windows = WindowSet(chronological_split(series, SplitSpec(399, 0, 0), cfg.lookback)[0],
+                        cfg.lookback, cfg.horizon)
+    assert windows.count == 20 * cfg.batch_size
+    faults = []
+    step = tr.AdamW.step
+
+    def counted(opt):
+        step(opt)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+    monkeypatch.setattr(tr.AdamW, "step", counted)
+    tr.train(Forecaster(cfg), windows, None, dataclasses.replace(cfg, epochs=3))
+    assert len(faults) == 60
+    assert (faults[-1] - faults[19]) / 40 < 8
+
+
+def test_train_runs_the_same_without_mallopt(monkeypatch):
+    def run():
+        train_ws, val_ws = sine_windows()
+        return tr.train(Forecaster(tiny_cfg()), train_ws, val_ws,
+                        RunConfig(lr=1e-2, epochs=2, seed=0)).history
+
+    opened = []
+
+    def no_mallopt(name, *args, **kwargs):
+        opened.append(name)
+        return object()
+
+    # keep_freed_memory acts once per process; clearing its cache makes it act again
+    tr.keep_freed_memory.cache_clear()
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(ctypes, "CDLL", no_mallopt)
+            without = run()
+        assert opened == [None]
+        tr.keep_freed_memory.cache_clear()
+        assert run() == without
+    finally:
+        tr.keep_freed_memory.cache_clear()
 
 
 def test_adamw_skips_frozen_params():
