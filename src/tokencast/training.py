@@ -15,14 +15,14 @@ by the textbook formula however its flat buffers are sliced. The early-stop
 snapshot is one copy of AdamW's value buffer; `train` returns with every
 trainable's grad None, which frees its grad buffer.
 
-`train` and `evaluate` free and allocate the same array sizes batch after
-batch, so both first call `keep_freed_memory`. It asks glibc's allocator
-to serve every array below 32 MiB from the heap and not to hand the
-heap's top back to the kernel, for the rest of the process. Otherwise a
-step's activations went back to the kernel when it ended, and the next
-step faulted the same pages in again: about 28K minor faults (111 MiB)
-and 6% of a main_text train step. No value changes; where `mallopt` does
-not exist (not glibc) the call does nothing.
+`train` frees and allocates the same array sizes step after step, so it
+first calls `keep_freed_memory`. That asks glibc's allocator to serve
+every array below 32 MiB from the heap and not to hand the heap's top
+back to the kernel, for the rest of the process. Otherwise a step's
+activations went back to the kernel when it ended, and the next step
+faulted the same pages in again: about 28K minor faults (111 MiB) and 6%
+of a main_text train step. No value changes; where `mallopt` does not
+exist (not glibc) the call does nothing.
 """
 
 from __future__ import annotations
@@ -205,7 +205,6 @@ def evaluate(model, windows, batch_size: int = EVAL_BATCH) -> tuple[float, list]
     """evaluate_mse, and each batch's router outputs from the same forwards."""
     if windows.count < 1:
         raise ValueError("no windows to evaluate")
-    keep_freed_memory()
     total_se = 0.0
     count = 0
     probs = []
@@ -259,6 +258,11 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
     DIVERGENCE_FACTOR times the larger of the first step's loss and the
     training split's mean square (the mse of predicting 0) is diverging
     and raises NumericError.
+
+    The first call sets glibc's allocator, for the rest of the process, to
+    keep the heap memory it frees (`keep_freed_memory`): a process that
+    trains and goes on running holds its peak heap instead of returning
+    it, up to about 4% more RSS on a desk pretraining run.
     """
     if train_windows.count < 1:
         raise DataError("training split has no usable windows")

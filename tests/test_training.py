@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+import platform
 import sys
 import tracemalloc
 
@@ -232,7 +233,8 @@ def test_train_matches_per_tensor_optimizer(monkeypatch, case):
         assert flat.stopped_early and flat.best_epoch < flat.epochs_run - 1
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the process's minor faults")
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="pins glibc's allocator through the process's minor faults")
 def test_training_steps_fault_in_no_new_memory(monkeypatch):
     # after the first epoch, every step's arrays fit in memory that earlier
     # steps freed and the allocator kept, so a step faults in no new pages
