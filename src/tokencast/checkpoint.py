@@ -12,7 +12,9 @@ Layout, all integers little-endian:
              u64 payload length, then float64 LE payload
 
 Every trainable and frozen tensor of the model is stored by its stable
-name, so load(save(model)) reproduces forward outputs bit for bit.
+name, so load(save(model)) reproduces forward outputs bit for bit. A save
+writes a uniquely named file beside the target and renames it over the
+target, so a failed write leaves the last checkpoint whole.
 
 A load never redraws the initialization: it builds the model's tensors
 empty and fills each from the file. It validates each record (name, shape
@@ -27,8 +29,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import secrets
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -73,21 +77,29 @@ def save_checkpoint(path, model: Forecaster, *, step: int = 0,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     tensors = model.named_parameters()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            data = np.ascontiguousarray(tensors[name].data, dtype="<f8")
-            name_b = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<B", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            fh.write(struct.pack("<Q", data.nbytes))
-            fh.write(data)  # the array's own buffer, no bytes copy
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # mode from the umask
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<I", len(header_bytes)))
+            fh.write(header_bytes)
+            fh.write(struct.pack("<I", len(tensors)))
+            for name in sorted(tensors):
+                data = np.ascontiguousarray(tensors[name].data, dtype="<f8")
+                name_b = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(name_b)))
+                fh.write(name_b)
+                fh.write(struct.pack("<B", data.ndim))
+                fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
+                fh.write(struct.pack("<Q", data.nbytes))
+                fh.write(data)  # the array's own buffer, no bytes copy
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _open_checkpoint(path):

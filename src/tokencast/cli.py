@@ -24,6 +24,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -494,7 +495,16 @@ def main(argv=None) -> int:
         # overflow on the way to a non-finite loss or grad norm is reported
         # by the numeric guards (exit 4), not as numpy warnings on stderr
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # every verb prints only after writing its files, so the run is done;
+        # fd 1 goes to devnull so that the interpreter's own flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (ConfigError, MetricError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

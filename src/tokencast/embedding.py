@@ -28,11 +28,20 @@ def instance_normalize(x: np.ndarray, eps: float = 1e-8) -> tuple[np.ndarray, No
 
     Stats come from the lookback alone and are treated as constants by the
     gradient tape; only the affine de-normalization of the forecast is
-    differentiated.
+    differentiated. The mean and the centred rows are formed once, and the
+    deviation from them by np.std's own sequence (sum / n, square, sum / n,
+    sqrt), so the bits are those of `x.mean` and `x.std`.
     """
-    mean = x.mean(axis=-1, keepdims=True)
-    std = np.maximum(x.std(axis=-1, keepdims=True), eps)
-    return (x - mean) / std, NormStats(mean=mean, std=std)
+    n = x.shape[-1]
+    mean = x.sum(axis=-1, keepdims=True)
+    mean /= n
+    xn = x - mean
+    std = np.square(xn).sum(axis=-1, keepdims=True)
+    std /= n
+    np.sqrt(std, out=std)
+    np.maximum(std, eps, out=std)
+    xn /= std
+    return xn, NormStats(mean=mean, std=std)
 
 
 def denormalize(pred: Tensor, stats: NormStats) -> Tensor:

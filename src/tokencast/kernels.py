@@ -3,7 +3,7 @@
 Matrix products are deliberately absent here: those go through BLAS via
 numpy and a hand loop cannot beat that. The kernels below are the fused
 elementwise/reduction passes that sit inside every forward, backward and
-optimizer step. Each writes into the one or two fresh buffers it allocates
+optimizer step. Each writes into the few fresh buffers it allocates
 (`out=`, in-place operators) instead of a temporary per operation, and
 performs its textbook expression's operations in their order, so the bits
 are those of the plain expression (tests/oracles.py).
@@ -14,8 +14,28 @@ import numpy as np
 BACKEND = "numpy"
 
 
+# numpy reduces a row's last axis with one inner-loop call per row, which
+# dominates a softmax over a few keys (channels as tokens: 3 on desk, 7 on
+# main_text). Rows narrower than this are reduced on a transposed copy as a
+# few whole-column passes instead. The bits are the same: a max is exact,
+# and numpy sums fewer than 8 values left to right, exactly as an axis-0
+# reduction adds rows; from 8 values on its row sum is pairwise, so wider
+# rows keep the row reductions.
+NARROW = 8  # rows of fewer values are narrow
+
+
 def softmax_rows(x):
-    """Row-wise softmax of a 2D array, max-subtracted for stability."""
+    """Row-wise softmax of a 2D array, max-subtracted for stability.
+
+    Rows of fewer than NARROW values are reduced as column sweeps on a
+    C-contiguous transposed copy, and the result comes back C-contiguous.
+    """
+    if x.shape[1] < NARROW:
+        e = x.T.copy()
+        e -= e.max(axis=0)
+        np.exp(e, out=e)
+        e /= e.sum(axis=0)
+        return np.ascontiguousarray(e.T)
     e = x - x.max(axis=1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
@@ -23,9 +43,12 @@ def softmax_rows(x):
 
 
 def softmax_rows_grad(y, gout):
-    # gin = y * (gout - sum(gout * y, row))
+    """gin = y * (gout - sum(gout * y, row)); narrow rows sum as column sweeps."""
     t = y * gout
-    dot = t.sum(axis=1, keepdims=True)
+    if y.shape[1] < NARROW:
+        dot = t.T.copy().sum(axis=0)[:, None]
+    else:
+        dot = t.sum(axis=1, keepdims=True)
     np.subtract(gout, dot, out=t)
     t *= y
     return t

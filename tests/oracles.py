@@ -10,8 +10,10 @@ keeps its own finite-difference test. `composed_block` is a transformer
 block built from those records. `np_attention` is the per-head numpy loop
 that the attention and block tests check values against. The kernel
 expressions at the end are the plain forms that `tokencast.kernels`
-computes with in-place passes. `LoopAdamW` is the optimizer as a loop over
-the tensors, which the flat-buffer `training.AdamW` must match bit for bit.
+computes with in-place passes, and `instance_normalize` is the plain
+`x.mean` / `x.std` form of `embedding.instance_normalize`. `LoopAdamW` is
+the optimizer as a loop over the tensors, which the flat-buffer
+`training.AdamW` must match bit for bit.
 """
 
 import math
@@ -231,6 +233,12 @@ def silu(x):
 def silu_grad(x, gout):
     s = 1.0 / (1.0 + np.exp(-x))
     return gout * (s * (1.0 + x * (1.0 - s)))
+
+
+def instance_normalize(x, eps=1e-8):
+    mean = x.mean(axis=-1, keepdims=True)
+    std = np.maximum(x.std(axis=-1, keepdims=True), eps)
+    return (x - mean) / std, mean, std
 
 
 # ---------------------------------------------------------------- optimizer

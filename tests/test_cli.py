@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tokencast import cli, model
+from tokencast import checkpoint, cli, model
 from tokencast.backbone import pretrain_then_freeze
 from tokencast.checkpoint import read_header
 from tokencast.config import RunConfig
@@ -907,6 +908,60 @@ def test_unwritable_output_exits_3(tiny_run, tmp_path, capsys, case):
     }[case]
     code = cli.main([str(a) for a in argv])
     assert "data error: cannot write" in assert_data_error(code, capsys)
+
+
+class FullDisk:
+    """A checkpoint file that takes `room` bytes, then fails as a full disk does."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, b):
+        self.room -= memoryview(b).nbytes
+        if self.room < 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(b)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_failed_checkpoint_write_keeps_the_last_one(tmp_path, capsys, monkeypatch):
+    ckpt = train_tiny(tmp_path)
+    before, names = ckpt.read_bytes(), sorted(p.name for p in tmp_path.iterdir())
+    # the disk fills partway through the payloads of the next save
+    monkeypatch.setattr(checkpoint, "open", lambda f, mode: FullDisk(open(f, mode), 2000),
+                        raising=False)
+    code = cli.main(["train", *TINY, "--seed", "1", "--out", str(tmp_path)])
+    assert "No space left on device" in assert_data_error(code, capsys)
+    assert ckpt.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == names  # no temp file left
+
+
+@pytest.mark.parametrize("verb", ["eval", "synth"])
+def test_closed_stdout_keeps_exit_contract(tiny_run, tmp_path, verb):
+    # `tokencast eval ... | head -1`: the reader is gone before the verb
+    # prints, and the verb prints only after writing its files
+    ckpt, _ = tiny_run
+    argv, written = {
+        "eval": (["eval", "--checkpoint", ckpt, "--out", tmp_path],
+                 ["metrics.json", "metrics.txt", "routing_stats.json"]),
+        "synth": (["synth", "--length", "40", "--output", tmp_path / "s.csv"], ["s.csv"]),
+    }[verb]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tokencast.cli", *map(str, argv)],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env=child_env())
+    finally:
+        os.close(write)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    for name in written:
+        assert (tmp_path / name).stat().st_size > 0
 
 
 def test_forecast_reads_csv_with_bom(tiny_run, tmp_path):

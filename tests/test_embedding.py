@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles as O
 from helpers import assert_grads_match, rand
 from tokencast import tensor as T
 from tokencast.embedding import (
@@ -87,6 +88,22 @@ def test_instance_normalize_constant_channel():
     xn, stats = instance_normalize(x)
     np.testing.assert_array_equal(xn, np.zeros_like(x))
     assert stats.std[0, 0, 0] == 1e-8
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 64), (16, 7, 96)])
+def test_instance_normalize_matches_plain_mean_and_std(shape):
+    # the centred rows are formed once and the deviation from them by
+    # np.std's own sequence, so the bits are those of x.mean and x.std
+    gen = np.random.Generator(np.random.PCG64(13))
+    x = gen.normal(size=shape) * np.exp(gen.normal(size=shape[:-1] + (1,)) * 3.0)
+    x[0, 0] = 4.2  # a constant channel: the eps floor sets its deviation
+    x[0, 1] += 1e6  # a large offset on a small deviation
+    before = x.copy()
+    xn, stats = instance_normalize(x)
+    for got, want in zip((xn, stats.mean, stats.std), O.instance_normalize(x)):
+        np.testing.assert_array_equal(got, want)
+    assert stats.std[0, 0, 0] == 1e-8
+    np.testing.assert_array_equal(x, before)
 
 
 def test_denormalize_roundtrip():

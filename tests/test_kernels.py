@@ -44,12 +44,13 @@ def test_adamw_matches_textbook_formula():
         np.testing.assert_array_equal(p, p_ref)
 
 
-def kernel_args(name):
+def kernel_args(name, rows=9, width=7):
     gen = np.random.Generator(np.random.PCG64(5))
-    x = gen.normal(size=(9, 7)) * 3.0
-    x[0] = 0.0  # a zero row: rmsnorm's eps alone keeps it finite
-    gout = gen.normal(size=(9, 7))
-    weight = gen.uniform(0.5, 1.5, size=7)
+    x = gen.normal(size=(rows, width)) * 3.0
+    if rows > 1:
+        x[0] = 0.0  # a zero row: rmsnorm's eps alone keeps it finite
+    gout = gen.normal(size=(rows, width))
+    weight = gen.uniform(0.5, 1.5, size=width)
     inv = 1.0 / np.sqrt((x * x).mean(axis=1) + 1e-6)
     return {
         "softmax_rows": (x,),
@@ -68,14 +69,20 @@ def kernel_args(name):
                                   "silu", "silu_grad"])
 def test_kernels_match_their_plain_expressions(name):
     # the in-place passes perform the plain expressions' operations in their
-    # order, so the bits are the same, and the arguments stay untouched;
-    # silu_grad takes the sigmoid its caller holds beside the oracle's arguments
-    args = kernel_args(name)
-    held = (kernels.sigmoid(args[0]),) if name == "silu_grad" else ()
-    before = [np.copy(a) for a in args + held]
-    got, want = getattr(kernels, name)(*args, *held), getattr(O, name)(*args)
-    for g, w in zip(*(r if isinstance(r, tuple) else (r,) for r in (got, want))):
-        np.testing.assert_array_equal(g, w)
-    for a, b in zip(args + held, before):
-        np.testing.assert_array_equal(a, b)
-
+    # order, so the bits are the same, the results are C-contiguous and the
+    # arguments stay untouched; silu_grad takes the sigmoid its caller holds
+    # beside the oracle's arguments. The softmax kernels reduce rows of fewer
+    # than kernels.NARROW values as column sweeps, so they run at widths on
+    # both sides of that rule, from one row to many.
+    cases = [kernel_args(name)]
+    if name.startswith("softmax"):
+        cases = [kernel_args(name, rows, width) for rows in (1, 9, 768) for width in range(1, 13)]
+    for args in cases:
+        held = (kernels.sigmoid(args[0]),) if name == "silu_grad" else ()
+        before = [np.copy(a) for a in args + held]
+        got, want = getattr(kernels, name)(*args, *held), getattr(O, name)(*args)
+        for g, w in zip(*(r if isinstance(r, tuple) else (r,) for r in (got, want))):
+            np.testing.assert_array_equal(g, w)
+            assert g.flags.c_contiguous
+        for a, b in zip(args + held, before):
+            np.testing.assert_array_equal(a, b)
