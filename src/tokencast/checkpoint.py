@@ -17,9 +17,10 @@ writes a uniquely named file beside the target and renames it over the
 target, so a failed write leaves the last checkpoint whole.
 
 A load never redraws the initialization: it builds the model's tensors
-empty and fills each from the file. It validates each record (name, shape
-and payload length) before reading its payload straight into the
-tensor's own buffer, and it restores every tensor or raises
+empty, without seeding a generator, and fills each from the file. It
+reads each record header in two reads after the name length, validates
+the record (name, shape and payload length) and then reads its payload
+straight into the tensor's own buffer; it restores every tensor or raises
 CheckpointError. A header config that `Forecaster` rejects (its one
 `RunConfig.validate()` call) is a CheckpointError too.
 """
@@ -158,7 +159,8 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
         seen = set()
         for _ in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            name_b = _read_exact(fh, nlen, "tensor name")
+            head = _read_exact(fh, nlen + 1, "tensor name and rank")
+            name_b, ndim = head[:nlen], head[nlen]
             try:
                 name = name_b.decode("utf-8")
             except UnicodeDecodeError:
@@ -173,14 +175,13 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
                     f"unknown tensor '{name}' not present in the rebuilt model"
                 )
             target = tensors[name]
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "rank"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "shape"))
+            *shape, plen = struct.unpack(
+                f"<{ndim}IQ", _read_exact(fh, 4 * ndim + 8, "shape and payload length"))
             if tuple(shape) != target.shape:
                 raise CheckpointError(
                     f"tensor '{name}' shape {tuple(shape)} does not match "
                     f"model shape {target.shape}"
                 )
-            (plen,) = struct.unpack("<Q", _read_exact(fh, 8, "payload length"))
             if plen != target.data.nbytes:
                 raise CheckpointError(
                     f"tensor '{name}' payload size mismatch: {plen} bytes, "

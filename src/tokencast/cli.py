@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration errors (including metric settings),
 3 data and checkpoint file errors (an output that cannot be written among
-them), 4 numeric failures during training.
+them), 4 numeric failures: during training, or a non-finite prediction from
+`eval` or `forecast`, which then writes nothing.
 
 Every RunConfig key is exposed three ways with identical meaning: a line in
 an INI config file (--config), a --set key=value override, and a direct
@@ -162,6 +163,20 @@ def predict_blocks(model: Forecaster, windows):
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(ps), stats
 
 
+def check_finite_prediction(pred: np.ndarray, x: np.ndarray, channel_names) -> None:
+    """Raise NumericError unless every value of `pred` (..., channels,
+    horizon), forecast from the lookbacks `x`, is finite."""
+    finite = np.isfinite(pred)
+    if finite.all():
+        return
+    bad = ~finite.all(axis=-1).reshape(-1, pred.shape[-2]).all(axis=0)
+    channels = [name for name, b in zip(channel_names, bad) if b]
+    raise NumericError(
+        f"non-finite prediction for channels {channels}",
+        diagnostics={"channels": channels, "x_min": float(x.min()), "x_max": float(x.max())},
+    )
+
+
 # ------------------------------------------------------------------- verbs
 
 
@@ -237,9 +252,10 @@ def cmd_eval(args) -> int:
                 f"{dim_key}={getattr(model.cfg, dim_key)}, dataset asks for "
                 f"{getattr(cfg, dim_key)}"
             )
-    out = _output_dir(args.out)
     series, views, (_, _, test_ws) = prepare_data(cfg)
     x, y_true, y_pred, stats = predict_blocks(model, test_ws)
+    check_finite_prediction(y_pred, x, series.channel_names)
+    out = _output_dir(args.out)
 
     s = seasonality_for(cfg.frequency)
     naive_pred = naive_seasonal_forecast(x, s, cfg.horizon) if x.shape[2] >= s else None
@@ -278,6 +294,7 @@ def cmd_forecast(args) -> int:
         )
     x = series.values[-lookback:].T[None, :, :]
     pred = model.predict(x)[0]  # (channels, horizon)
+    check_finite_prediction(pred, x, series.channel_names)
     out_path = Path(args.output)
     with _writing(out_path):
         out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -7,6 +7,7 @@ splits are views into it. Copies happen only when a batch is assembled.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -103,7 +104,11 @@ def load_csv(path, date_column: str | None = None, name: str | None = None,
 
     If date_column is given, that column must exist; it is validated to be
     present and then dropped. Every remaining cell must parse as a finite
-    float; the first offending cell aborts the load with its line number.
+    float. Blank lines are skipped. The rows are read whole, their value
+    cells converted by float() in one pass and checked for finiteness in
+    one vectorised test; on any fault a per-cell scan names the first
+    ragged row, non-numeric cell or non-finite cell in reading order, with
+    its line number.
     """
     path = Path(path)
     try:
@@ -125,36 +130,53 @@ def load_csv(path, date_column: str | None = None, name: str | None = None,
         channel_names = [h for i, h in enumerate(header) if i != drop]
         if not channel_names:
             raise DataError(f"{path}: no value columns after dropping '{date_column}'")
+        width = len(header)
         rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}"
-                )
-            vals = []
-            for i, cell in enumerate(row):
-                if i == drop:
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {lineno}: cell '{cell.strip()}' is not numeric"
-                    ) from None
-                if not math.isfinite(v):
-                    raise DataError(f"{path}: line {lineno}: non-finite value '{cell.strip()}'")
-                vals.append(v)
-            rows.append(vals)
-    if not rows:
+        try:
+            rows.extend(reader)  # keeps the rows read before a failure
+        except (DataError, csv.Error) as exc:  # a fault in an earlier row comes first
+            raise _first_fault(path, rows, width, drop) or exc
+    if not set(map(len, rows)) <= {0, width}:  # 0 is a blank line
+        raise _first_fault(path, rows, width, drop)
+    cells = list(itertools.chain.from_iterable(rows))
+    if drop is not None:
+        del cells[drop::width]
+    if not cells:
         raise DataError(f"{path}: no data rows")
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        raise _first_fault(path, rows, width, drop) from None
+    if not np.isfinite(values).all():
+        raise _first_fault(path, rows, width, drop)
     return MultivariateSeries(
         name=name or path.stem,
-        values=np.array(rows, dtype=np.float64),
+        values=values.reshape(-1, len(channel_names)),
         frequency=frequency,
         channel_names=channel_names,
     )
+
+
+def _first_fault(path, rows, width: int, drop: int | None) -> DataError | None:
+    """The error for the first ragged row, non-numeric or non-finite cell.
+
+    `rows` are the csv records after the header, so the first is line 2.
+    """
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            return DataError(f"{path}: line {lineno}: expected {width} cells, got {len(row)}")
+        for i, cell in enumerate(row):
+            if i == drop:
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                return DataError(f"{path}: line {lineno}: cell '{cell.strip()}' is not numeric")
+            if not math.isfinite(v):
+                return DataError(f"{path}: line {lineno}: non-finite value '{cell.strip()}'")
+    return None
 
 
 @dataclass

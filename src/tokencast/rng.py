@@ -28,8 +28,14 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
-def generator(seed: int, component: str | None = None) -> np.random.Generator:
-    """PCG64 generator for a run seed, optionally keyed by component name."""
+def generator(seed: int, component: str | None = None) -> np.random.Generator | None:
+    """PCG64 generator for a run seed, optionally keyed by component name.
+
+    Within no_draws() it builds nothing and returns None, which gaussian()
+    never reads there; any other use of it fails loudly.
+    """
+    if getattr(_LOCAL, "no_draws", False):
+        return None
     if component is None:
         seq = np.random.SeedSequence(seed)
     else:
@@ -43,11 +49,13 @@ _LOCAL = threading.local()
 
 @contextlib.contextmanager
 def no_draws():
-    """Within this context, on this thread only, gaussian() draws nothing.
+    """Within this context, on this thread only, nothing is seeded or drawn.
 
-    It returns an uninitialized array and leaves the generator untouched.
-    Only a checkpoint load enters it: the load overwrites every tensor or
-    raises, so no undrawn array outlives a successful load.
+    generator() builds no generator and returns None, and gaussian()
+    returns an uninitialized array without reading its generator, so a
+    generator built outside the context is left untouched. Only a
+    checkpoint load enters it: the load overwrites every tensor or raises,
+    so no undrawn array outlives a successful load.
     """
     outer = getattr(_LOCAL, "no_draws", False)
     _LOCAL.no_draws = True
@@ -57,7 +65,7 @@ def no_draws():
         _LOCAL.no_draws = outer
 
 
-def gaussian(gen: np.random.Generator, shape, std: float) -> np.ndarray:
+def gaussian(gen: np.random.Generator | None, shape, std: float) -> np.ndarray:
     if getattr(_LOCAL, "no_draws", False):
         return np.empty(shape)
     return gen.normal(0.0, std, size=shape)

@@ -62,7 +62,8 @@ def keep_freed_memory() -> None:
 
 
 class NumericError(RuntimeError):
-    """A non-finite or diverging loss, or a non-finite gradient norm; carries a diagnostic dump."""
+    """A non-finite or diverging loss, a non-finite gradient norm or a non-finite
+    prediction; carries a diagnostic dump."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)

@@ -13,16 +13,21 @@ expressions at the end are the plain forms that `tokencast.kernels`
 computes with in-place passes, and `instance_normalize` is the plain
 `x.mean` / `x.std` form of `embedding.instance_normalize`. `LoopAdamW` is
 the optimizer as a loop over the tensors, which the flat-buffer
-`training.AdamW` must match bit for bit.
+`training.AdamW` must match bit for bit. `load_csv` is the CSV loader as
+a per-cell loop, which `data.load_csv` must match in values, channel
+names and the message of the first fault.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
 from tokencast import kernels, training
 from tokencast import tensor as T
 from tokencast.backbone import MASK_FILL, NORM_EPS
+from tokencast.data import DataError, MultivariateSeries, _decoded_lines
 from tokencast.tensor import ShapeError, Tensor, emit, _unbroadcast
 
 
@@ -239,6 +244,59 @@ def instance_normalize(x, eps=1e-8):
     mean = x.mean(axis=-1, keepdims=True)
     std = np.maximum(x.std(axis=-1, keepdims=True), eps)
     return (x - mean) / std, mean, std
+
+
+# ---------------------------------------------------------------- ingest
+
+
+def load_csv(path, date_column=None) -> MultivariateSeries:
+    """Each row checked and each cell converted in turn; the first fault raises."""
+    path = Path(path)
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(_decoded_lines(fh, path))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, expected a header row") from None
+        header = [h.strip() for h in header]
+        drop = None
+        if date_column is not None:
+            if date_column not in header:
+                raise DataError(f"{path}: date column '{date_column}' not in header {header}")
+            drop = header.index(date_column)
+        channel_names = [h for i, h in enumerate(header) if i != drop]
+        if not channel_names:
+            raise DataError(f"{path}: no value columns after dropping '{date_column}'")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}"
+                )
+            vals = []
+            for i, cell in enumerate(row):
+                if i == drop:
+                    continue
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: line {lineno}: cell '{cell.strip()}' is not numeric"
+                    ) from None
+                if not math.isfinite(v):
+                    raise DataError(f"{path}: line {lineno}: non-finite value '{cell.strip()}'")
+                vals.append(v)
+            rows.append(vals)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return MultivariateSeries(name=path.stem, values=np.array(rows, dtype=np.float64),
+                              channel_names=channel_names)
 
 
 # ---------------------------------------------------------------- optimizer

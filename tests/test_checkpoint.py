@@ -22,7 +22,7 @@ from tokencast.checkpoint import (
     read_header,
     save_checkpoint,
 )
-from tokencast.config import RunConfig
+from tokencast.config import VARIANTS, RunConfig
 from tokencast.data import MultivariateSeries, SplitSpec, chronological_split
 from tokencast.model import Forecaster
 
@@ -35,8 +35,8 @@ def tiny_cfg(**kw):
     return RunConfig(**base)
 
 
-def trained_model(seed=5):
-    m = Forecaster(tiny_cfg(seed=seed))
+def trained_model(seed=5, **kw):
+    m = Forecaster(tiny_cfg(seed=seed, **kw))
     g = np.random.Generator(np.random.PCG64(77))
     for p in m.trainable().values():
         p.data += g.normal(scale=0.03, size=p.shape)
@@ -311,6 +311,24 @@ def test_no_draws_stays_on_its_own_thread(tmp_path):
         worker.join(timeout=120)
     assert not worker.is_alive()
     assert got["full"] == GOLDEN["full"]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_load_builds_no_generator(tmp_path, monkeypatch, variant):
+    m = trained_model(variant=variant)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, m)
+    x = np.random.Generator(np.random.PCG64(9)).normal(size=(4, 3, 12))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checkpoint load seeded a generator")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "PCG64", refuse)
+    loaded, _ = load_checkpoint(path)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(m.predict(x), loaded.predict(x))
+    assert loaded.variant == variant
 
 
 def test_failed_load_leaves_draws_on(tmp_path):

@@ -981,6 +981,32 @@ def test_forecast_reads_csv_with_bom(tiny_run, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("verb", ["forecast", "eval"])
+def test_non_finite_prediction_exits_4_and_writes_nothing(tiny_run, tmp_path, capsys, verb):
+    # 1e308 is a finite input, but a lookback holding it forecasts inf
+    ckpt, hist = tiny_run
+    header, *rows = hist.read_text().splitlines()
+    cells = rows[30].split(",")  # in the last lookback and in every test window's
+    cells[1] = "1e308"
+    rows[30] = ",".join(cells)
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "out"
+    argv = {
+        "forecast": ["forecast", "--checkpoint", ckpt, "--input", huge, "--date-column", "date",
+                     "--output", out / "fc.csv"],
+        "eval": ["eval", "--checkpoint", ckpt, "--data-kind", "csv", "--csv-path", huge,
+                 "--date-column", "date", "--out", out],
+    }[verb]
+    code = cli.main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert "numeric failure: non-finite prediction for channels ['ch0']" in err
+    diagnostics = json.loads(err[err.index("{"):])
+    assert diagnostics["channels"] == ["ch0"] and diagnostics["x_max"] == 1e308
+    assert not out.exists()
+
+
 def forecast_csv(ckpt, src, out, *flags):
     assert cli.main(["forecast", "--checkpoint", str(ckpt), "--input", str(src), *flags,
                      "--output", str(out)]) == 0

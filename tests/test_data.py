@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from tokencast.data import (
     DataError,
     MultivariateSeries,
@@ -76,6 +79,97 @@ def test_load_csv_ragged_row_names_line(tmp_path):
     p = write(tmp_path, "a,b\n1,2\n3\n")
     with pytest.raises(DataError, match="line 3"):
         load_csv(p)
+
+
+# ---------------------------------------------------------------- CSV ingest against the oracle
+
+
+def loaded(load, path, date_column):
+    """A loader's values and channel names, or the message of its DataError."""
+    try:
+        s = load(path, date_column=date_column)
+    except DataError as exc:
+        return str(exc)
+    return s.values.shape, s.values.tobytes(), s.channel_names
+
+
+GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1e308", "-1.7976931348623157e308", "-0.0", " 2.5 ", '"3.25"', "+7",
+                     ".5", "5.", "1E-3", "1_000", "\t4\t"]),
+)
+BAD_CELLS = st.sampled_from(["nan", " NaN ", "inf", "-Infinity", "1e309", "oops", '"1,5"',
+                             "", " ", ' "3.25"', "--1"])
+DATE_CELLS = st.sampled_from(["2024-01-01", '"Jan 1, 2024"', "", "t7", "3"])
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes with 0-3 faults (ragged rows, bad cells) among valid rows,
+    and the date_column argument to load them with."""
+    names = draw(st.lists(st.sampled_from(["a", "b", " c ", '"d e"', "f"]),
+                          min_size=1, max_size=3, unique=True))
+    dated = draw(st.booleans())
+    if dated:
+        names.insert(draw(st.integers(0, len(names))), "date")
+    width = len(names)
+    rows = [[draw(DATE_CELLS) if n == "date" else draw(GOOD_CELLS) for n in names]
+            for _ in range(draw(st.integers(0, 6)))]
+    faults = st.tuples(st.sampled_from(["short", "long", "cell"]), st.integers(0, 99),
+                       st.integers(0, 99), BAD_CELLS)
+    for kind, r, c, bad in draw(st.lists(faults, max_size=3)):
+        if not rows:
+            break
+        row = rows[r % len(rows)]
+        if kind == "short":
+            del row[c % width:]  # an emptied row is a blank line
+        elif kind == "long":
+            row.append(bad)
+        elif row:
+            row[c % len(row)] = bad
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    for at in sorted(draw(st.sets(st.integers(1, len(lines)), max_size=2)), reverse=True):
+        lines.insert(at, "")
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    raw = text.encode("utf-8") + draw(st.sampled_from([b""] * 9 + [b"\xff"]))
+    # mostly the right argument; else a missing date column, or a date read as a channel
+    right = "date" if dated else None
+    date_column = draw(st.sampled_from([right] * 8 + ["date", None]))
+    return raw, date_column
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingest") / "series.csv"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=csv_files())
+def test_load_csv_matches_the_per_cell_oracle(csv_path, case):
+    raw, date_column = case
+    csv_path.write_bytes(raw)
+    assert loaded(load_csv, csv_path, date_column) == loaded(oracles.load_csv, csv_path,
+                                                             date_column)
+
+
+@pytest.mark.parametrize("bad_line", [3, 900, 1500])
+def test_load_csv_faults_around_an_undecodable_line(tmp_path, bad_line):
+    # the text is decoded in chunks (8 KiB in CPython), so the invalid byte
+    # after line 1200 surfaces only after the rows of the first chunk were
+    # read: a fault among those rows (line 3) is still the one reported, and
+    # one in the invalid byte's chunk (line 900) or after it is never reached
+    lines = ["a,b"] + [f"{i},{i}.5" for i in range(1, 2000)]
+    lines[bad_line - 1] = "1,oops"
+    p = tmp_path / "mixed.csv"
+    p.write_bytes("\n".join(lines[:1200]).encode() + b"\n\xff\n" + "\n".join(lines[1200:]).encode())
+    got = loaded(load_csv, p, None)
+    assert got == loaded(oracles.load_csv, p, None)
+    assert ("line 3:" if bad_line == 3 else "not UTF-8") in got
 
 
 def test_series_rejects_mutation():
