@@ -14,11 +14,19 @@ scale: either randomly initialized and frozen, or briefly pretrained by
 `training.train` on next-window prediction and then frozen. Either way the
 stack is frozen from construction on; pretraining unfreezes it for its run.
 
+The trunk stores its frozen weights and norm gains in the run's
+`trunk_dtype`, float64 or float32, and each block op computes in it: it
+converts its input state, its output grad and the float64 adapter factors
+and gates on entry, and hands back its output and every grad in float64.
+Everything outside the block op (embedder, alignment, routers, head, loss,
+optimizer) stays float64. The weights are drawn in float64 and rounded
+once, so a float32 trunk is the float64 trunk rounded.
+
 Every shape comes straight from the run's RunConfig (dim, heads, ffn_dim,
-layers, causal_mask, pretrain_mode; the linears' through `module_dims`) and
-the trunk draws from `cfg.seed`. Nothing here re-checks the config:
-`RunConfig.validate()` holds the bounds, and `Forecaster` calls it before
-building the trunk.
+layers, causal_mask, pretrain_mode, trunk_dtype; the linears' through
+`module_dims`) and the trunk draws from `cfg.seed`. Nothing here re-checks
+the config: `RunConfig.validate()` holds the bounds, and `Forecaster`
+calls it before building the trunk.
 """
 
 from __future__ import annotations
@@ -53,12 +61,13 @@ def module_dims(cfg: RunConfig) -> dict[str, tuple[int, int]]:
 class TransformerBlock:
     def __init__(self, cfg: RunConfig, gen: np.random.Generator):
         self.cfg = cfg
+        self.dtype = dt = np.dtype(cfg.trunk_dtype)
         self.weights = {
-            name: T.parameter(rng.gaussian(gen, (d_in, d_out), INIT_STD))
+            name: T.parameter(rng.gaussian(gen, (d_in, d_out), INIT_STD, dt), dt)
             for name, (d_in, d_out) in module_dims(cfg).items()
         }
-        self.attn_norm = T.parameter(np.ones(cfg.dim))
-        self.ffn_norm = T.parameter(np.ones(cfg.dim))
+        self.attn_norm = T.parameter(np.ones(cfg.dim, dt), dt)
+        self.ffn_norm = T.parameter(np.ones(cfg.dim, dt), dt)
 
     def forward(self, h: Tensor, adapters=None, gates=None) -> Tensor:
         """One block pass over (.., N, dim) token states: one `transformer_block` op."""
@@ -92,6 +101,15 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
     the records bit for bit whenever nothing recorded after the block reads
     h. The grad of h is always formed; the grads of trunk weights, gains
     and adapter factors only when those require grad.
+
+    The op computes in the block's dtype. When the float64 state enters a
+    narrower block, the op converts on entry h, the output grad, the
+    adapters' float64 factors and any trunk tensor not stored in the
+    block's dtype (pretraining's float64 masters; `_cast`,
+    `_cast_factors`), and the pull widens every grad it returns;
+    `dlora.apply` converts the gates, and `T.emit` widens the output. A
+    float64 block converts nothing.
+
     Outside a tape the intermediates still live until the op returns:
     dropping each one once used made the allocator hand pages back and
     fault them in again, and a batch-64 desk forward ran slower.
@@ -112,15 +130,21 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
     more ffn-wide array per block for the allocator to hand back and fault
     in again, and main_text training steps ran about 2% slower.
     """
-    cfg, attn_norm, ffn_norm = block.cfg, block.attn_norm, block.ffn_norm
+    cfg, dt = block.cfg, block.dtype
     d = cfg.dim
     if h.shape[-1] != d:
         raise ShapeError(f"block dim {d} does not match input {h.shape}")
     weights = [block.weights[name] for name in dlora.MODULE_NAMES]
-    inputs = [h, attn_norm, ffn_norm, *weights]
+    inputs = [h, block.attn_norm, block.ffn_norm, *weights]
     hd, shape = h.data, h.shape
+    narrow = hd.dtype != dt  # a float64 state entering a narrower trunk
+    if narrow:
+        hd = hd.astype(dt)
+        attn_norm, ffn_norm, *weights = [_cast(t, dt) for t in inputs[1:]]
+    else:
+        attn_norm, ffn_norm = block.attn_norm, block.ffn_norm
     n = shape[-2]
-    mask = np.triu(np.full((n, n), MASK_FILL), k=1) if cfg.causal_mask and n > 1 else None
+    mask = np.triu(np.full((n, n), MASK_FILL, dt), k=1) if cfg.causal_mask and n > 1 else None
     saved = []  # per linear: adapter, and apply's gated rank-r rows and mask
 
     def reads_input(i):
@@ -130,11 +154,12 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
     def linear(i, z):
         name = dlora.MODULE_NAMES[i]
         adapter = adapters.get(name) if adapters else None
-        out, low, m = dlora.apply(z, weights[i].data, None, adapter,
+        local = _cast_factors(adapter, dt) if narrow else adapter
+        out, low, m = dlora.apply(z, weights[i].data, None, local,
                                   gates.get(name) if gates else None)
         if low is not None:
             inputs.extend((adapter.down, adapter.up))
-        saved.append((adapter, low, m))
+        saved.append((local, low, m))
         return out
 
     x, inv1 = kernels.rmsnorm_rows(hd.reshape(-1, d), attn_norm.data, NORM_EPS)
@@ -167,7 +192,7 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
 
         # Tape.backward hands over a grad no other tensor holds, so the
         # norms' shares of h's grad are added into it in place, as the tape did
-        g = np.ascontiguousarray(g)
+        g = np.ascontiguousarray(g, dtype=dt)
         flat = gate_out.reshape(-1)
         s = kernels.sigmoid(flat)
         gated = (s * flat).reshape(gate_out.shape)  # silu(gate_out), as kernels.silu forms it
@@ -202,9 +227,21 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
         for (_, low, _), pair in zip(saved, factor_grads):
             if low is not None:
                 grads += pair
-        return grads
+        return [None if gr is None else gr.astype(np.float64) for gr in grads] if narrow else grads
 
     return T.emit(out, tuple(inputs), pull)
+
+
+def _cast(t: Tensor, dtype) -> Tensor:
+    """t when its data is in `dtype`, else an unrecorded copy in `dtype` with t's grad flag."""
+    return t if t.data.dtype == dtype else Tensor(t.data, t.requires_grad, dtype)
+
+
+def _cast_factors(adapter: dlora.LoraAdapter | None, dtype):
+    """The adapter's factors in `dtype`, with their grad flags; None for no adapter."""
+    if adapter is None:
+        return None
+    return SimpleNamespace(down=_cast(adapter.down, dtype), up=_cast(adapter.up, dtype))
 
 
 class Backbone:
@@ -259,8 +296,10 @@ def pretrain_then_freeze(backbone: Backbone, corpus_view, lookback: int,
     persist. They are copied out of the run's flat value buffer into one
     buffer of their own, so the embedder and head go with the run's; one
     buffer, not one array per tensor, because the small copies spread over
-    the heap and a desk pretraining fit peaked 1.8 MB higher. Returns the
-    per-epoch train losses.
+    the heap and a desk pretraining fit peaked 1.8 MB higher. The run
+    trains float64 masters in the optimizer's buffer, and the closing copy
+    rounds them into a buffer of the trunk dtype. Returns the per-epoch
+    train losses.
     """
     if backbone.cfg.pretrain_mode != "pretrain_then_freeze":
         raise ShapeError("backbone was not configured for pretraining")
@@ -287,7 +326,8 @@ def pretrain_then_freeze(backbone: Backbone, corpus_view, lookback: int,
         result = train(model, windows, None, cfg)
     finally:
         trunk = list(backbone.tensors().values())
-        for t, home in zip(trunk, flat_views(np.empty(sum(t.size for t in trunk)), trunk)):
+        buffer = np.empty(sum(t.size for t in trunk), backbone.blocks[0].dtype)
+        for t, home in zip(trunk, flat_views(buffer, trunk)):
             home[...] = t.data
             t.data = home
         backbone.freeze()

@@ -16,11 +16,19 @@ name, so load(save(model)) reproduces forward outputs bit for bit. A save
 writes a uniquely named file beside the target and renames it over the
 target, so a failed write leaves the last checkpoint whole.
 
+Every payload is float64, 8 bytes per element, whatever the tensor's
+dtype: a float32 trunk (`trunk_dtype`) is written widened and read back
+narrowed, both through a bounded scratch buffer of SCRATCH elements, so
+the round trip is exact and no array-sized temporary is made. A header
+config without `trunk_dtype`, as files written before the field existed
+have, loads as float64, RunConfig's default.
+
 A load never redraws the initialization: it builds the model's tensors
-empty, without seeding a generator, and fills each from the file. It
-reads each record header in two reads after the name length, validates
-the record (name, shape and payload length) and then reads its payload
-straight into the tensor's own buffer; it restores every tensor or raises
+empty, in their own dtypes and without seeding a generator, and fills
+each from the file. It reads each record header in two reads after the
+name length, validates the record (name, shape and payload length) and
+then reads its payload straight into the tensor's own buffer, or narrows
+it through the scratch buffer; it restores every tensor or raises
 CheckpointError. A header config that `Forecaster` rejects (its one
 `RunConfig.validate()` call) is a CheckpointError too.
 """
@@ -32,7 +40,6 @@ import json
 import os
 import secrets
 import struct
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +50,7 @@ from .model import Forecaster
 
 MAGIC = b"DLF1"
 VERSION = 2
+SCRATCH = 1 << 16  # float64 elements per slice of a widened or narrowed payload
 
 
 class CheckpointError(Exception):
@@ -60,12 +68,33 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
-def _read_into(fh, arr: np.ndarray, what: str) -> None:
-    """Fill arr's own buffer with its little-endian payload, copied once."""
-    if fh.readinto(arr) != arr.nbytes:
-        raise _truncated(arr.nbytes, what)
-    if sys.byteorder == "big":
-        arr.byteswap(inplace=True)
+def _read_into(fh, arr: np.ndarray, what: str, scratch: np.ndarray) -> None:
+    """Fill arr from its float64 LE payload: read straight into arr's own
+    buffer when arr is float64 LE, else a slice at a time into `scratch`
+    (float64 LE) and converted from there."""
+    if arr.dtype == scratch.dtype:
+        if fh.readinto(arr) != arr.nbytes:
+            raise _truncated(arr.nbytes, what)
+        return
+    flat = arr.reshape(-1)
+    for start in range(0, flat.size, scratch.size):
+        piece = scratch[:flat.size - start]
+        if fh.readinto(piece) != piece.nbytes:
+            raise _truncated(8 * flat.size, what)
+        flat[start:start + piece.size] = piece
+
+
+def _write_f8(fh, data: np.ndarray, scratch: np.ndarray) -> None:
+    """Write data as float64 LE: its own buffer when it is that, else a
+    slice at a time converted into `scratch` (float64 LE)."""
+    if data.dtype == scratch.dtype:
+        fh.write(np.ascontiguousarray(data))  # the array's own buffer, no bytes copy
+        return
+    flat = data.reshape(-1)
+    for start in range(0, flat.size, scratch.size):
+        piece = scratch[:flat.size - start]
+        piece[...] = flat[start:start + piece.size]
+        fh.write(piece)
 
 
 def save_checkpoint(path, model: Forecaster, *, step: int = 0,
@@ -81,6 +110,7 @@ def save_checkpoint(path, model: Forecaster, *, step: int = 0,
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # mode from the umask
+    scratch = np.empty(SCRATCH, "<f8")
     try:
         with open(fd, "wb") as fh:
             fh.write(MAGIC)
@@ -89,14 +119,14 @@ def save_checkpoint(path, model: Forecaster, *, step: int = 0,
             fh.write(header_bytes)
             fh.write(struct.pack("<I", len(tensors)))
             for name in sorted(tensors):
-                data = np.ascontiguousarray(tensors[name].data, dtype="<f8")
+                data = tensors[name].data
                 name_b = name.encode("utf-8")
                 fh.write(struct.pack("<H", len(name_b)))
                 fh.write(name_b)
                 fh.write(struct.pack("<B", data.ndim))
                 fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-                fh.write(struct.pack("<Q", data.nbytes))
-                fh.write(data)  # the array's own buffer, no bytes copy
+                fh.write(struct.pack("<Q", 8 * data.size))
+                _write_f8(fh, data, scratch)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -156,6 +186,7 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
             ) from None
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         tensors = model.named_parameters()
+        scratch = np.empty(SCRATCH, "<f8")
         seen = set()
         for _ in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
@@ -182,12 +213,12 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
                     f"tensor '{name}' shape {tuple(shape)} does not match "
                     f"model shape {target.shape}"
                 )
-            if plen != target.data.nbytes:
+            if plen != 8 * target.size:
                 raise CheckpointError(
                     f"tensor '{name}' payload size mismatch: {plen} bytes, "
-                    f"expected {target.data.nbytes}"
+                    f"expected {8 * target.size}"
                 )
-            _read_into(fh, target.data, f"tensor '{name}'")
+            _read_into(fh, target.data, f"tensor '{name}'", scratch)
         missing = sorted(set(tensors) - seen)
         if missing:
             raise CheckpointError(f"checkpoint is missing tensors: {missing[:5]}")

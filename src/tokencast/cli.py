@@ -177,6 +177,20 @@ def check_finite_prediction(pred: np.ndarray, x: np.ndarray, channel_names) -> N
     )
 
 
+def check_finite_report(report, y_true: np.ndarray) -> None:
+    """Raise NumericError unless every metric value of `report` is finite:
+    a finite but huge truth, such as 1e308, overflows a squared error."""
+    rows = [*report.per_series.items(), ("ALL", report.aggregate)]
+    bad = [f"{name}.{metric}" for name, row in rows
+           for metric, value in row.items() if not np.isfinite(value)]
+    if bad:
+        raise NumericError(
+            f"non-finite metrics {bad}",
+            diagnostics={"metrics": bad, "y_min": float(y_true.min()),
+                         "y_max": float(y_true.max())},
+        )
+
+
 # ------------------------------------------------------------------- verbs
 
 
@@ -255,7 +269,6 @@ def cmd_eval(args) -> int:
     series, views, (_, _, test_ws) = prepare_data(cfg)
     x, y_true, y_pred, stats = predict_blocks(model, test_ws)
     check_finite_prediction(y_pred, x, series.channel_names)
-    out = _output_dir(args.out)
 
     s = seasonality_for(cfg.frequency)
     naive_pred = naive_seasonal_forecast(x, s, cfg.horizon) if x.shape[2] >= s else None
@@ -265,6 +278,8 @@ def cmd_eval(args) -> int:
         naive_pred=naive_pred, mase_convention=args.mase_convention,
         insample=insample,
     )
+    check_finite_report(report, y_true)
+    out = _output_dir(args.out)
     _write_json(out / "metrics.json", report.to_json_dict())
     table = report.to_text_table()
     _write_text(out / "metrics.txt", table + "\n")

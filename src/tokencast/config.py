@@ -19,6 +19,7 @@ VARIANTS = ("full", "v1_no_align", "v2_prefix_prompt", "v3_static_lora", "v4_fro
 ROUTED_VARIANTS = ("full", "v1_no_align", "v2_prefix_prompt")  # adapters gated by routers
 PRETRAIN_MODES = ("random_frozen", "pretrain_then_freeze")
 ROUTER_ACTIVATIONS = ("tanh", "identity")
+TRUNK_DTYPES = ("float64", "float32")  # what the frozen trunk stores and computes in
 
 
 @dataclass
@@ -55,6 +56,7 @@ class RunConfig:
     causal_mask: bool = False
     pretrain_mode: str = "random_frozen"
     pretrain_steps: int = 100
+    trunk_dtype: str = "float64"
     normalize: bool = True
     variant: str = "full"
     # training
@@ -78,7 +80,8 @@ class RunConfig:
                              ("frequency", tuple(SEASONALITY)),
                              ("loss_kind", ("mse", "smape")),
                              ("pretrain_mode", PRETRAIN_MODES),
-                             ("router_activation", ROUTER_ACTIVATIONS)):
+                             ("router_activation", ROUTER_ACTIVATIONS),
+                             ("trunk_dtype", TRUNK_DTYPES)):
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"{key} must be one of {allowed}, got '{getattr(self, key)}'")
         if self.data_kind == "csv" and not self.csv_path:
@@ -137,18 +140,21 @@ class RunConfig:
 
 
 # Named starting points. desk is the dataclass default; main_text and
-# appendix size the trunk at the two larger reference scales.
+# appendix size the trunk at the two larger reference scales and run it in
+# float32, where its GEMMs take about half the float64 time.
 PRESETS = {
     "desk": {},
     "appendix": {
         "layers": 8, "dim": 512, "heads": 8, "ffn_dim": 2048, "align_heads": 8,
         "rank": 8, "n_active": 4, "lookback": 512, "horizon": 96,
         "lr": 1e-3, "batch_size": 16, "epochs": 20, "loss_kind": "mse",
+        "trunk_dtype": "float32",
     },
     "main_text": {
         "layers": 8, "dim": 512, "heads": 8, "ffn_dim": 2048, "align_heads": 8,
         "rank": 4, "n_active": 4, "lookback": 96, "horizon": 48,
         "lr": 1e-2, "batch_size": 32, "epochs": 30, "loss_kind": "smape",
+        "trunk_dtype": "float32",
     },
 }
 

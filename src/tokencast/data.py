@@ -108,7 +108,8 @@ def load_csv(path, date_column: str | None = None, name: str | None = None,
     cells converted by float() in one pass and checked for finiteness in
     one vectorised test; on any fault a per-cell scan names the first
     ragged row, non-numeric cell or non-finite cell in reading order, with
-    its line number.
+    its line number. A record the csv module refuses, such as a cell over
+    its field size limit, is a fault on its line in the same order.
     """
     path = Path(path)
     try:
@@ -121,6 +122,8 @@ def load_csv(path, date_column: str | None = None, name: str | None = None,
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
+        except csv.Error as exc:
+            raise _csv_fault(path, reader, exc) from None
         header = [h.strip() for h in header]
         drop = None
         if date_column is not None:
@@ -134,8 +137,10 @@ def load_csv(path, date_column: str | None = None, name: str | None = None,
         rows = []
         try:
             rows.extend(reader)  # keeps the rows read before a failure
-        except (DataError, csv.Error) as exc:  # a fault in an earlier row comes first
+        except DataError as exc:  # a fault in an earlier row comes first
             raise _first_fault(path, rows, width, drop) or exc
+        except csv.Error as exc:
+            raise _first_fault(path, rows, width, drop) or _csv_fault(path, reader, exc) from None
     if not set(map(len, rows)) <= {0, width}:  # 0 is a blank line
         raise _first_fault(path, rows, width, drop)
     cells = list(itertools.chain.from_iterable(rows))
@@ -155,6 +160,11 @@ def load_csv(path, date_column: str | None = None, name: str | None = None,
         frequency=frequency,
         channel_names=channel_names,
     )
+
+
+def _csv_fault(path, reader, exc: csv.Error) -> DataError:
+    """The error for a record the csv module refused, such as an over-long cell."""
+    return DataError(f"{path}: line {reader.line_num}: {exc}")
 
 
 def _first_fault(path, rows, width: int, drop: int | None) -> DataError | None:

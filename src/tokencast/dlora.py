@@ -14,6 +14,11 @@ The forward's list of router outputs is a batch's one routing record:
 records the mean probabilities it needs. Gates are constants to the tape,
 so router weights learn only through that balance term.
 
+Adapters and routers hold float64 factors, AdamW's masters. `apply` and
+`apply_grads` compute in the dtype of the arrays they are given: the block
+op hands them its input, trunk weights and adapter factors in the run's
+trunk dtype, and `apply` converts a gate to the input's dtype.
+
 Adapters and routers take their shapes from a RunConfig that `Forecaster`
 has already validated (rank within min(dim, ffn_dim) // 2, n_active within
 [1, 7], a known router activation), so they do not check them again.
@@ -49,15 +54,17 @@ def apply(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
     """Adapted linear map on arrays: x W + ((x A) g) B, plus b when a bias is given.
 
     `gate` is None (no adapter path) or a 0/1 constant that broadcasts from
-    the leading axes of x: a scalar or one value per sample. An all-closed
-    gate skips the adapter; an all-open one skips the gate product. Returns
-    (out, low, mask). low is the gated rank-r intermediate (x A) g with the
-    leading axes of x folded into rows, None when no delta ran; mask is g
-    shaped to broadcast against the unfolded (.., r) intermediate, None when
-    every gate is open. `backbone.transformer_block` calls this once per
-    linear and hands low and mask to `apply_grads`.
+    the leading axes of x: a scalar or one value per sample. The product is
+    in x's dtype, which weight and the adapter's factors share; the gate is
+    converted to it. An all-closed gate skips the adapter; an all-open one
+    skips the gate product. Returns (out, low, mask). low is the gated
+    rank-r intermediate (x A) g with the leading axes of x folded into
+    rows, None when no delta ran; mask is g shaped to broadcast against the
+    unfolded (.., r) intermediate, None when every gate is open.
+    `backbone.transformer_block` calls this once per linear and hands low
+    and mask to `apply_grads`.
     """
-    g = None if adapter is None or gate is None else np.asarray(gate, dtype=np.float64)
+    g = None if adapter is None or gate is None else np.asarray(gate, dtype=x.dtype)
     lead = x.shape[:-1]
     x2 = x.reshape(-1, weight.shape[0])
     out = x2 @ weight

@@ -65,10 +65,13 @@ def no_draws():
         _LOCAL.no_draws = outer
 
 
-def gaussian(gen: np.random.Generator | None, shape, std: float) -> np.ndarray:
+def gaussian(gen: np.random.Generator | None, shape, std: float,
+             dtype=np.float64) -> np.ndarray:
+    """N(0, std) draws of `shape` in `dtype`: drawn in float64 and rounded
+    once, so a float32 draw is the float64 one rounded."""
     if getattr(_LOCAL, "no_draws", False):
-        return np.empty(shape)
-    return gen.normal(0.0, std, size=shape)
+        return np.empty(shape, dtype)
+    return gen.normal(0.0, std, size=shape).astype(dtype, copy=False)
 
 
 def state_dict(gen: np.random.Generator) -> dict:

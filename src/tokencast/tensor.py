@@ -1,5 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
+A tensor is float64 unless it is made in another dtype: only the trunk's
+weights and gains are, when the run's `trunk_dtype` says so, and only the
+block op reads them (`backbone.transformer_block`), which hands back
+float64 outputs and grads.
+
 Operations executed inside an active Tape are recorded in execution order;
 Tape.backward walks the record list once, in reverse, and leaves grads on
 leaf tensors only: a tensor used twice receives the sum of both
@@ -110,8 +115,8 @@ class Tape:
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+    def __init__(self, data, requires_grad: bool = False, dtype=np.float64):
+        self.data = np.ascontiguousarray(data, dtype=dtype)
         self.grad = None
         self.requires_grad = bool(requires_grad)
 
@@ -141,8 +146,8 @@ class Tensor:
         return slice_(self, key)
 
 
-def parameter(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
+def parameter(data, dtype=np.float64) -> Tensor:
+    return Tensor(data, requires_grad=True, dtype=dtype)
 
 
 def recording() -> bool:
@@ -151,7 +156,10 @@ def recording() -> bool:
 
 
 def emit(data, inputs, pull) -> Tensor:
-    """Create the output tensor, recording the op if a tape is active; pull names the op."""
+    """Create the output tensor, recording the op if a tape is active; pull names the op.
+
+    The output is float64: data in a narrower dtype is widened here.
+    """
     req = False
     for t in inputs:
         if t.requires_grad:

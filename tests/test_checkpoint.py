@@ -151,11 +151,12 @@ def test_invalid_header_config_rejected(tmp_path, config_edit, match):
 
 # The bytes depend only on PCG64 normals and the header JSON, never on BLAS,
 # so they pin tensor names, shapes, order and initialization. Version 2
-# values: the trunk linears have no bias records.
+# values: the trunk linears have no bias records, and the header config
+# holds "trunk_dtype": "float64".
 GOLDEN = {
-    "full": (2802810, "4d878a381d507175479ca32d199f276a2dbb1052b762abc2341d213c486429bc"),
+    "full": (2802836, "479894f75c9c1e7c1b07c29a97170d5562db4ae7b57e8e3dbf4ff6cf91daf0f1"),
     "v2_prefix_prompt": (
-        2671642, "b808647baedc8e9f7b943a637538297a9c07f253dc327541ea02eef08f51e48d"
+        2671668, "c0e46b79c2025bb2a5b5b72c1e0f278dc8c26afbf4f88d8445adca1f19d7a0b9"
     ),
 }
 

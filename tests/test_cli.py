@@ -263,6 +263,14 @@ def test_repeated_channel_name_exits_3(tiny_run, tmp_path, capsys):
     assert "repeated channel names" in assert_data_error(code, capsys)
 
 
+def test_unknown_trunk_dtype_exits_2(tmp_path, capsys):
+    code = cli.main(["train", *TINY, "--set", "trunk_dtype=float16", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: trunk_dtype must be one of ('float64', 'float32')" in err
+    assert "Traceback" not in err and not (tmp_path / "checkpoint.ckpt").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert cli.main(["train", "--config", str(tmp_path / "nope.ini")]) == 2
 
@@ -852,7 +860,7 @@ def test_every_config_field_parses_as_a_flag(verb):
 
 
 @pytest.mark.parametrize("verb, n_flags", [
-    ("train", 45), ("eval", 47), ("forecast", 4), ("ablate", 45), ("sweep-n", 46), ("synth", 7),
+    ("train", 46), ("eval", 48), ("forecast", 4), ("ablate", 46), ("sweep-n", 47), ("synth", 7),
 ])
 def test_parser_builds_only_its_verbs_arguments(monkeypatch, verb, n_flags):
     # counts, unlike timings on a shared host, are exact: the parser of a
@@ -1004,6 +1012,42 @@ def test_non_finite_prediction_exits_4_and_writes_nothing(tiny_run, tmp_path, ca
     assert "numeric failure: non-finite prediction for channels ['ch0']" in err
     diagnostics = json.loads(err[err.index("{"):])
     assert diagnostics["channels"] == ["ch0"] and diagnostics["x_max"] == 1e308
+    assert not out.exists()
+
+
+def test_forecast_over_long_cell_exits_3_and_writes_nothing(tiny_run, tmp_path, capsys):
+    ckpt, hist = tiny_run
+    header, *rows = hist.read_text().splitlines()
+    cells = rows[20].split(",")
+    cells[1] = "1" * 140000  # over the csv module's field size limit
+    rows[20] = ",".join(cells)
+    big = tmp_path / "big.csv"
+    big.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "out" / "fc.csv"
+    code = cli.main(["forecast", "--checkpoint", str(ckpt), "--input", str(big),
+                     "--date-column", "date", "--output", str(out)])
+    assert "line 22: field larger than field limit" in assert_data_error(code, capsys)
+    assert not out.parent.exists()
+
+
+def test_eval_non_finite_metric_exits_4_and_writes_nothing(tiny_run, tmp_path, capsys):
+    # 1e308 in the last row is only ever a truth: every prediction is
+    # finite, but its squared error overflows
+    ckpt, hist = tiny_run
+    header, *rows = hist.read_text().splitlines()
+    cells = rows[-1].split(",")
+    cells[1] = "1e308"
+    rows[-1] = ",".join(cells)
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "out"
+    code = cli.main(["eval", "--checkpoint", str(ckpt), "--data-kind", "csv", "--csv-path",
+                     str(huge), "--date-column", "date", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert "numeric failure: non-finite metrics ['ch0.mse'" in err and "Traceback" not in err
+    diagnostics = json.loads(err[err.index("{"):])
+    assert "ALL.mse" in diagnostics["metrics"] and diagnostics["y_max"] == 1e308
     assert not out.exists()
 
 

@@ -81,6 +81,21 @@ def test_load_csv_ragged_row_names_line(tmp_path):
         load_csv(p)
 
 
+BIG = "1" * 140000  # over the csv module's field size limit of 131072 characters
+
+
+@pytest.mark.parametrize("text, fault", [
+    (f"a,b\n1,2\n3,4\n5,{BIG}\n", "line 4: field larger than field limit"),
+    (f"a,{BIG}\n1,2\n", "line 1: field larger than field limit"),
+    (f"a,b\n1,oops\n5,{BIG}\n", "line 2: cell 'oops' is not numeric"),
+    (f"a,b\n1,2,3\n5,{BIG}\n", "line 2: expected 2 cells, got 3"),
+], ids=["cell", "header", "earlier_cell", "earlier_ragged"])
+def test_load_csv_over_long_cell_is_a_data_error(tmp_path, text, fault):
+    # the csv module refuses the record; a fault in an earlier row comes first
+    with pytest.raises(DataError, match=fault):
+        load_csv(write(tmp_path, text))
+
+
 # ---------------------------------------------------------------- CSV ingest against the oracle
 
 

@@ -52,7 +52,7 @@ VARIANTS = ["full", "v1_no_align", "v2_prefix_prompt", "v3_static_lora", "v4_fro
     {"rank": 0}, {"rank": 5}, {"ffn_dim": 3},
     {"n_active": 0}, {"n_active": 8}, {"layers": 0}, {"lookback": 0},
     {"prompt_buckets": 0}, {"variant": "bogus"}, {"router_activation": "bogus"},
-    {"pretrain_mode": "bogus"},
+    {"pretrain_mode": "bogus"}, {"trunk_dtype": "float16"},
 ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
 def test_forecaster_rejects_invalid_config(bad):
     # the constructor's one validate() is the only shape check of the model
@@ -152,6 +152,46 @@ def test_prediction_scales_with_input_level():
     base = m.predict(x)
     shifted = m.predict(x * 2.0 + 10.0)
     np.testing.assert_allclose(shifted, base * 2.0 + 10.0, atol=1e-8)
+
+
+def perturbed_desk_model(variant):
+    """A desk model whose routers are scaled up and whose adapter up factors
+    are non-zero, so samples route apart and every open delta moves the
+    output; and the generator that perturbed it."""
+    m = Forecaster(RunConfig(variant=variant, seed=3).validate())
+    gen = np.random.Generator(np.random.PCG64(5))
+    for adapters in m.adapters:
+        for ad in adapters.values():
+            ad.up.data[...] = gen.normal(size=ad.up.shape) * 0.1
+    for router in m.routers:
+        router.weight.data[...] = gen.normal(size=router.weight.shape)
+    return m, gen
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_predictions_bit_identical_across_batch_sizes(variant):
+    # a window's forecast does not depend on the batch it is predicted in:
+    # B=64 against 64 B=1 calls and two B=32 calls
+    m, gen = perturbed_desk_model(variant)
+    x = gen.normal(size=(64, m.cfg.channels, m.cfg.lookback))
+    whole = m.predict(x)
+    np.testing.assert_array_equal(np.concatenate([m.predict(x[i:i + 1]) for i in range(64)]),
+                                  whole)
+    np.testing.assert_array_equal(np.concatenate([m.predict(x[:32]), m.predict(x[32:])]), whole)
+    if m.uses_routers:  # the samples do not all open the same modules
+        _, probs = m.forward_array(x)
+        gates = dlora.top_n_gates_rows(probs[0].data, m.cfg.n_active)
+        assert len({tuple(row) for row in gates}) > 1
+
+
+@pytest.mark.parametrize("variant", ["v3_static_lora", "v4_frozen"])
+def test_unrouted_variants_are_channel_permutation_equivariant(variant):
+    # without routers nothing singles out a channel token: permuting the
+    # input channels permutes the forecasts, up to summation order
+    m, gen = perturbed_desk_model(variant)
+    x = gen.normal(size=(8, 5, m.cfg.lookback))
+    perm = np.array([3, 0, 4, 1, 2])
+    np.testing.assert_allclose(m.predict(x[:, perm]), m.predict(x)[:, perm], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["v3_static_lora", "v4_frozen"])
