@@ -277,12 +277,14 @@ class Backbone:
             t.grad = None
 
     def checksum(self) -> str:
-        """SHA-256 over all block tensors in name order; detects any drift."""
+        """SHA-256 over all block tensors in name order; detects any drift.
+
+        Each tensor's own buffer is hashed, so no copy of the trunk is made."""
         digest = hashlib.sha256()
         tensors = self.tensors()
         for name in sorted(tensors):
             digest.update(name.encode())
-            digest.update(tensors[name].data.tobytes())
+            digest.update(np.ascontiguousarray(tensors[name].data))
         return digest.hexdigest()
 
 

@@ -9,28 +9,29 @@ Layout, all integers little-endian:
     count    u32      number of tensor records
     record   u16 name length + name bytes
              u8 ndim, then ndim * u32 dims
-             u64 payload length, then float64 LE payload
+             u64 payload length, then the tensor's data LE in its own dtype
 
 Every trainable and frozen tensor of the model is stored by its stable
 name, so load(save(model)) reproduces forward outputs bit for bit. A save
 writes a uniquely named file beside the target and renames it over the
 target, so a failed write leaves the last checkpoint whole.
 
-Every payload is float64, 8 bytes per element, whatever the tensor's
-dtype: a float32 trunk (`trunk_dtype`) is written widened and read back
-narrowed, both through a bounded scratch buffer of SCRATCH elements, so
-the round trip is exact and no array-sized temporary is made. A header
-config without `trunk_dtype`, as files written before the field existed
-have, loads as float64, RunConfig's default.
+Each payload is its tensor's own buffer: `backbone.*` records are in the
+header config's `trunk_dtype` (4 bytes per element when it is float32),
+every other record is float64, and the payload length equals the tensor's
+bytes. A header config without `trunk_dtype`, as files written before the
+field existed have, loads as float64, RunConfig's default. A float32-trunk
+file written by an earlier build, which widened every payload to float64,
+fails the payload-length check and is refused.
 
 A load never redraws the initialization: it builds the model's tensors
 empty, in their own dtypes and without seeding a generator, and fills
 each from the file. It reads each record header in two reads after the
 name length, validates the record (name, shape and payload length) and
-then reads its payload straight into the tensor's own buffer, or narrows
-it through the scratch buffer; it restores every tensor or raises
-CheckpointError. A header config that `Forecaster` rejects (its one
-`RunConfig.validate()` call) is a CheckpointError too.
+then reads its payload straight into the tensor's own buffer with one
+read; it restores every tensor or raises CheckpointError. A header config
+that `Forecaster` rejects (its one `RunConfig.validate()` call) is a
+CheckpointError too.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import json
 import os
 import secrets
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +52,7 @@ from .model import Forecaster
 
 MAGIC = b"DLF1"
 VERSION = 2
-SCRATCH = 1 << 16  # float64 elements per slice of a widened or narrowed payload
+SWAP = sys.byteorder == "big"  # payloads are LE: byteswapped on a big-endian host
 
 
 class CheckpointError(Exception):
@@ -68,33 +70,13 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
-def _read_into(fh, arr: np.ndarray, what: str, scratch: np.ndarray) -> None:
-    """Fill arr from its float64 LE payload: read straight into arr's own
-    buffer when arr is float64 LE, else a slice at a time into `scratch`
-    (float64 LE) and converted from there."""
-    if arr.dtype == scratch.dtype:
-        if fh.readinto(arr) != arr.nbytes:
-            raise _truncated(arr.nbytes, what)
-        return
-    flat = arr.reshape(-1)
-    for start in range(0, flat.size, scratch.size):
-        piece = scratch[:flat.size - start]
-        if fh.readinto(piece) != piece.nbytes:
-            raise _truncated(8 * flat.size, what)
-        flat[start:start + piece.size] = piece
-
-
-def _write_f8(fh, data: np.ndarray, scratch: np.ndarray) -> None:
-    """Write data as float64 LE: its own buffer when it is that, else a
-    slice at a time converted into `scratch` (float64 LE)."""
-    if data.dtype == scratch.dtype:
-        fh.write(np.ascontiguousarray(data))  # the array's own buffer, no bytes copy
-        return
-    flat = data.reshape(-1)
-    for start in range(0, flat.size, scratch.size):
-        piece = scratch[:flat.size - start]
-        piece[...] = flat[start:start + piece.size]
-        fh.write(piece)
+def _size_mismatch(name: str, plen: int, data: np.ndarray) -> CheckpointError:
+    msg = (f"tensor '{name}' payload size mismatch: {plen} bytes, expected "
+           f"{data.nbytes} ({data.dtype}, {data.itemsize} bytes per element)")
+    if data.itemsize < 8 and plen == 8 * data.size:
+        msg += ("; the file holds float64 payloads, 8 bytes per element: it was "
+                "written by an earlier build, which widened a float32 trunk")
+    return CheckpointError(msg)
 
 
 def save_checkpoint(path, model: Forecaster, *, step: int = 0,
@@ -110,7 +92,6 @@ def save_checkpoint(path, model: Forecaster, *, step: int = 0,
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # mode from the umask
-    scratch = np.empty(SCRATCH, "<f8")
     try:
         with open(fd, "wb") as fh:
             fh.write(MAGIC)
@@ -125,8 +106,9 @@ def save_checkpoint(path, model: Forecaster, *, step: int = 0,
                 fh.write(name_b)
                 fh.write(struct.pack("<B", data.ndim))
                 fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-                fh.write(struct.pack("<Q", 8 * data.size))
-                _write_f8(fh, data, scratch)
+                fh.write(struct.pack("<Q", data.nbytes))
+                # the array's own buffer, no bytes copy
+                fh.write(data.byteswap() if SWAP else np.ascontiguousarray(data))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -186,7 +168,6 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
             ) from None
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         tensors = model.named_parameters()
-        scratch = np.empty(SCRATCH, "<f8")
         seen = set()
         for _ in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
@@ -213,12 +194,13 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
                     f"tensor '{name}' shape {tuple(shape)} does not match "
                     f"model shape {target.shape}"
                 )
-            if plen != 8 * target.size:
-                raise CheckpointError(
-                    f"tensor '{name}' payload size mismatch: {plen} bytes, "
-                    f"expected {8 * target.size}"
-                )
-            _read_into(fh, target.data, f"tensor '{name}'", scratch)
+            data = target.data
+            if plen != data.nbytes:
+                raise _size_mismatch(name, plen, data)
+            if fh.readinto(data) != plen:
+                raise _truncated(plen, f"tensor '{name}'")
+            if SWAP:
+                data.byteswap(inplace=True)
         missing = sorted(set(tensors) - seen)
         if missing:
             raise CheckpointError(f"checkpoint is missing tensors: {missing[:5]}")

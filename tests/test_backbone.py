@@ -1,5 +1,6 @@
 """Frozen trunk behavior, adapter equivalence, and pretraining."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -235,6 +236,23 @@ def test_construction_is_deterministic():
     c = Backbone(small_cfg(seed=21))
     assert a.checksum() != c.checksum()
 
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_checksum_hashes_each_buffer_without_a_copy(dtype):
+    bb = Backbone(RunConfig(seed=23, trunk_dtype=dtype))
+    tensors = bb.tensors()
+    oracle = hashlib.sha256()
+    for name in sorted(tensors):
+        oracle.update(name.encode())
+        oracle.update(tensors[name].data.tobytes())
+    tracemalloc.start()
+    try:
+        got = bb.checksum()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == oracle.hexdigest()
+    assert peak < max(t.data.nbytes for t in tensors.values()) // 2  # a copy of one is more
 
 def test_random_frozen_freezes_at_construction():
     bb = Backbone(small_cfg(seed=22))

@@ -248,6 +248,13 @@ def tiny_bytes(tmp_path_factory):
     return path.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def tiny_f32_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny_f32") / "model.ckpt"
+    save_checkpoint(path, trained_model(trunk_dtype="float32"))
+    return path.read_bytes()
+
+
 def test_corrupt_tensor_name_rejected(tmp_path, tiny_bytes):
     raw = bytearray(tiny_bytes)
     raw[record_fields(raw)[0]["name_at"]] = 0xFF  # never valid in UTF-8
@@ -350,22 +357,26 @@ def scratch_path(tmp_path_factory):
 FUZZ = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
+# Each example edits both tiny files: their record offsets differ, since a
+# float32 trunk's payloads are half as long.
 @FUZZ
 @given(data=st.data())
-def test_every_strict_prefix_rejected(tiny_bytes, scratch_path, data):
-    cut = data.draw(st.integers(0, len(tiny_bytes) - 1), label="prefix length")
-    scratch_path.write_bytes(tiny_bytes[:cut])
-    with pytest.raises(CheckpointError):
-        load_checkpoint(scratch_path)
+def test_every_strict_prefix_rejected(tiny_bytes, tiny_f32_bytes, scratch_path, data):
+    for dtype, tiny in (("float64", tiny_bytes), ("float32", tiny_f32_bytes)):
+        cut = data.draw(st.integers(0, len(tiny) - 1), label=f"{dtype} prefix length")
+        scratch_path.write_bytes(tiny[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(scratch_path)
 
 
 @FUZZ
 @given(data=st.data())
-def test_every_framing_byte_flip_rejected(tiny_bytes, scratch_path, data):
-    at = data.draw(st.sampled_from(framing_offsets(tiny_bytes)), label="offset")
-    flip = data.draw(st.integers(1, 255), label="xor mask")
-    raw = bytearray(tiny_bytes)
-    raw[at] ^= flip
-    scratch_path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError):
-        load_checkpoint(scratch_path)
+def test_every_framing_byte_flip_rejected(tiny_bytes, tiny_f32_bytes, scratch_path, data):
+    for dtype, tiny in (("float64", tiny_bytes), ("float32", tiny_f32_bytes)):
+        at = data.draw(st.sampled_from(framing_offsets(tiny)), label=f"{dtype} offset")
+        flip = data.draw(st.integers(1, 255), label=f"{dtype} xor mask")
+        raw = bytearray(tiny)
+        raw[at] ^= flip
+        scratch_path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(scratch_path)

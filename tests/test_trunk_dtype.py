@@ -1,5 +1,5 @@
 """The trunk dtype: a float32 trunk is the float64 one rounded, only the block
-op computes in it, and checkpoints keep float64 payloads."""
+op computes in it, and checkpoints store it in float32."""
 
 import dataclasses
 import json
@@ -9,10 +9,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tokencast import checkpoint, cli, dlora, training
+from tokencast import cli, dlora, training
 from tokencast import tensor as T
 from tokencast.backbone import Backbone, TransformerBlock, module_dims, pretrain_then_freeze
-from tokencast.checkpoint import VERSION, load_checkpoint, read_header, save_checkpoint
+from tokencast.checkpoint import (
+    VERSION,
+    CheckpointError,
+    load_checkpoint,
+    read_header,
+    save_checkpoint,
+)
 from tokencast.config import PRESETS, RunConfig, build_config
 from tokencast.data import SplitSpec, chronological_split, synth_generate
 from tokencast.dlora import MODULE_NAMES, LoraAdapter
@@ -145,11 +151,23 @@ def records(raw: bytes):
     assert pos == len(raw)
 
 
-@pytest.mark.parametrize("scratch", [checkpoint.SCRATCH, 1000], ids=["default", "sliced"])
+def widen_trunk(raw: bytes) -> bytes:
+    """The file an earlier build wrote for the same model: every `backbone.*`
+    payload widened to float64, 8 bytes per element."""
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    out = bytearray(raw[:12 + hlen + 4])
+    for name, shape, payload in records(raw):
+        if name.startswith("backbone."):
+            payload = np.frombuffer(payload, "<f4").astype("<f8").tobytes()
+        name_b = name.encode()
+        out += struct.pack(f"<H{len(name_b)}sB{len(shape)}IQ", len(name_b), name_b,
+                           len(shape), *shape, len(payload))
+        out += payload
+    return bytes(out)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_float32_round_trip_keeps_float64_payloads(tmp_path, monkeypatch, scratch, variant):
-    # 1000 elements slice every desk trunk tensor, with a short last slice
-    monkeypatch.setattr(checkpoint, "SCRATCH", scratch)
+def test_float32_round_trip_stores_the_trunk_in_float32(tmp_path, variant):
     m = perturbed(RunConfig(variant=variant, seed=3, **F32).validate())
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, m)
@@ -160,13 +178,41 @@ def test_float32_round_trip_keeps_float64_payloads(tmp_path, monkeypatch, scratc
     assert struct.unpack_from("<I", raw, 4) == (VERSION,) == (2,)
     assert read_header(path)["config"]["trunk_dtype"] == "float32"
     tensors, got = m.named_parameters(), loaded.named_parameters()
+    stored = {"<f4": 0, "<f8": 0}
     for name, shape, payload in records(raw):
         t = tensors[name]
-        assert shape == t.shape and len(payload) == 8 * t.size
-        np.testing.assert_array_equal(np.frombuffer(payload, "<f8").reshape(shape),
-                                      t.data.astype(np.float64), err_msg=name)
-        assert got[name].data.dtype == t.data.dtype
-        np.testing.assert_array_equal(got[name].data, t.data, err_msg=name)
+        dtype = np.dtype("<f4" if name.startswith("backbone.") else "<f8")
+        stored[dtype.str] += 1
+        assert t.data.dtype == dtype and shape == t.shape, name
+        assert len(payload) == dtype.itemsize * t.size == t.data.nbytes, name
+        assert payload == t.data.tobytes(), name  # bit for bit
+        assert got[name].data.dtype == dtype and got[name].data.tobytes() == payload, name
+    assert stored["<f4"] == len(m.backbone.tensors()) > 0
+    assert sum(stored.values()) == len(tensors) > stored["<f4"]
+
+
+def test_widened_float32_file_is_refused(tmp_path, capsys):
+    m = perturbed(tiny_cfg(**F32))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, m)
+    raw = path.read_bytes()
+    old = tmp_path / "widened.ckpt"
+    old.write_bytes(widen_trunk(raw))
+    assert old.stat().st_size == len(raw) + 4 * sum(t.size for t in m.backbone.tensors().values())
+    with pytest.raises(CheckpointError, match="payload size mismatch") as info:
+        load_checkpoint(old)
+    msg = str(info.value)
+    assert "float32, 4 bytes per element" in msg and "earlier build" in msg, msg
+    assert "float64 payloads" in msg, msg
+    hist = tmp_path / "hist.csv"
+    assert cli.main(["synth", "--length", "40", "--output", str(hist)]) == 0
+    capsys.readouterr()
+    code = cli.main(["forecast", "--checkpoint", str(old), "--input", str(hist),
+                     "--date-column", "date", "--output", str(tmp_path / "fc.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "earlier build" in err and "Traceback" not in err, err
+    assert not (tmp_path / "fc.csv").exists()
 
 
 def traced_save_and_load(path, dtype):
@@ -187,12 +233,11 @@ def traced_save_and_load(path, dtype):
     return save_peak, load_peak
 
 
-def test_float32_save_and_load_make_no_tensor_sized_temporary(tmp_path, monkeypatch):
-    # widening and narrowing go through a 1000-element scratch buffer, so
-    # neither side allocates a float64 copy of a trunk tensor (16384
+def test_float32_save_and_load_make_no_tensor_sized_temporary(tmp_path):
+    # a save writes each tensor's own buffer and a load reads straight into
+    # it, so neither side allocates a float64 copy of a trunk tensor (16384
     # elements): beyond what a float64 model's save and load allocate, less
     # than half of one
-    monkeypatch.setattr(checkpoint, "SCRATCH", 1000)
     widened = 8 * max(t.size for t in Backbone(RunConfig()).tensors().values())
     wide = traced_save_and_load(tmp_path / "wide.ckpt", "float64")
     narrow = traced_save_and_load(tmp_path / "narrow.ckpt", "float32")
