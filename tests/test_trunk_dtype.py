@@ -166,9 +166,28 @@ def widen_trunk(raw: bytes) -> bytes:
     return bytes(out)
 
 
+def slice_into_buffers(m):
+    """Rebind the trunk to views of one buffer of its dtype, and every other
+    tensor to views of one float64 buffer, as `pretrain_then_freeze` and
+    `AdamW` leave them."""
+    trunk = m.backbone.tensors()
+    rest = [t for name, t in m.named_parameters().items() if name not in trunk]
+    for group in (list(trunk.values()), rest):
+        buffer = np.empty(sum(t.size for t in group), group[0].data.dtype)
+        for t, home in zip(group, training.flat_views(buffer, group)):
+            home[...] = t.data
+            t.data = home
+
+
+@pytest.mark.parametrize("layout", ["default", "sliced"])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_float32_round_trip_stores_the_trunk_in_float32(tmp_path, variant):
+def test_float32_round_trip_keeps_float64_payloads(tmp_path, variant, layout):
+    # the trunk is stored in float32 and every other payload stays float64,
+    # whether each tensor owns its buffer or is a view of a shared one
     m = perturbed(RunConfig(variant=variant, seed=3, **F32).validate())
+    if layout == "sliced":
+        slice_into_buffers(m)
+        assert m.backbone.tensors()["backbone.block0.q_proj.weight"].data.base is not None
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, m)
     loaded, _ = load_checkpoint(path)
