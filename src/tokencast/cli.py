@@ -58,7 +58,6 @@ from .dlora import RoutingStats
 from .metrics import MetricError, build_report, naive_seasonal_forecast, seasonality_for
 from .model import Forecaster
 from .training import (
-    EVAL_BATCH,
     NumericError,
     evaluate,
     evaluate_mse,
@@ -147,22 +146,6 @@ def routing_payload(model: Forecaster, stats: RoutingStats | None) -> dict:
     return payload
 
 
-def predict_blocks(model: Forecaster, windows):
-    """Stacked (windows, channels, horizon) truths, predictions, lookbacks,
-    and the routing stats of the same forwards (None for an unrouted model)."""
-    if windows.count < 1:
-        raise DataError("no evaluation windows; split is too short")
-    xs, ys, ps, probs = [], [], [], []
-    for batch in windows.iter_batches(EVAL_BATCH):
-        pred, batch_probs = model.forward_array(batch.x)
-        xs.append(batch.x)
-        ys.append(batch.y)
-        ps.append(pred.data)
-        probs.append(batch_probs)
-    stats = model.routing_stats(probs) if model.uses_routers else None
-    return np.concatenate(xs), np.concatenate(ys), np.concatenate(ps), stats
-
-
 def check_finite_prediction(pred: np.ndarray, x: np.ndarray, channel_names) -> None:
     """Raise NumericError unless every value of `pred` (..., channels,
     horizon), forecast from the lookbacks `x`, is finite."""
@@ -177,17 +160,15 @@ def check_finite_prediction(pred: np.ndarray, x: np.ndarray, channel_names) -> N
     )
 
 
-def check_finite_report(report, y_true: np.ndarray) -> None:
-    """Raise NumericError unless every metric value of `report` is finite:
-    a finite but huge truth, such as 1e308, overflows a squared error."""
-    rows = [*report.per_series.items(), ("ALL", report.aggregate)]
-    bad = [f"{name}.{metric}" for name, row in rows
-           for metric, value in row.items() if not np.isfinite(value)]
+def check_finite_metrics(metrics: dict[str, float], y: np.ndarray) -> None:
+    """Raise NumericError unless every value of `metrics` is finite, giving
+    the range of `y`, the truths or the split they come from: a finite but
+    huge truth, such as 1e308, overflows a squared error."""
+    bad = [name for name, value in metrics.items() if not np.isfinite(value)]
     if bad:
         raise NumericError(
             f"non-finite metrics {bad}",
-            diagnostics={"metrics": bad, "y_min": float(y_true.min()),
-                         "y_max": float(y_true.max())},
+            diagnostics={"metrics": bad, "y_min": float(y.min()), "y_max": float(y.max())},
         )
 
 
@@ -232,12 +213,17 @@ def cmd_train(args) -> int:
     _, views, (train_ws, val_ws, test_ws) = prepare_data(cfg)
     model = build_model(cfg, views[0])
     result = train(model, train_ws, val_ws, cfg)
+    if test_ws.count:  # scored before anything is written
+        test_mse, naive = evaluate_mse(model, test_ws), naive_repeat_last_mse(test_ws)
+        check_finite_metrics({f"{cfg.variant}.test_mse": test_mse,
+                              "repeat_last.test_mse": naive}, test_ws.view.array)
+    stats = (model.routing_stats(evaluate(model.forward_array, train_ws)[2])
+             if model.uses_routers else None)
 
     with _writing(out):
         save_checkpoint(out / "checkpoint.ckpt", model,
                         step=result.steps_run, prng_state=result.rng_state)
         write_history_csv(result, out / "history.csv", layers=cfg.layers)
-    stats = model.collect_routing_stats(train_ws) if model.uses_routers else None
     _write_json(out / "routing_stats.json", routing_payload(model, stats))
 
     last = result.history[-1]
@@ -247,8 +233,6 @@ def cmd_train(args) -> int:
         stopped = " (early stop)" if result.stopped_early else ""
         print(f"best val mse {result.best_val:.6f} at epoch {result.best_epoch}{stopped}")
     if test_ws.count:
-        test_mse = evaluate_mse(model, test_ws)
-        naive = naive_repeat_last_mse(test_ws)
         print(f"test mse {test_mse:.6f} vs repeat-last naive {naive:.6f}")
     print(f"wrote {out / 'checkpoint.ckpt'}, {out / 'history.csv'}, "
           f"{out / 'routing_stats.json'}")
@@ -267,7 +251,9 @@ def cmd_eval(args) -> int:
                 f"{getattr(cfg, dim_key)}"
             )
     series, views, (_, _, test_ws) = prepare_data(cfg)
-    x, y_true, y_pred, stats = predict_blocks(model, test_ws)
+    _, y_pred, probs = evaluate(model.forward_array, test_ws)
+    whole = test_ws.batch(np.arange(test_ws.count))
+    x, y_true = whole.x, whole.y
     check_finite_prediction(y_pred, x, series.channel_names)
 
     s = seasonality_for(cfg.frequency)
@@ -278,12 +264,15 @@ def cmd_eval(args) -> int:
         naive_pred=naive_pred, mase_convention=args.mase_convention,
         insample=insample,
     )
-    check_finite_report(report, y_true)
+    rows = [*report.per_series.items(), ("ALL", report.aggregate)]
+    check_finite_metrics({f"{name}.{metric}": value for name, row in rows
+                          for metric, value in row.items()}, y_true)
     out = _output_dir(args.out)
     _write_json(out / "metrics.json", report.to_json_dict())
     table = report.to_text_table()
     _write_text(out / "metrics.txt", table + "\n")
-    _write_json(out / "routing_stats.json", routing_payload(model, stats))
+    _write_json(out / "routing_stats.json",
+                routing_payload(model, model.routing_stats(probs)))
     print(table)
     print(f"wrote {out / 'metrics.json'}, {out / 'metrics.txt'}, "
           f"{out / 'routing_stats.json'}")
@@ -334,8 +323,8 @@ def cmd_ablate(args) -> int:
         report = model.parameter_report()
         test_mse, stats = float("nan"), None
         if test_ws.count:
-            test_mse, probs = evaluate(model, test_ws)
-            stats = model.routing_stats(probs) if model.uses_routers else None
+            test_mse, _, probs = evaluate(model.forward_array, test_ws)
+            stats = model.routing_stats(probs)
         # constant gates carry no selection variability
         entropy = float(np.mean(stats.entropy_bits())) if stats is not None else 0.0
         rows.append({
@@ -347,10 +336,14 @@ def cmd_ablate(args) -> int:
             "routing_entropy_bits": entropy,
         })
 
+    if test_ws.count:  # scored before anything is written
+        naive = naive_repeat_last_mse(test_ws)
+        check_finite_metrics({**{f"{r['variant']}.test_mse": r["test_mse"] for r in rows},
+                              "repeat_last.test_mse": naive}, test_ws.view.array)
     path = out / "ablate.csv"
     _write_csv(path, rows)
     if test_ws.count:
-        print(f"repeat-last naive test mse: {naive_repeat_last_mse(test_ws):.6f}")
+        print(f"repeat-last naive test mse: {naive:.6f}")
     header = f"{'variant':18}{'test_mse':>12}{'val_mse':>12}{'trainable':>12}{'adapters':>10}{'entropy':>10}"
     print(header)
     for r in rows:
@@ -373,23 +366,26 @@ def cmd_sweep_n(args) -> int:
     out = _output_dir(args.out)
     _, views, (train_ws, val_ws, test_ws) = prepare_data(cfg)
 
-    rows = []
+    rows, payloads = [], []
     for ncfg, model in zip(ncfgs, build_models(ncfgs, views[0])):
         n = ncfg.n_active
         train(model, train_ws, val_ws, ncfg)
         if test_ws.count:
-            test_mse, probs = evaluate(model, test_ws)
-            stats = model.routing_stats(probs)
-        else:
-            test_mse, stats = float("nan"), model.collect_routing_stats(train_ws)
-        payload = stats.to_json_dict()
-        payload["n_active"] = n
-        _write_json(out / f"routing_n{n}.json", payload)
+            test_mse, _, probs = evaluate(model.forward_array, test_ws)
+        else:  # no test windows: the routing of the training split
+            test_mse, probs = float("nan"), evaluate(model.forward_array, train_ws)[2]
+        stats = model.routing_stats(probs)
+        payloads.append({**stats.to_json_dict(), "n_active": n})
         rows.append({
             "n_active": n,
             "test_mse": test_mse,
             "mean_entropy_bits": float(np.mean(stats.entropy_bits())),
         })
+    if test_ws.count:  # scored before anything is written
+        check_finite_metrics({f"n_active={r['n_active']}.test_mse": r["test_mse"] for r in rows},
+                             test_ws.view.array)
+    for payload in payloads:
+        _write_json(out / f"routing_n{payload['n_active']}.json", payload)
     path = out / "sweep_n.csv"
     _write_csv(path, rows)
     for r in rows:

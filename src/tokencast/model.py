@@ -140,19 +140,15 @@ class Forecaster:
         pred, _ = self.forward_array(x)
         return pred.data
 
-    def collect_routing_stats(self, windows, batch_size: int = 64) -> RoutingStats:
-        """Aggregate routing frequencies over every window of a WindowSet."""
-        if not self.uses_routers:
-            raise ShapeError(f"variant '{self.variant}' has no routers")
-        return self.routing_stats([self.forward_array(batch.x)[1]
-                                   for batch in windows.iter_batches(batch_size)])
-
-    def routing_stats(self, batch_probs: list[list[Tensor]]) -> RoutingStats:
-        """Merge the router outputs of several forwards, one list per batch.
+    def routing_stats(self, batch_probs: list[list[Tensor]]) -> RoutingStats | None:
+        """Merge the router outputs of several forwards, one list per batch;
+        None for a model without routers.
 
         Each batch's stats weigh by its window count, so the merge equals
         the stats of one batch holding every window.
         """
+        if not self.uses_routers:
+            return None
         sizes = [probs[0].shape[0] for probs in batch_probs]
         f, phat = merge_stats([batch_stats(probs) for probs in batch_probs], sizes)
         return RoutingStats(f=f, phat=phat, samples=sum(sizes), n_active=self.cfg.n_active)

@@ -23,6 +23,10 @@ activations went back to the kernel when it ended, and the next step
 faulted the same pages in again: about 28K minor faults (111 MiB) and 6%
 of a main_text train step. No value changes; where `mallopt` does not
 exist (not glibc) the call does nothing.
+
+`evaluate` is the one scoring loop, for validation, test, the naive
+baseline, `eval` and routing_stats.json. It sums squared errors batch by
+batch, so its batch size enters the last bits of each mse.
 """
 
 from __future__ import annotations
@@ -197,35 +201,34 @@ class TrainResult:
 EVAL_BATCH = 64  # windows per forward when scoring a split
 
 
-def evaluate_mse(model, windows, batch_size: int = EVAL_BATCH) -> float:
-    """Mean squared forecast error over every window, no gradient tape."""
-    return evaluate(model, windows, batch_size)[0]
-
-
-def evaluate(model, windows, batch_size: int = EVAL_BATCH) -> tuple[float, list]:
-    """evaluate_mse, and each batch's router outputs from the same forwards."""
+def evaluate(forward, windows, batch_size: int = EVAL_BATCH) -> tuple[float, np.ndarray, list]:
+    """The mse of `forward` over every window, its stacked (windows, C, horizon)
+    forecasts and each batch's probs; `forward` maps a (B, C, lookback) batch
+    to (forecast Tensor, router probs), as `Forecaster.forward_array` does."""
     if windows.count < 1:
-        raise ValueError("no windows to evaluate")
+        raise DataError("no evaluation windows; split is too short")
     total_se = 0.0
     count = 0
-    probs = []
+    preds, probs = [], []
     for batch in windows.iter_batches(batch_size):
-        pred, batch_probs = model.forward_array(batch.x)
+        pred, batch_probs = forward(batch.x)
         total_se += float(((pred.data - batch.y) ** 2).sum())
         count += batch.y.size
+        preds.append(pred.data)
         probs.append(batch_probs)
-    return total_se / count, probs
+    return total_se / count, np.concatenate(preds), probs
+
+
+def evaluate_mse(model, windows, batch_size: int = EVAL_BATCH) -> float:
+    """Mean squared forecast error over every window, no gradient tape."""
+    return evaluate(model.forward_array, windows, batch_size)[0]
 
 
 def naive_repeat_last_mse(windows, batch_size: int = EVAL_BATCH) -> float:
     """Baseline that repeats each window's final observation across the horizon."""
-    total_se = 0.0
-    count = 0
-    for batch in windows.iter_batches(batch_size):
-        pred = np.repeat(batch.x[:, :, -1:], batch.y.shape[2], axis=2)
-        total_se += float(((pred - batch.y) ** 2).sum())
-        count += batch.y.size
-    return total_se / count
+    def repeat_last(x):
+        return Tensor(np.repeat(x[:, :, -1:], windows.horizon, axis=2)), []
+    return evaluate(repeat_last, windows, batch_size)[0]
 
 
 def _numeric_failure(what: str, epoch: int, step: int, loss: float, task: Tensor,

@@ -604,6 +604,34 @@ def test_multi_model_verbs_forward_the_test_split_once(tmp_path, monkeypatch, ve
     assert written == [evaluate_mse(m, test_ws) for m in built]
 
 
+@pytest.mark.parametrize("verb, scored", [
+    (["eval"], ["test"]),
+    (["train", "--variant", "full"], ["train", "test"]),
+    (["train", "--variant", "v4_frozen"], ["test"]),
+], ids=["eval", "train-full", "train-v4_frozen"])
+def test_single_model_verbs_forward_each_scored_split_once(tiny_run, tmp_path, monkeypatch,
+                                                           verb, scored):
+    # training is stubbed out, so every forward left scores a split: the
+    # test split, and for a routed model the training split's routing
+    forwarded = []
+    forward_array = model.Forecaster.forward_array
+
+    def counting(self, x):
+        forwarded.append(len(x))
+        return forward_array(self, x)
+
+    history = [{"epoch": 0, "train_loss": 0.0, "val_loss": None, "lb_loss": 0.0,
+                "entropy": [0.0, 0.0]}]
+    monkeypatch.setattr(model.Forecaster, "forward_array", counting)
+    monkeypatch.setattr(cli, "train", lambda *args: TrainResult(history=history, epochs_run=1))
+    argv = [*verb, "--checkpoint", str(tiny_run[0])] if verb == ["eval"] else [*verb, *TINY]
+    assert cli.main([*argv, "--length", "400", "--out", str(tmp_path)]) == 0
+    _, _, windows = cli.prepare_data(RunConfig(length=400, lookback=16, horizon=4))
+    counts = dict(zip(["train", "val", "test"], (ws.count for ws in windows)))
+    assert counts["test"] > EVAL_BATCH and counts["train"] > EVAL_BATCH
+    assert sum(forwarded) == sum(counts[split] for split in scored)
+
+
 def test_sweep_n_rejects_bad_values(tmp_path, capsys):
     assert cli.main(["sweep-n", *TINY, "--n-values", "0,9"]) == 2
     assert cli.main(["sweep-n", *TINY, "--n-values", "abc"]) == 2
@@ -1049,6 +1077,33 @@ def test_eval_non_finite_metric_exits_4_and_writes_nothing(tiny_run, tmp_path, c
     diagnostics = json.loads(err[err.index("{"):])
     assert "ALL.mse" in diagnostics["metrics"] and diagnostics["y_max"] == 1e308
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, metrics", [
+    (["train"], ["full.test_mse", "repeat_last.test_mse"]),
+    (["ablate"], ["full.test_mse", "v1_no_align.test_mse", "v2_prefix_prompt.test_mse",
+                  "v3_static_lora.test_mse", "v4_frozen.test_mse", "repeat_last.test_mse"]),
+    (["sweep-n", "--n-values", "1,2"], ["n_active=1.test_mse", "n_active=2.test_mse"]),
+], ids=["train", "ablate", "sweep-n"])
+def test_non_finite_test_mse_exits_4_and_writes_nothing(tmp_path, capsys, verb, metrics):
+    # 1e308 three rows from the end is only ever a test truth: training and
+    # validation never meet it, but every squared error against it overflows
+    series = tmp_path / "series.csv"
+    assert cli.main(["synth", "--length", "300", "--output", str(series)]) == 0
+    header, *rows = series.read_text().splitlines()
+    cells = rows[-3].split(",")
+    cells[1] = "1e308"
+    rows[-3] = ",".join(cells)
+    series.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "out"
+    code = cli.main([*verb, *TINY, "--epochs", "1", "--data-kind", "csv", "--csv-path",
+                     str(series), "--date-column", "date", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert f"numeric failure: non-finite metrics {metrics}" in err and "Traceback" not in err
+    diagnostics = json.loads(err[err.index("{"):])
+    assert diagnostics["metrics"] == metrics and diagnostics["y_max"] == 1e308
+    assert not any(out.iterdir())  # the directory is made up front, and stays empty
 
 
 def forecast_csv(ckpt, src, out, *flags):

@@ -341,7 +341,7 @@ def test_tensor_defines_exactly_the_ops_the_model_records():
     assert ops == recorded
 
 
-def test_collect_routing_stats_merges_batches_exactly():
+def test_routing_stats_of_evaluate_merges_batches_exactly():
     # 105 windows in batches of 8 leave a last batch of 1: weighting by batch
     # size must pool them into the stats of one batch of every window
     cfg = tiny_cfg()
@@ -349,11 +349,17 @@ def test_collect_routing_stats_merges_batches_exactly():
     view, _, _ = chronological_split(synth_generate("sine_mixture", 2, 120, 0),
                                      SplitSpec(120, 0, 0), cfg.lookback)
     windows = WindowSet(view, cfg.lookback, cfg.horizon)
-    whole = m.collect_routing_stats(windows, batch_size=windows.count)
-    merged = m.collect_routing_stats(windows, batch_size=8)
+    whole = m.routing_stats(training.evaluate(m.forward_array, windows, windows.count)[2])
+    merged = m.routing_stats(training.evaluate(m.forward_array, windows, 8)[2])
     assert merged.samples == whole.samples == windows.count == 105
     np.testing.assert_allclose(merged.f, whole.f, rtol=0, atol=1e-12)
     np.testing.assert_allclose(merged.phat, whole.phat, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["v3_static_lora", "v4_frozen"])
+def test_unrouted_model_has_no_routing_stats(variant):
+    m = Forecaster(tiny_cfg(variant=variant))
+    assert m.routing_stats([m.forward_array(batch(m.cfg))[1]]) is None
 
 
 def test_composed_gradients_match_finite_differences():

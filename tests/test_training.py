@@ -351,6 +351,17 @@ def test_naive_baseline_hand_value():
     assert tr.naive_repeat_last_mse(ws) == pytest.approx(5.0)
 
 
+def test_scoring_an_empty_window_set_is_a_data_error():
+    view, _, _ = chronological_split(synth_generate("sine_mixture", 2, 19, 0),
+                                     SplitSpec(19, 0, 0), lookback=16)
+    ws = WindowSet(view, lookback=16, horizon=4)
+    assert ws.count == 0
+    with pytest.raises(DataError, match="no evaluation windows"):
+        tr.evaluate_mse(Forecaster(tiny_cfg()), ws)
+    with pytest.raises(DataError, match="no evaluation windows"):
+        tr.naive_repeat_last_mse(ws)
+
+
 def test_training_reduces_loss_on_sine():
     train_ws, val_ws = sine_windows()
     m = Forecaster(tiny_cfg())
