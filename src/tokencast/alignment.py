@@ -76,7 +76,7 @@ class CrossAttention:
         k = T.matmul(prompt_tokens, self.wk)
         v = T.matmul(prompt_tokens, self.wv)
         merged = T.attention(q, k, v, self.heads)
-        return T.add(ts_tokens, T.matmul(merged, self.wo))
+        return T.linear(merged, self.wo, ts_tokens)  # ts_tokens + merged @ wo
 
     def params(self, prefix: str = "align") -> dict[str, Tensor]:
         return {

@@ -15,12 +15,13 @@ scale: either randomly initialized and frozen, or briefly pretrained by
 stack is frozen from construction on; pretraining unfreezes it for its run.
 
 The trunk stores its frozen weights and norm gains in the run's
-`trunk_dtype`, float64 or float32, and each block op computes in it: it
-converts its input state, its output grad and the float64 adapter factors
-and gates on entry, and hands back its output and every grad in float64.
-Everything outside the block op (embedder, alignment, routers, head, loss,
-optimizer) stays float64. The weights are drawn in float64 and rounded
-once, so a float32 trunk is the float64 trunk rounded.
+`trunk_dtype`, float64 or float32, and each block op computes in it and
+emits its output state in it, so the states between blocks stay in the
+trunk dtype; only block 0 converts its input, the float64 output of the
+alignment. Everything outside the block ops (embedder, alignment, routers,
+head, loss, optimizer) stays float64: the routers and the head read a
+float32 state widened. The weights are drawn in float64 and rounded once,
+so a float32 trunk is the float64 trunk rounded.
 
 Every shape comes straight from the run's RunConfig (dim, heads, ffn_dim,
 layers, causal_mask, pretrain_mode, trunk_dtype; the linears' through
@@ -102,12 +103,13 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
     h. The grad of h is always formed; the grads of trunk weights, gains
     and adapter factors only when those require grad.
 
-    The op computes in the block's dtype. When the float64 state enters a
-    narrower block, the op converts on entry h, the output grad, the
-    adapters' float64 factors and any trunk tensor not stored in the
-    block's dtype (pretraining's float64 masters; `_cast`,
-    `_cast_factors`), and the pull widens every grad it returns;
-    `dlora.apply` converts the gates, and `T.emit` widens the output. A
+    The op computes in the block's dtype and emits its output in it. It
+    converts on entry every input not already in that dtype: block 0's
+    float64 state, the factors of each adapter whose delta runs and
+    pretraining's float64 trunk masters (`_cast`, `_cast_factors`);
+    `dlora.apply` converts the gates, and the pull converts the output
+    grad. The pull returns each grad in its own input's dtype: a state's
+    grad in the state's, the grads of factors and masters in float64. A
     float64 block converts nothing.
 
     Outside a tape the intermediates still live until the op returns:
@@ -136,10 +138,9 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
         raise ShapeError(f"block dim {d} does not match input {h.shape}")
     weights = [block.weights[name] for name in dlora.MODULE_NAMES]
     inputs = [h, block.attn_norm, block.ffn_norm, *weights]
-    hd, shape = h.data, h.shape
-    narrow = hd.dtype != dt  # a float64 state entering a narrower trunk
+    hd, shape = h.data.astype(dt, copy=False), h.shape
+    narrow = dt != np.float64  # a float64 block converts nothing: every input is float64
     if narrow:
-        hd = hd.astype(dt)
         attn_norm, ffn_norm, *weights = [_cast(t, dt) for t in inputs[1:]]
     else:
         attn_norm, ffn_norm = block.attn_norm, block.ffn_norm
@@ -154,9 +155,11 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
     def linear(i, z):
         name = dlora.MODULE_NAMES[i]
         adapter = adapters.get(name) if adapters else None
-        local = _cast_factors(adapter, dt) if narrow else adapter
-        out, low, m = dlora.apply(z, weights[i].data, None, local,
-                                  gates.get(name) if gates else None)
+        gate = gates.get(name) if gates else None
+        local = adapter
+        if narrow and adapter is not None and gate is not None and np.any(gate):
+            local = _cast_factors(adapter, dt)  # only a delta that runs reads them
+        out, low, m = dlora.apply(z, weights[i].data, None, local, gate)
         if low is not None:
             inputs.extend((adapter.down, adapter.up))
         saved.append((local, low, m))
@@ -179,6 +182,10 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
         x2 = None
     prod *= up  # silu(gate_out) * up, in the silu's buffer
     out = h1 + linear(6, prod)
+    # the dtype each grad goes back in, worked out here so that the pull
+    # holds no reference to the inputs list
+    wide = ([(j, t.data.dtype) for j, t in enumerate(inputs) if t.data.dtype != dt]
+            if narrow else ())
 
     def pull(g):
         grads = [None] * 10
@@ -227,9 +234,12 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
         for (_, low, _), pair in zip(saved, factor_grads):
             if low is not None:
                 grads += pair
-        return [None if gr is None else gr.astype(np.float64) for gr in grads] if narrow else grads
+        for j, dtype in wide:
+            if grads[j] is not None:
+                grads[j] = grads[j].astype(dtype)
+        return grads
 
-    return T.emit(out, tuple(inputs), pull)
+    return T.emit(out, tuple(inputs), pull, dt)
 
 
 def _cast(t: Tensor, dtype) -> Tensor:
@@ -237,10 +247,8 @@ def _cast(t: Tensor, dtype) -> Tensor:
     return t if t.data.dtype == dtype else Tensor(t.data, t.requires_grad, dtype)
 
 
-def _cast_factors(adapter: dlora.LoraAdapter | None, dtype):
-    """The adapter's factors in `dtype`, with their grad flags; None for no adapter."""
-    if adapter is None:
-        return None
+def _cast_factors(adapter: dlora.LoraAdapter, dtype):
+    """The adapter's factors in `dtype`, with their grad flags."""
     return SimpleNamespace(down=_cast(adapter.down, dtype), up=_cast(adapter.up, dtype))
 
 

@@ -172,6 +172,17 @@ def check_finite_metrics(metrics: dict[str, float], y: np.ndarray) -> None:
         )
 
 
+def naive_test_mse(test_ws) -> float | None:
+    """The repeat-last naive test mse, None without test windows, checked
+    finite before any model trains: it needs no model, so a test split
+    whose squared errors overflow exits 4 before the first fit."""
+    if not test_ws.count:
+        return None
+    naive = naive_repeat_last_mse(test_ws)
+    check_finite_metrics({"repeat_last.test_mse": naive}, test_ws.view.array)
+    return naive
+
+
 # ------------------------------------------------------------------- verbs
 
 
@@ -211,12 +222,12 @@ def cmd_train(args) -> int:
     cfg = config_from_args(args)
     out = _output_dir(args.out)
     _, views, (train_ws, val_ws, test_ws) = prepare_data(cfg)
+    naive = naive_test_mse(test_ws)
     model = build_model(cfg, views[0])
     result = train(model, train_ws, val_ws, cfg)
     if test_ws.count:  # scored before anything is written
-        test_mse, naive = evaluate_mse(model, test_ws), naive_repeat_last_mse(test_ws)
-        check_finite_metrics({f"{cfg.variant}.test_mse": test_mse,
-                              "repeat_last.test_mse": naive}, test_ws.view.array)
+        test_mse = evaluate_mse(model, test_ws)
+        check_finite_metrics({f"{cfg.variant}.test_mse": test_mse}, test_ws.view.array)
     stats = (model.routing_stats(evaluate(model.forward_array, train_ws)[2])
              if model.uses_routers else None)
 
@@ -315,6 +326,7 @@ def cmd_ablate(args) -> int:
     cfg = config_from_args(args)
     out = _output_dir(args.out)
     _, views, (train_ws, val_ws, test_ws) = prepare_data(cfg)
+    naive = naive_test_mse(test_ws)
 
     rows = []
     vcfgs = [dataclasses.replace(cfg, variant=variant) for variant in VARIANTS]
@@ -337,9 +349,8 @@ def cmd_ablate(args) -> int:
         })
 
     if test_ws.count:  # scored before anything is written
-        naive = naive_repeat_last_mse(test_ws)
-        check_finite_metrics({**{f"{r['variant']}.test_mse": r["test_mse"] for r in rows},
-                              "repeat_last.test_mse": naive}, test_ws.view.array)
+        check_finite_metrics({f"{r['variant']}.test_mse": r["test_mse"] for r in rows},
+                             test_ws.view.array)
     path = out / "ablate.csv"
     _write_csv(path, rows)
     if test_ws.count:
@@ -365,6 +376,7 @@ def cmd_sweep_n(args) -> int:
              for n in parse_n_values(args.n_values)]
     out = _output_dir(args.out)
     _, views, (train_ws, val_ws, test_ws) = prepare_data(cfg)
+    naive_test_mse(test_ws)
 
     rows, payloads = [], []
     for ncfg, model in zip(ncfgs, build_models(ncfgs, views[0])):

@@ -16,8 +16,10 @@ so router weights learn only through that balance term.
 
 Adapters and routers hold float64 factors, AdamW's masters. `apply` and
 `apply_grads` compute in the dtype of the arrays they are given: the block
-op hands them its input, trunk weights and adapter factors in the run's
-trunk dtype, and `apply` converts a gate to the input's dtype.
+op hands them its input, trunk weights and the factors of each delta that
+runs in the run's trunk dtype, and `apply` converts a gate to the input's
+dtype. A router reads its block's input state, which is float32 after the
+first block of a float32 trunk, widened to float64.
 
 Adapters and routers take their shapes from a RunConfig that `Forecaster`
 has already validated (rank within min(dim, ffn_dim) // 2, n_active within
@@ -55,11 +57,12 @@ def apply(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
 
     `gate` is None (no adapter path) or a 0/1 constant that broadcasts from
     the leading axes of x: a scalar or one value per sample. The product is
-    in x's dtype, which weight and the adapter's factors share; the gate is
-    converted to it. An all-closed gate skips the adapter; an all-open one
-    skips the gate product. Returns (out, low, mask). low is the gated
-    rank-r intermediate (x A) g with the leading axes of x folded into
-    rows, None when no delta ran; mask is g shaped to broadcast against the
+    in x's dtype, which weight shares, and the adapter's factors too when
+    a gate is open; the gate is converted to it. An all-closed gate skips
+    the adapter, whose factors are then not read; an all-open one skips
+    the gate product. Returns (out, low, mask). low is the gated rank-r
+    intermediate (x A) g with the leading axes of x folded into rows,
+    None when no delta ran; mask is g shaped to broadcast against the
     unfolded (.., r) intermediate, None when every gate is open.
     `backbone.transformer_block` calls this once per linear and hands low
     and mask to `apply_grads`.
@@ -132,12 +135,15 @@ def router_probs(h: Tensor, weight: Tensor, squash: bool) -> Tensor:
     reshape, tanh, matmul and softmax records (tests/oracles.py) in their
     order, so values and grads match those records bit for bit. The grad
     of h is always formed, the weight's only when it requires grad.
+    A float32 state (a block's output in a float32 trunk) is read widened,
+    and its grad is formed in float64, so the router computes as it would
+    on the state widened.
     """
     if h.ndim != 3 or weight.ndim != 2 or weight.shape[0] != h.shape[2]:
         raise ShapeError(f"router_probs: states {h.shape} do not fit weight {weight.shape}")
     b, n, d = h.shape
     key = (slice(None), slice(n - 1, n), slice(None))
-    pooled = np.ascontiguousarray(h.data[key]).reshape(b, d)
+    pooled = np.ascontiguousarray(h.data[key], dtype=np.float64).reshape(b, d)
     x = np.tanh(pooled) if squash else pooled
     wd = weight.data
     probs = kernels.softmax_rows(x @ wd)
@@ -147,7 +153,7 @@ def router_probs(h: Tensor, weight: Tensor, squash: bool) -> Tensor:
         gx = glogits @ wd.T
         if squash:
             gx = gx * (1.0 - x * x)
-        gh = np.zeros_like(h.data)
+        gh = np.zeros(h.shape)
         gh[key] = gx.reshape(b, 1, d)
         return gh, x.T @ glogits if weight.requires_grad else None
 

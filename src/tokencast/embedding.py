@@ -68,8 +68,8 @@ class TsEmbedder:
             raise ShapeError(
                 f"embedder configured for lookback {self.lookback}, got {x.shape[-1]}"
             )
-        h = T.silu(T.add(T.matmul(x, self.w1), self.b1))
-        return T.add(T.matmul(h, self.w2), self.b2)
+        h = T.silu(T.linear(x, self.w1, self.b1))
+        return T.linear(h, self.w2, self.b2)
 
     def params(self, prefix: str = "embedder") -> dict[str, Tensor]:
         return {
@@ -91,10 +91,11 @@ class OutputHead:
         self.bias = T.parameter(np.zeros(horizon))
 
     def project(self, h: Tensor) -> Tensor:
-        """(..., channels, dim) -> (..., channels, horizon)."""
+        """(..., channels, dim) -> (..., channels, horizon), in float64 whatever
+        the dtype of h (the trunk's last state)."""
         if h.shape[-1] != self.dim:
             raise ShapeError(f"head configured for dim {self.dim}, got {h.shape[-1]}")
-        return T.add(T.matmul(h, self.weight), self.bias)
+        return T.linear(h, self.weight, self.bias)
 
     def params(self, prefix: str = "head") -> dict[str, Tensor]:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}

@@ -1,9 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A tensor is float64 unless it is made in another dtype: only the trunk's
-weights and gains are, when the run's `trunk_dtype` says so, and only the
-block op reads them (`backbone.transformer_block`), which hands back
-float64 outputs and grads.
+weights and gains are, when the run's `trunk_dtype` says so, and the token
+states between the trunk's blocks, which the block op
+(`backbone.transformer_block`) emits in that dtype. The ops that read the
+last state (the head's `linear`, the prefix slice) form float64 outputs
+from it, numpy widening its values exactly.
 
 Operations executed inside an active Tape are recorded in execution order;
 Tape.backward walks the record list once, in reverse, and leaves grads on
@@ -20,8 +22,9 @@ records, no more; ops defined elsewhere record through `emit`, ask
 `recording`, and run attention on arrays with `attend`, `attend_context`
 and `attend_grads`.
 matmul takes a 2-D weight and folds the leading axes of its left operand
-into rows, so it runs as one GEMM, forward and backward. Outside a tape
-every op is forward-only, which is what inference wants.
+into rows, so it runs as one GEMM, forward and backward; linear is matmul
+plus an addend (a bias, or the alignment's residual) as one record.
+Outside a tape every op is forward-only, which is what inference wants.
 
 A Tape and the tensors recorded on it belong to one thread. Independent
 model instances may run on separate threads, each with its own tape.
@@ -80,7 +83,10 @@ class Tape:
         holds it, unless it is read-only or shares memory with another array
         the same pull handed over (add gives one array to both inputs); then
         it is copied. No two grads share memory, so later contributions add
-        in place.
+        in place. numpy adds a float64 contribution to a float32 grad in
+        float64 and rounds the sum once, so a float32 state's grad from the
+        block above plus the float64 one from its router holds the bits the
+        block below would round their float64 sum to.
 
         A tape runs backward once: each record is dropped as its turn comes,
         so what its pull kept is freed once its grads exist, and the tape is
@@ -155,17 +161,18 @@ def recording() -> bool:
     return _LOCAL.tape is not None
 
 
-def emit(data, inputs, pull) -> Tensor:
+def emit(data, inputs, pull, dtype=np.float64) -> Tensor:
     """Create the output tensor, recording the op if a tape is active; pull names the op.
 
-    The output is float64: data in a narrower dtype is widened here.
+    The output is in `dtype`, float64 unless the op names another (the
+    block op names the trunk dtype): data in another dtype is converted here.
     """
     req = False
     for t in inputs:
         if t.requires_grad:
             req = True
             break
-    out = Tensor(data, requires_grad=req)
+    out = Tensor(data, requires_grad=req, dtype=dtype)
     if req:
         tape = _LOCAL.tape
         if tape is not None:
@@ -321,6 +328,25 @@ def mean(a: Tensor, axis=None) -> Tensor:
 # ------------------------------------------------------------------ linear
 
 
+def _product(op: str, ad: np.ndarray, wd: np.ndarray) -> np.ndarray:
+    """The (.., p) product of a (.., k) operand and a 2-D (k, p) weight, as one GEMM."""
+    if ad.ndim < 2 or wd.ndim != 2:
+        raise ShapeError(f"{op}: needs a (.., k) operand and a 2-D weight,"
+                         f" got {ad.shape} @ {wd.shape}")
+    if ad.shape[-1] != wd.shape[0]:
+        raise ShapeError(f"{op}: inner dims differ, {ad.shape} @ {wd.shape}")
+    k, p = wd.shape
+    return (ad.reshape(-1, k) @ wd).reshape(ad.shape[:-1] + (p,))
+
+
+def _product_grads(g, a: Tensor, w: Tensor, ad: np.ndarray, wd: np.ndarray):
+    """Grads of `_product`'s operand and weight, each None unless it requires grad."""
+    k, p = wd.shape
+    g2 = g.reshape(-1, p)
+    return ((g2 @ wd.T).reshape(ad.shape) if a.requires_grad else None,
+            ad.reshape(-1, k).T @ g2 if w.requires_grad else None)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Product of a (.., k) operand and a 2-D (k, p) weight shared by every row.
 
@@ -328,20 +354,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     single 2-D GEMMs.
     """
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim != 2:
-        raise ShapeError(f"matmul: needs a (.., k) operand and a 2-D weight,"
-                         f" got {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
-    k, p = bd.shape
-    data = (ad.reshape(-1, k) @ bd).reshape(ad.shape[:-1] + (p,))
+    data = _product("matmul", ad, bd)
 
     def pull(g):
-        g2 = g.reshape(-1, p)
-        return ((g2 @ bd.T).reshape(ad.shape) if a.requires_grad else None,
-                ad.reshape(-1, k).T @ g2 if b.requires_grad else None)
+        return _product_grads(g, a, b, ad, bd)
 
     return emit(data, (a, b), pull)
+
+
+def linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """a @ w + b as one op: matmul's product plus b, a (p,) bias or an addend
+    that broadcasts to the product's shape.
+
+    b is added into the product's buffer, which becomes the output, so no
+    record keeps a product that only an add reads. Values and grads are the
+    bits of the matmul and add records this replaces: the sum is the same
+    either way round, and b's grad is the add's unbroadcast one.
+    """
+    ad, wd = a.data, w.data
+    data = _product("linear", ad, wd)
+    try:
+        data += b.data
+    except ValueError as e:
+        raise ShapeError(f"linear: addend {b.shape} does not fit the product {data.shape}") from e
+
+    def pull(g):
+        return (*_product_grads(g, a, w, ad, wd),
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return emit(data, (a, w, b), pull)
 
 
 def take_rows(a: Tensor, ids) -> Tensor:

@@ -7,15 +7,17 @@ the model itself never records live here, on the same `emit` and
 `_unbroadcast` machinery as `tokencast.tensor`, so the bit-identity tests
 compare against exactly the numpy expressions they always did. Each op
 keeps its own finite-difference test. `composed_block` is a transformer
-block built from those records. `np_attention` is the per-head numpy loop
-that the attention and block tests check values against. The kernel
-expressions at the end are the plain forms that `tokencast.kernels`
-computes with in-place passes, and `instance_normalize` is the plain
-`x.mean` / `x.std` form of `embedding.instance_normalize`. `LoopAdamW` is
-the optimizer as a loop over the tensors, which the flat-buffer
-`training.AdamW` must match bit for bit. `load_csv` is the CSV loader as
-a per-cell loop, which `data.load_csv` must match in values, channel
-names and the message of the first fault.
+block built from those records, and `widened_block` the block op followed
+by a record that widens its state to float64. `np_attention` is the
+per-head numpy loop that the attention and block tests check values
+against. The kernel expressions at the end are the plain forms that
+`tokencast.kernels` computes with in-place passes, and
+`instance_normalize` is the plain `x.mean` / `x.std` form of
+`embedding.instance_normalize`. `LoopAdamW` is the optimizer as a loop
+over the tensors, which the flat-buffer `training.AdamW` must match bit
+for bit. `load_csv` is the CSV loader as a per-cell loop, which
+`data.load_csv` must match in values, channel names and the message of
+the first fault.
 """
 
 import csv
@@ -26,7 +28,7 @@ import numpy as np
 
 from tokencast import kernels, training
 from tokencast import tensor as T
-from tokencast.backbone import MASK_FILL, NORM_EPS
+from tokencast.backbone import MASK_FILL, NORM_EPS, transformer_block
 from tokencast.data import DataError, MultivariateSeries, _decoded_lines
 from tokencast.tensor import ShapeError, Tensor, emit, _unbroadcast
 
@@ -181,6 +183,23 @@ def composed_block(block, h: Tensor, adapters=None, gates=None) -> Tensor:
     gated = T.silu(linear(x2, "gate_proj"))
     ffn = linear(T.mul(gated, linear(x2, "up_proj")), "down_proj")
     return T.add(h, ffn)
+
+
+def widened_block(block, h: Tensor, adapters=None, gates=None) -> Tensor:
+    """`backbone.TransformerBlock.forward` handing its state back in float64.
+
+    The block op's output goes through one more record that widens it and
+    hands its float64 grad back as is, so every block reads a float64 state
+    and returns its grad in float64, and a float32 state's grads from the
+    block above and from its router add in float64 before the block below
+    rounds them: a float32 trunk that round-trips each state through float64.
+    """
+    out = transformer_block(block, h, adapters, gates)
+
+    def pull(g):
+        return (g,)
+
+    return emit(out.data, (out,), pull)
 
 
 def np_attention(q, k, v, heads, mask=None):

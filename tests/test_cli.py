@@ -1079,15 +1079,15 @@ def test_eval_non_finite_metric_exits_4_and_writes_nothing(tiny_run, tmp_path, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("verb, metrics", [
-    (["train"], ["full.test_mse", "repeat_last.test_mse"]),
-    (["ablate"], ["full.test_mse", "v1_no_align.test_mse", "v2_prefix_prompt.test_mse",
-                  "v3_static_lora.test_mse", "v4_frozen.test_mse", "repeat_last.test_mse"]),
-    (["sweep-n", "--n-values", "1,2"], ["n_active=1.test_mse", "n_active=2.test_mse"]),
-], ids=["train", "ablate", "sweep-n"])
-def test_non_finite_test_mse_exits_4_and_writes_nothing(tmp_path, capsys, verb, metrics):
+@pytest.mark.parametrize("verb", [["train"], ["ablate"], ["sweep-n", "--n-values", "1,2"]],
+                         ids=["train", "ablate", "sweep-n"])
+def test_non_finite_test_mse_exits_4_and_writes_nothing(tmp_path, capsys, monkeypatch, verb):
     # 1e308 three rows from the end is only ever a test truth: training and
-    # validation never meet it, but every squared error against it overflows
+    # validation never meet it, but every squared error against it overflows,
+    # the repeat-last baseline's too, so the verb exits before any model trains
+    fits = []
+    train = cli.train
+    monkeypatch.setattr(cli, "train", lambda *a, **kw: fits.append(1) or train(*a, **kw))
     series = tmp_path / "series.csv"
     assert cli.main(["synth", "--length", "300", "--output", str(series)]) == 0
     header, *rows = series.read_text().splitlines()
@@ -1100,9 +1100,11 @@ def test_non_finite_test_mse_exits_4_and_writes_nothing(tmp_path, capsys, verb, 
                      str(series), "--date-column", "date", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 4, err
+    metrics = ["repeat_last.test_mse"]
     assert f"numeric failure: non-finite metrics {metrics}" in err and "Traceback" not in err
     diagnostics = json.loads(err[err.index("{"):])
     assert diagnostics["metrics"] == metrics and diagnostics["y_max"] == 1e308
+    assert not fits
     assert not any(out.iterdir())  # the directory is made up front, and stays empty
 
 

@@ -112,6 +112,27 @@ def test_duplicate_use_accumulates():
     np.testing.assert_allclose(x.grad, 2.0 * x.data + 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("narrow_first", [True, False], ids=["narrow_first", "wide_first"])
+def test_a_float32_grad_and_a_float64_one_add_in_float64(narrow_first):
+    # a float32 state's grad from the block above is float32 and the one
+    # from its router float64: they add in float64 whichever comes first,
+    # and the sum is rounded once, into the float32 grad or where the block
+    # below narrows it
+    state = T.parameter(rand((3, 4), 5).astype(np.float32), np.float32)
+    third = np.float32(1.0 / 3.0)
+    pulls = {"narrow": lambda g: (g.astype(np.float32) * third,), "wide": lambda g: (g / 7.0,)}
+    order = ["wide", "narrow"] if narrow_first else ["narrow", "wide"]  # backward runs the last first
+    with Tape() as tape:
+        reads = {name: T.emit(state.data, (state,), pulls[name]) for name in order}
+        tape.backward(T.total(T.mul(reads["narrow"], reads["wide"])))
+    g = state.data.astype(np.float64)  # each read's output grad is the other read
+    want = (g.astype(np.float32) * third).astype(np.float64) + g / 7.0
+    assert state.grad.dtype == (np.float32 if narrow_first else np.float64)
+    np.testing.assert_array_equal(state.grad.astype(np.float32), want.astype(np.float32))
+    assert not np.array_equal(want.astype(np.float32),
+                              (g.astype(np.float32) * third) + (g / 7.0).astype(np.float32))
+
+
 def test_backward_rejects_nonscalar():
     x = T.parameter(rand((2, 2), 4))
     with Tape() as tape:
@@ -397,6 +418,57 @@ def test_broadcast_add_bias_gradient():
     x = T.parameter(rand((3, 4), 25))
     bias = T.parameter(rand((4,), 26))
     assert_grads_match(lambda: T.total(T.square(T.add(x, bias))), [x, bias])
+
+
+LINEAR_CASES = {"bias": ((2, 3, 5), (4,)), "addend": ((2, 3, 5), (2, 3, 4)),
+                "rows": ((6, 5), (4,))}
+
+
+@pytest.mark.parametrize("case", sorted(LINEAR_CASES))
+def test_linear_gradient(case):
+    a_shape, b_shape = LINEAR_CASES[case]
+    a = T.parameter(rand(a_shape, 40))
+    w = T.parameter(rand((5, 4), 41))
+    b = T.parameter(rand(b_shape, 42))
+    assert_grads_match(lambda: T.total(T.square(T.linear(a, w, b))), [a, w, b])
+
+
+@pytest.mark.parametrize("case", sorted(LINEAR_CASES))
+@pytest.mark.parametrize("trainable", list(itertools.product([False, True], repeat=3))[1:],
+                         ids=lambda t: "".join("T" if x else "F" for x in t))
+def test_linear_bit_identical_to_matmul_and_add_records(case, trainable):
+    # linear replaces the embedder's and the head's matmul + bias add and
+    # the alignment's tokens + product: the same values and grads, and a
+    # frozen or constant input gets no grad
+    a_shape, b_shape = LINEAR_CASES[case]
+
+    def run(fused):
+        a, w, b = (Tensor(rand(shape, seed), requires_grad=learn) for shape, seed, learn
+                   in zip((a_shape, (5, 4), b_shape), (43, 44, 45), trainable))
+        with T.Tape() as tape:
+            if fused:
+                out = T.linear(a, w, b)
+                assert len(tape._records) == 1
+            elif case == "addend":
+                out = T.add(b, T.matmul(a, w))
+            else:
+                out = T.add(T.matmul(a, w), b)
+            tape.backward(T.total(T.square(out)))
+        return [out.data] + [t.grad for t in (a, w, b)]
+
+    for got, want, learn in zip(run(True), run(False), (True,) + trainable):
+        assert (got is None) == (want is None) == (not learn)
+        if learn:
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("b_shape", [(3,), (5, 2, 4), (2, 1, 4, 4)])
+def test_linear_rejects_an_addend_that_does_not_fit(b_shape):
+    # the addend goes into the product's buffer, so it may not widen it
+    with pytest.raises(ShapeError, match="linear"):
+        T.linear(Tensor(np.zeros((2, 4, 5))), Tensor(np.zeros((5, 4))), Tensor(np.zeros(b_shape)))
+    with pytest.raises(ShapeError, match="linear"):
+        T.linear(Tensor(np.zeros((2, 4, 5))), Tensor(np.zeros((4, 4))), Tensor(np.zeros(4)))
 
 
 def test_broadcast_mask_mul_gradient():

@@ -1,5 +1,6 @@
 """The trunk dtype: a float32 trunk is the float64 one rounded, only the block
-op computes in it, and checkpoints store it in float32."""
+op computes in it, the states between blocks stay in it, and checkpoints
+store it in float32."""
 
 import dataclasses
 import json
@@ -9,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles as O
 from tokencast import cli, dlora, training
 from tokencast import tensor as T
 from tokencast.backbone import Backbone, TransformerBlock, module_dims, pretrain_then_freeze
@@ -76,10 +78,11 @@ def test_float32_trunk_is_the_float64_trunk_rounded():
         np.testing.assert_array_equal(t.data, wide[name].data.astype(np.float32), err_msg=name)
 
 
-def block_pass(dtype, causal):
+def block_pass(dtype, causal, state=None):
     """Output and every grad of one block with a trainable trunk, open,
     closed and per-sample gates and non-zero adapters; the float64 block
-    holds the float32 block's rounded weights."""
+    holds the float32 block's rounded weights. The input state holds
+    float32 values, stored in `state`, the block's dtype by default."""
     cfg = RunConfig(dim=16, heads=4, ffn_dim=32, rank=2, causal_mask=causal, trunk_dtype=dtype)
     block = TransformerBlock(cfg, np.random.Generator(np.random.PCG64(1)))
     rounded = TransformerBlock(dataclasses.replace(cfg, trunk_dtype="float32"),
@@ -94,7 +97,7 @@ def block_pass(dtype, causal):
         ad.up.data[...] = gen.normal(size=ad.up.shape) * 0.1
     gates = dict(zip(MODULE_NAMES, [1.0, np.array([1.0, 0.0, 1.0]), 0.0, np.ones(3),
                                     np.array([0.0, 1.0, 1.0]), 1.0, np.array([1.0, 0.0, 0.0])]))
-    h = T.parameter(gen.normal(size=(3, 5, 16)))
+    h = T.parameter(gen.normal(size=(3, 5, 16)).astype(np.float32), state or dtype)
     weight = Tensor(gen.normal(size=(3, 5, 16)))
     learn = [h, *block.tensors("b").values()] + [
         t for ad in adapters.values() for t in (ad.down, ad.up)]
@@ -108,12 +111,15 @@ def block_pass(dtype, causal):
 def test_float32_block_op_matches_float64_on_rounded_weights(monkeypatch, causal):
     wide = block_pass("float64", causal)
     seen = set()  # dtypes of every array the linears of the float32 block compute with
+    converted = []  # per linear with an adapter: (its delta ran, its factors were converted)
     apply, apply_grads = dlora.apply, dlora.apply_grads
 
     def apply_spy(x, weight, bias, adapter, gate):
         out, low, mask = apply(x, weight, bias, adapter, gate)
-        factors = () if adapter is None else (adapter.down.data, adapter.up.data)
+        factors = () if low is None else (adapter.down.data, adapter.up.data)
         seen.update(a.dtype for a in (x, weight, out, *factors) + (low, mask) if a is not None)
+        if adapter is not None:
+            converted.append((low is not None, not isinstance(adapter, LoraAdapter)))
         return out, low, mask
 
     def apply_grads_spy(gx, g, x, weight, adapter, low, mask):
@@ -125,13 +131,61 @@ def test_float32_block_op_matches_float64_on_rounded_weights(monkeypatch, causal
     monkeypatch.setattr(dlora, "apply_grads", apply_grads_spy)
     narrow = block_pass("float32", causal)
     assert seen == {np.dtype(np.float32)}
+    # the factors of the closed v_proj gate's adapter are left as they are
+    assert converted == [(True, True)] * 2 + [(False, False)] + [(True, True)] * 4
     assert len(narrow) == 1 + 1 + 9 + 14  # out; h, 9 trunk tensors, 7 adapters
     for i, (got, want) in enumerate(zip(narrow, wide)):
         if want is None:  # the closed gate's adapter
             assert got is None, i
             continue
-        assert got.dtype == np.float64, i  # handed back in float64
+        # the output and the grads of the state and the trunk in their own
+        # dtype, float32; the adapters' grads in their factors', float64
+        assert got.dtype == (np.float32 if i < 11 else np.float64), i
         assert close(got, want, BLOCK_RTOL), (i, np.abs(got - want).max())
+    # block 0 reads a float64 state: the op converts it on entry and hands
+    # its grad back in float64, every bit as for the float32 state
+    entry = block_pass("float32", causal, state="float64")
+    for i, (got, want) in enumerate(zip(entry, narrow)):
+        if want is None:
+            assert got is None, i
+            continue
+        assert got.dtype == (np.float64 if i == 1 else want.dtype), i
+        np.testing.assert_array_equal(got, want, err_msg=str(i))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("trunk", ["frozen", "trainable"])
+def test_float32_states_match_a_float64_round_trip_per_block(monkeypatch, variant, b, trunk):
+    # keeping the states in float32 between blocks changes no bit: the
+    # prediction, the loss and every grad equal those of a stack whose every
+    # block hands its state back in float64; a trainable trunk holds float64
+    # masters, as pretraining trains it, and at b=1 a routed module's gate
+    # is all open or all closed
+    def run():
+        m = perturbed(tiny_cfg(variant=variant, **F32))
+        if trunk == "trainable":
+            for t in m.backbone.tensors().values():
+                t.data = t.data.astype(np.float64)
+                t.requires_grad = True
+        params = m.named_parameters()
+        x = np.random.Generator(np.random.PCG64(9)).normal(size=(b, 3, 12))
+        with T.Tape() as tape:
+            pred, probs = m.forward_array(x)
+            task = training.task_loss("mse", pred, x[:, :, :m.cfg.horizon])
+            loss = training.total_loss(task, probs, training.batch_stats(probs)[0], 0.1)
+            tape.backward(loss)
+        return [pred.data, loss.data] + [params[k].grad for k in sorted(params)]
+
+    kept = run()
+    monkeypatch.setattr(TransformerBlock, "forward", O.widened_block)
+    oracle = run()
+    assert sum(g is not None for g in kept) > 2
+    for i, (got, want) in enumerate(zip(kept, oracle, strict=True)):
+        assert (got is None) == (want is None), i
+        if got is not None:
+            assert got.dtype == want.dtype == np.float64, i
+            np.testing.assert_array_equal(got, want, err_msg=str(i))
 
 
 def records(raw: bytes):
@@ -321,6 +375,9 @@ def test_pretrain_then_freeze_ends_with_a_frozen_float32_trunk():
 
 
 def test_outside_the_trunk_every_array_and_grad_is_float64():
+    # only the blocks emit float32, and each block after the first reads its
+    # predecessor's output as is; every other record, every trainable and
+    # every grad stays float64
     cfg = tiny_cfg(variant="full", lambda_lb=0.1, **F32)
     m = perturbed(cfg)
     trunk = {id(t) for t in m.backbone.tensors().values()}
@@ -330,9 +387,24 @@ def test_outside_the_trunk_every_array_and_grad_is_float64():
         pred, probs = m.forward_array(x)
         task = training.task_loss(cfg.loss_kind, pred, x[:, :, :cfg.horizon])
         loss = training.total_loss(task, probs, training.batch_stats(probs)[0], cfg.lambda_lb)
-        for out, inputs, _ in tape._records:
-            assert out.data.dtype == np.float64
-            assert all(t.data.dtype == np.float64 for t in inputs if id(t) not in trunk)
+        records = tape._records
+        blocks = [(out, inputs) for out, inputs, pull in records
+                  if pull.__qualname__.startswith("transformer_block.")]
+        assert len(blocks) == cfg.layers
+        emitted32 = {id(out) for out, _ in blocks}
+        for out, inputs, _ in records:
+            assert out.data.dtype == (np.float32 if id(out) in emitted32 else np.float64)
+            for t in inputs:
+                if id(t) not in trunk:
+                    assert t.data.dtype == (np.float32 if id(t) in emitted32 else np.float64)
+        states = [inputs[0] for _, inputs in blocks]
+        assert all(s is out for s, (out, _) in zip(states[1:], blocks))
+        # past the alignment, the one float64 array of the state's shape is
+        # block 0's input, the alignment's output
+        aligned = next(i for i, (out, _, _) in enumerate(records) if out is states[0])
+        wide = {id(t) for out, inputs, _ in records[aligned + 1:] for t in (out, *inputs)
+                if t.shape == states[0].shape and t.data.dtype == np.float64}
+        assert wide == {id(states[0])}
         assert all(t.data.dtype == np.float32 for t in m.backbone.tensors().values())
         tape.backward(loss)
     assert pred.data.dtype == np.float64 and all(p.data.dtype == np.float64 for p in probs)
