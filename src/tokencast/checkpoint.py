@@ -5,7 +5,7 @@ Layout, all integers little-endian:
     magic    4 bytes  b"DLF1"
     version  u32      currently 2; version 1 files, which also held a
                       zero bias per trunk linear, are rejected
-    header   u32 length + UTF-8 JSON: config dict, seed, step, prng_state
+    header   u32 length + UTF-8 JSON: config dict, seed, step
     count    u32      number of tensor records
     record   u16 name length + name bytes
              u8 ndim, then ndim * u32 dims
@@ -31,7 +31,8 @@ name length, validates the record (name, shape and payload length) and
 then reads its payload straight into the tensor's own buffer with one
 read; it restores every tensor or raises CheckpointError. A header config
 that `Forecaster` rejects (its one `RunConfig.validate()` call) is a
-CheckpointError too.
+CheckpointError too, as is one with a key RunConfig lacks, such as the
+`router_activation` that earlier builds wrote.
 """
 
 from __future__ import annotations
@@ -79,14 +80,8 @@ def _size_mismatch(name: str, plen: int, data: np.ndarray) -> CheckpointError:
     return CheckpointError(msg)
 
 
-def save_checkpoint(path, model: Forecaster, *, step: int = 0,
-                    prng_state: dict | None = None) -> None:
-    header = {
-        "config": dataclasses.asdict(model.cfg),
-        "seed": model.cfg.seed,
-        "step": int(step),
-        "prng_state": prng_state,
-    }
+def save_checkpoint(path, model: Forecaster, *, step: int = 0) -> None:
+    header = {"config": dataclasses.asdict(model.cfg), "seed": model.cfg.seed, "step": int(step)}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     tensors = model.named_parameters()
     path = Path(path)
@@ -161,7 +156,7 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
             # model is built without drawing its initialization.
             with rng.no_draws():
                 model = Forecaster(RunConfig(**header["config"]))
-            meta = {k: header[k] for k in ("seed", "step", "prng_state")}
+            meta = {k: header[k] for k in ("seed", "step")}
         except (ConfigError, KeyError, TypeError) as exc:
             raise CheckpointError(
                 f"checkpoint header describes no valid model: {exc}"

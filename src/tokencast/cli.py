@@ -232,8 +232,7 @@ def cmd_train(args) -> int:
              if model.uses_routers else None)
 
     with _writing(out):
-        save_checkpoint(out / "checkpoint.ckpt", model,
-                        step=result.steps_run, prng_state=result.rng_state)
+        save_checkpoint(out / "checkpoint.ckpt", model, step=result.steps_run)
         write_history_csv(result, out / "history.csv", layers=cfg.layers)
     _write_json(out / "routing_stats.json", routing_payload(model, stats))
 

@@ -18,7 +18,6 @@ class ConfigError(Exception):
 VARIANTS = ("full", "v1_no_align", "v2_prefix_prompt", "v3_static_lora", "v4_frozen")
 ROUTED_VARIANTS = ("full", "v1_no_align", "v2_prefix_prompt")  # adapters gated by routers
 PRETRAIN_MODES = ("random_frozen", "pretrain_then_freeze")
-ROUTER_ACTIVATIONS = ("tanh", "identity")
 TRUNK_DTYPES = ("float64", "float32")  # what the frozen trunk stores and computes in
 
 
@@ -52,7 +51,6 @@ class RunConfig:
     prompt_buckets: int = 64
     prompt_max_tokens: int = 32
     prompt_template: str = "forecast {dataset} horizon {horizon} frequency {frequency}"
-    router_activation: str = "tanh"
     causal_mask: bool = False
     pretrain_mode: str = "random_frozen"
     pretrain_steps: int = 100
@@ -80,7 +78,6 @@ class RunConfig:
                              ("frequency", tuple(SEASONALITY)),
                              ("loss_kind", ("mse", "smape")),
                              ("pretrain_mode", PRETRAIN_MODES),
-                             ("router_activation", ROUTER_ACTIVATIONS),
                              ("trunk_dtype", TRUNK_DTYPES)):
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"{key} must be one of {allowed}, got '{getattr(self, key)}'")

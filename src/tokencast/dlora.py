@@ -23,7 +23,7 @@ first block of a float32 trunk, widened to float64.
 
 Adapters and routers take their shapes from a RunConfig that `Forecaster`
 has already validated (rank within min(dim, ffn_dim) // 2, n_active within
-[1, 7], a known router activation), so they do not check them again.
+[1, 7]), so they do not check them again.
 """
 
 from __future__ import annotations
@@ -126,11 +126,11 @@ def _accumulate(acc, g):
     return acc
 
 
-def router_probs(h: Tensor, weight: Tensor, squash: bool) -> Tensor:
-    """softmax(act(h[:, -1]) @ weight) as one op: per-sample probabilities.
+def router_probs(h: Tensor, weight: Tensor) -> Tensor:
+    """softmax(tanh(h[:, -1]) @ weight) as one op: per-sample probabilities.
 
     h is (B, N, d) and weight (d, m); the result is (B, m). Each sample is
-    summarised by its last token row, squashed by tanh when `squash` is set.
+    summarised by its last token row, squashed by tanh.
     Forward and backward run the numpy expressions of the equivalent slice,
     reshape, tanh, matmul and softmax records (tests/oracles.py) in their
     order, so values and grads match those records bit for bit. The grad
@@ -144,15 +144,13 @@ def router_probs(h: Tensor, weight: Tensor, squash: bool) -> Tensor:
     b, n, d = h.shape
     key = (slice(None), slice(n - 1, n), slice(None))
     pooled = np.ascontiguousarray(h.data[key], dtype=np.float64).reshape(b, d)
-    x = np.tanh(pooled) if squash else pooled
+    x = np.tanh(pooled)
     wd = weight.data
     probs = kernels.softmax_rows(x @ wd)
 
     def pull(g):
         glogits = kernels.softmax_rows_grad(probs, np.ascontiguousarray(g))
-        gx = glogits @ wd.T
-        if squash:
-            gx = gx * (1.0 - x * x)
+        gx = (glogits @ wd.T) * (1.0 - x * x)
         gh = np.zeros(h.shape)
         gh[key] = gx.reshape(b, 1, d)
         return gh, x.T @ glogits if weight.requires_grad else None
@@ -163,18 +161,16 @@ def router_probs(h: Tensor, weight: Tensor, squash: bool) -> Tensor:
 class LoraRouter:
     """Per-layer gate chooser: probs = softmax(tanh(h[:, -1]) @ weight), one tape op.
 
-    The last token row of each sample's block input is its routing summary;
-    the `identity` activation skips the tanh.
+    The last token row of each sample's block input is its routing summary.
     """
 
-    def __init__(self, dim: int, layer: int, seed: int, activation: str = "tanh"):
+    def __init__(self, dim: int, layer: int, seed: int):
         gen = rng.generator(seed, f"router:{layer}")
-        self.activation = activation
         self.weight = T.parameter(rng.gaussian(gen, (dim, N_MODULES), ROUTER_INIT_STD))
 
     def probs(self, h: Tensor) -> Tensor:
         """(B, N, dim) block input -> (B, N_MODULES) gate probabilities."""
-        return router_probs(h, self.weight, self.activation == "tanh")
+        return router_probs(h, self.weight)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.weight": self.weight}

@@ -77,10 +77,7 @@ class Forecaster:
                 })
         self.routers: list[LoraRouter] = []
         if self.uses_routers:
-            self.routers = [
-                LoraRouter(cfg.dim, layer, cfg.seed, activation=cfg.router_activation)
-                for layer in range(cfg.layers)
-            ]
+            self.routers = [LoraRouter(cfg.dim, layer, cfg.seed) for layer in range(cfg.layers)]
 
     # ------------------------------------------------------------- forward
 

@@ -72,16 +72,3 @@ def gaussian(gen: np.random.Generator | None, shape, std: float,
     if getattr(_LOCAL, "no_draws", False):
         return np.empty(shape, dtype)
     return gen.normal(0.0, std, size=shape).astype(dtype, copy=False)
-
-
-def state_dict(gen: np.random.Generator) -> dict:
-    """JSON-serializable snapshot of the generator state."""
-    st = gen.bit_generator.state
-    return {
-        "bit_generator": st["bit_generator"],
-        "state": str(st["state"]["state"]),
-        "inc": str(st["state"]["inc"]),
-        "has_uint32": int(st["has_uint32"]),
-        "uinteger": int(st["uinteger"]),
-    }
-

@@ -66,8 +66,8 @@ def keep_freed_memory() -> None:
 
 
 class NumericError(RuntimeError):
-    """A non-finite or diverging loss, a non-finite gradient norm or a non-finite
-    prediction; carries a diagnostic dump."""
+    """A non-finite or diverging loss, a non-finite gradient norm, validation
+    mse or prediction; carries a diagnostic dump."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
@@ -195,7 +195,6 @@ class TrainResult:
     stopped_early: bool = False
     epochs_run: int = 0
     steps_run: int = 0
-    rng_state: dict | None = None  # batch-order generator state at exit
 
 
 EVAL_BATCH = 64  # windows per forward when scoring a split
@@ -261,7 +260,8 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
     loop always runs the full epoch budget. A finite step loss above
     DIVERGENCE_FACTOR times the larger of the first step's loss and the
     training split's mean square (the mse of predicting 0) is diverging
-    and raises NumericError.
+    and raises NumericError; so does a non-finite val MSE, which a finite
+    but huge validation truth, such as 1e308, gives.
 
     The first call sets glibc's allocator, for the rest of the process, to
     keep the heap memory it frees (`keep_freed_memory`): a process that
@@ -330,6 +330,12 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
 
         if has_val:
             val_mse = evaluate_mse(model, val_windows, batch_size=cfg.batch_size)
+            if not np.isfinite(val_mse):
+                y = val_windows.view.array
+                raise NumericError(f"non-finite validation mse at epoch {epoch}", diagnostics={
+                    "epoch": epoch, "val_mse": val_mse,
+                    "y_min": float(y.min()), "y_max": float(y.max()),
+                })
             row["val_loss"] = val_mse
             if result.best_val is None or val_mse < result.best_val:
                 result.best_val = val_mse
@@ -349,7 +355,6 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
     for p in params.values():
         p.grad = None  # releases the grad buffer
     result.steps_run = opt.step_count
-    result.rng_state = rng.state_dict(gen)
     return result
 
 

@@ -323,7 +323,7 @@ def test_criterion_08_determinism_and_persistence(tmp_path):
     assert histories[0] == histories[1]  # bit-identical loss history
 
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, models[0], step=12, prng_state={"note": "acceptance"})
+    save_checkpoint(path, models[0], step=12)
     restored, meta = load_checkpoint(path)
     x = np.random.Generator(np.random.PCG64(77)).normal(size=(4, 2, cfg.lookback))
     np.testing.assert_array_equal(models[0].predict(x), restored.predict(x))

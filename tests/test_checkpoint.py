@@ -46,15 +46,11 @@ def trained_model(seed=5, **kw):
 def test_round_trip_bit_identical_forward(tmp_path):
     m = trained_model()
     path = tmp_path / "model.ckpt"
-    state = {"bit_generator": "PCG64", "state": "123", "inc": "45",
-             "has_uint32": 0, "uinteger": 0}
-    save_checkpoint(path, m, step=42, prng_state=state)
+    save_checkpoint(path, m, step=42)
     loaded, meta = load_checkpoint(path)
     x = np.random.Generator(np.random.PCG64(9)).normal(size=(4, 3, 12)) + 2.0
     np.testing.assert_array_equal(m.predict(x), loaded.predict(x))
-    assert meta["step"] == 42
-    assert meta["seed"] == 5
-    assert meta["prng_state"] == state
+    assert meta == {"step": 42, "seed": 5}
 
 
 def test_round_trip_every_tensor_bit_identical(tmp_path):
@@ -139,11 +135,12 @@ def test_corrupt_header_json_rejected(tmp_path):
     ({"heads": 2.0}, "heads must be of type int"),
     ({"stride": 1.0}, "stride must be of type int"),
     ({"normalize": "false"}, "normalize must be of type bool"),
+    # the key of a removed switch, which files of earlier builds hold
+    ({"router_activation": "tanh"}, "unexpected keyword argument 'router_activation'"),
 ], ids=["unknown_key", "heads_not_dividing_dim", "unknown_frequency", "float_n_active",
-        "float_heads", "float_stride", "string_normalize"])
+        "float_heads", "float_stride", "string_normalize", "removed_router_activation"])
 def test_invalid_header_config_rejected(tmp_path, config_edit, match):
-    header = {"config": {**dataclasses.asdict(tiny_cfg()), **config_edit}, "seed": 5, "step": 0,
-              "prng_state": None}
+    header = {"config": {**dataclasses.asdict(tiny_cfg()), **config_edit}, "seed": 5, "step": 0}
     path = with_header(tmp_path, json.dumps(header).encode())
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
@@ -151,12 +148,12 @@ def test_invalid_header_config_rejected(tmp_path, config_edit, match):
 
 # The bytes depend only on PCG64 normals and the header JSON, never on BLAS,
 # so they pin tensor names, shapes, order and initialization. Version 2
-# values: the trunk linears have no bias records, and the header config
-# holds "trunk_dtype": "float64".
+# values: the trunk linears have no bias records, and the header holds
+# only the config, with "trunk_dtype": "float64", the seed and the step.
 GOLDEN = {
-    "full": (2802836, "479894f75c9c1e7c1b07c29a97170d5562db4ae7b57e8e3dbf4ff6cf91daf0f1"),
+    "full": (2802787, "040002882bca9021895d41816214e1fe05b7be83e5ed540f2985779564ad7a7f"),
     "v2_prefix_prompt": (
-        2671668, "c0e46b79c2025bb2a5b5b72c1e0f278dc8c26afbf4f88d8445adca1f19d7a0b9"
+        2671619, "726605e591902bdcdfb95c4fdfbc2259af2f95c34d0b82664d0a345251afd11d"
     ),
 }
 
@@ -341,8 +338,7 @@ def test_load_builds_no_generator(tmp_path, monkeypatch, variant):
 
 def test_failed_load_leaves_draws_on(tmp_path):
     # validate() raises inside the load's no-draws block
-    header = {"config": {**dataclasses.asdict(tiny_cfg()), "heads": 3}, "seed": 5,
-              "step": 0, "prng_state": None}
+    header = {"config": {**dataclasses.asdict(tiny_cfg()), "heads": 3}, "seed": 5, "step": 0}
     with pytest.raises(CheckpointError):
         load_checkpoint(with_header(tmp_path, json.dumps(header).encode()))
     assert golden_full_bytes(tmp_path / "after.ckpt") == GOLDEN["full"]

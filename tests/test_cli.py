@@ -84,7 +84,7 @@ def test_unknown_key_exits_2_listing_valid_keys(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--heads", "3"), ("--align-heads", "3"), ("--rank", "40"),
-    ("--pretrain-mode", "bogus"), ("--router-activation", "bogus"),
+    ("--pretrain-mode", "bogus"), ("--trunk-dtype", "bogus"),
     ("--batch-size", "0"), ("--epochs", "-1"), ("--epochs", "0"), ("--prompt-buckets", "0"),
     ("--prompt-max-tokens", "0"), ("--prompt-template", "{bogus}"),
     ("--lr", "0"), ("--lr", "-1"), ("--weight-decay", "-1"), ("--clip-norm", "-1"),
@@ -118,7 +118,7 @@ FUZZ_VALUES = {
     "stride": ["-1", "0", "200"], "channels": ["-1", "0", "1"],
     "few-shot": ["0", "0.01", "2"], "lr": ["0", "-1", "1e300"],
     "variant": ["bogus", "v2_prefix_prompt", "v4_frozen"],
-    "router-activation": ["bogus", "identity"],
+    "trunk-dtype": ["bogus", "float32"],
     "pretrain-mode": ["bogus", "pretrain_then_freeze"],
     "loss-kind": ["bogus", "smape"], "data-kind": ["bogus", "csv"],
 }
@@ -888,7 +888,7 @@ def test_every_config_field_parses_as_a_flag(verb):
 
 
 @pytest.mark.parametrize("verb, n_flags", [
-    ("train", 46), ("eval", 48), ("forecast", 4), ("ablate", 46), ("sweep-n", 47), ("synth", 7),
+    ("train", 45), ("eval", 47), ("forecast", 4), ("ablate", 45), ("sweep-n", 46), ("synth", 7),
 ])
 def test_parser_builds_only_its_verbs_arguments(monkeypatch, verb, n_flags):
     # counts, unlike timings on a shared host, are exact: the parser of a
@@ -1106,6 +1106,36 @@ def test_non_finite_test_mse_exits_4_and_writes_nothing(tmp_path, capsys, monkey
     assert diagnostics["metrics"] == metrics and diagnostics["y_max"] == 1e308
     assert not fits
     assert not any(out.iterdir())  # the directory is made up front, and stays empty
+
+
+@pytest.mark.parametrize("verb", [["train"], ["ablate"], ["sweep-n", "--n-values", "1,2"]],
+                         ids=["train", "ablate", "sweep-n"])
+def test_non_finite_val_mse_exits_4_and_writes_nothing(tmp_path, capsys, monkeypatch, verb):
+    # 1e308 in row 212 of 300 is only ever a validation truth or input:
+    # training and the test split never meet it, so the first fit's first
+    # validation pass is non-finite and the verb stops there
+    fits = []
+    train = cli.train
+    monkeypatch.setattr(cli, "train", lambda *a, **kw: fits.append(1) or train(*a, **kw))
+    series = tmp_path / "series.csv"
+    assert cli.main(["synth", "--length", "300", "--output", str(series)]) == 0
+    header, *rows = series.read_text().splitlines()
+    cells = rows[212].split(",")
+    cells[1] = "1e308"
+    rows[212] = ",".join(cells)
+    series.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "out"
+    code = cli.main([*verb, *TINY, "--data-kind", "csv", "--csv-path", str(series),
+                     "--date-column", "date", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert "numeric failure: non-finite validation mse at epoch 0" in err
+    assert "Traceback" not in err
+    diagnostics = json.loads(err[err.index("{"):])
+    assert diagnostics["epoch"] == 0 and not math.isfinite(diagnostics["val_mse"])
+    assert diagnostics["y_max"] == 1e308
+    assert fits == [1]
+    assert not any(out.iterdir())
 
 
 def forecast_csv(ckpt, src, out, *flags):

@@ -650,26 +650,25 @@ def test_lora_linear_matches_unfused_records_property(case):
 # ------------------------------------------------------------ router_probs
 
 
-def unfused_router(h, weight, squash):
+def unfused_router(h, weight):
     """Last-token pooling, tanh, reshape, matmul and softmax records: the oracle."""
     n = h.shape[1]
     pooled = O.reshape(h[:, n - 1 : n, :], (h.shape[0], h.shape[2]))
-    x = O.tanh(pooled) if squash else pooled
+    x = O.tanh(pooled)
     return O.softmax(T.matmul(O.reshape(x, (-1, weight.shape[0])), weight), axis=-1)
 
 
-@pytest.mark.parametrize("squash", [True, False], ids=["tanh", "identity"])
 @pytest.mark.parametrize("batch", [1, 5])
 @pytest.mark.parametrize("trainable", list(itertools.product([False, True], repeat=2)),
                          ids=lambda t: "".join(n if r else "-" for n, r in zip("hw", t)))
-def test_router_probs_bit_identical_to_unfused_records(squash, batch, trainable):
+def test_router_probs_bit_identical_to_unfused_records(batch, trainable):
     f = Tensor(rand((7,), 92))  # a balance-loss weighting of the mean probs
 
     def run(route):
         h = Tensor(rand((batch, 4, 6), 90), requires_grad=trainable[0])
         w = Tensor(rand((6, 7), 91), requires_grad=trainable[1])
         with Tape() as tape:
-            p = route(h, w, squash)
+            p = route(h, w)
             records = len(tape._records)
             if any(trainable):
                 tape.backward(T.total(T.mul(f, T.mean(p, axis=0))))
@@ -687,6 +686,6 @@ def test_router_probs_bit_identical_to_unfused_records(squash, batch, trainable)
 def test_router_probs_rejects_states_that_do_not_fit():
     w = Tensor(np.zeros((6, 7)))
     with pytest.raises(ShapeError):
-        dlora.router_probs(Tensor(np.zeros((2, 6))), w, True)
+        dlora.router_probs(Tensor(np.zeros((2, 6))), w)
     with pytest.raises(ShapeError):
-        dlora.router_probs(Tensor(np.zeros((2, 3, 5))), w, True)
+        dlora.router_probs(Tensor(np.zeros((2, 3, 5))), w)
