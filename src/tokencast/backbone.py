@@ -117,16 +117,16 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
     fault them in again, and a batch-64 desk forward ran slower.
 
     For its pull the op keeps gate_out, up, h1, the per-row inverse norms,
-    attention's head-major q, k, v and probabilities, each delta's gated
-    rank-r rows, and x (x2) when the grad of q, k or v (gate or up) reads
-    it (`dlora.reads_input`); a frozen trunk with no open delta keeps
-    neither. It does not keep silu(gate_out), its product with up, or the
-    attention context: each is one product away from what is kept, so the
-    pull forms it again with the forward's own expression (the same bits),
-    only when a grad that reads it is formed, and drops it after its last
-    reader. The sigmoid of gate_out it forms for that also serves the silu
-    grad. Rebuilding x and x2 would cost a norm each and slowed desk
-    training steps by 2-3%, so they are kept when read.
+    attention's head-major q, k, v and probabilities, and each delta's
+    gated rank-r rows. It does not keep x, x2, silu(gate_out), its product
+    with up, or the attention context. x and x2 are the rows it already
+    holds (its input and h1) times their inverse norms and gains, the
+    norm's last two passes (`kernels.rmsnorm_scale`); the other three are
+    one product away from what is kept. The pull forms each again with the
+    forward's own expression (the same bits), only when a grad that reads
+    it is formed (for x and x2, `dlora.reads_input` of the linears they
+    feed), and drops it after its last reader. The sigmoid of gate_out it
+    forms for that also serves the silu grad.
     The forward multiplies up into the silu's buffer in place: once the
     two were no longer kept, a separate buffer for the product left one
     more ffn-wide array per block for the allocator to hand back and fault
@@ -169,8 +169,8 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
     x = x.reshape(shape)
     q, k, v = linear(0, x), linear(1, x), linear(2, x)
     recording = T.recording()
-    if recording and not any(reads_input(i) for i in (0, 1, 2)):
-        x = None  # the pull hands None to apply_grads for each
+    if recording:
+        x = None  # the pull forms it again from hd and inv1
     ctx, att = T.attend(q, k, v, cfg.heads, mask, recording)
     h1 = hd + linear(3, ctx)
     x2, inv2 = kernels.rmsnorm_rows(h1.reshape(-1, d), ffn_norm.data, NORM_EPS)
@@ -178,8 +178,8 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
     gate_out = linear(4, x2)
     prod = kernels.silu(gate_out.reshape(-1)).reshape(gate_out.shape)
     up = linear(5, x2)
-    if recording and not (reads_input(4) or reads_input(5)):
-        x2 = None
+    if recording:
+        x2 = None  # the pull forms it again from h1 and inv2
     prod *= up  # silu(gate_out) * up, in the silu's buffer
     out = h1 + linear(6, prod)
     # the dtype each grad goes back in, worked out here so that the pull
@@ -190,6 +190,12 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
     def pull(g):
         grads = [None] * 10
         factor_grads = [(None, None)] * 7  # down and up grads of each linear's delta
+
+        def normed(rows, inv, gain, *linears):
+            """A norm's output, as the forward formed it, when a grad of `linears` reads it."""
+            if not any(reads_input(i) for i in linears):
+                return None  # apply_grads takes None for an input no grad reads
+            return kernels.rmsnorm_scale(rows, inv, gain.data).reshape(shape)
 
         def back(i, gz, gout, z):
             adapter, low, m = saved[i]
@@ -206,15 +212,17 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
         prod = gated * up if reads_input(6) else None
         gprod = back(6, None, g, prod)
         del prod
+        rows = h1.reshape(-1, d)
+        x2 = normed(rows, inv2, ffn_norm, 4, 5)
         gx2 = back(5, None, gprod * gated, x2)
         del gated
         ggated = np.ascontiguousarray(gprod * up).reshape(-1)
         ggate = kernels.silu_grad(flat, ggated, s).reshape(gate_out.shape)
         del s
         gx2 = back(4, gx2, ggate, x2)
+        del x2
         gh1 = g  # the residual's share, then the norms'
         g2 = np.ascontiguousarray(gx2.reshape(-1, d))
-        rows = h1.reshape(-1, d)
         gh1 += kernels.rmsnorm_rows_grad(rows, ffn_norm.data, inv2, g2).reshape(shape)
         if ffn_norm.requires_grad:
             grads[2] = kernels.rmsnorm_gain_grad(rows, inv2, g2)
@@ -222,11 +230,13 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
         gctx = back(3, None, gh1, ctx)
         del ctx
         gq, gk, gv = T.attend_grads(att, gctx, shape, shape)
+        rows = hd.reshape(-1, d)
+        x = normed(rows, inv1, attn_norm, 0, 1, 2)
         gx = back(2, None, gv, x)
         gx = back(1, gx, gk, x)
         gx = back(0, gx, gq, x)
+        del x
         g2 = np.ascontiguousarray(gx.reshape(-1, d))
-        rows = hd.reshape(-1, d)
         gh1 += kernels.rmsnorm_rows_grad(rows, attn_norm.data, inv1, g2).reshape(shape)
         if attn_norm.requires_grad:
             grads[1] = kernels.rmsnorm_gain_grad(rows, inv1, g2)

@@ -138,22 +138,26 @@ def router_probs(h: Tensor, weight: Tensor) -> Tensor:
     A float32 state (a block's output in a float32 trunk) is read widened,
     and its grad is formed in float64, so the router computes as it would
     on the state widened.
+    The op keeps only the probabilities: its pull forms the tanh rows again
+    from h, which its record holds, and hands back the grad of h's last
+    token rows alone, as a `tensor.Part`.
     """
     if h.ndim != 3 or weight.ndim != 2 or weight.shape[0] != h.shape[2]:
         raise ShapeError(f"router_probs: states {h.shape} do not fit weight {weight.shape}")
     b, n, d = h.shape
     key = (slice(None), slice(n - 1, n), slice(None))
-    pooled = np.ascontiguousarray(h.data[key], dtype=np.float64).reshape(b, d)
-    x = np.tanh(pooled)
+
+    def squashed():
+        return np.tanh(np.ascontiguousarray(h.data[key], dtype=np.float64).reshape(b, d))
+
     wd = weight.data
-    probs = kernels.softmax_rows(x @ wd)
+    probs = kernels.softmax_rows(squashed() @ wd)
 
     def pull(g):
         glogits = kernels.softmax_rows_grad(probs, np.ascontiguousarray(g))
+        x = squashed()
         gx = (glogits @ wd.T) * (1.0 - x * x)
-        gh = np.zeros(h.shape)
-        gh[key] = gx.reshape(b, 1, d)
-        return gh, x.T @ glogits if weight.requires_grad else None
+        return T.Part(key, gx.reshape(b, 1, d)), x.T @ glogits if weight.requires_grad else None
 
     return T.emit(probs, (h, weight), pull)
 

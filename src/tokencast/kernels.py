@@ -66,9 +66,19 @@ def rmsnorm_rows(x, weight, eps):
     inv += eps
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
-    np.multiply(x, inv[:, None], out=out)
+    return rmsnorm_scale(x, inv, weight, out), inv
+
+
+def rmsnorm_scale(x, inv, weight, out=None):
+    """x * inv[:, None] * weight: rmsnorm_rows' output from its rows and inverse norms.
+
+    rmsnorm_rows ends with this step, writing into the buffer it squared
+    the rows in; a caller that kept the rows and inv forms the same bits
+    again without keeping the output.
+    """
+    out = np.multiply(x, inv[:, None], out=out)
     out *= weight
-    return out, inv
+    return out
 
 
 def rmsnorm_rows_grad(x, weight, inv, gout):

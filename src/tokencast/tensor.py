@@ -88,6 +88,11 @@ class Tape:
         block above plus the float64 one from its router holds the bits the
         block below would round their float64 sum to.
 
+        A pull may hand back a `Part`, the grad of a slice or of some rows
+        of its input, instead of an input-sized grad that is zero elsewhere:
+        the tape adds it into that part of the input's grad, and gives a
+        None grad zeros of the input's shape and dtype first.
+
         A tape runs backward once: each record is dropped as its turn comes,
         so what its pull kept is freed once its grads exist, and the tape is
         empty when backward returns.
@@ -108,7 +113,11 @@ class Tape:
             for t, gt in zip(inputs, pull(g)):
                 if gt is None or not t.requires_grad:
                     continue
-                if t.grad is not None:
+                if isinstance(gt, Part):
+                    if t.grad is None:
+                        t.grad = np.zeros_like(t.data)
+                    gt.add_into(t.grad)
+                elif t.grad is not None:
                     t.grad += gt
                 elif (isinstance(gt, np.ndarray) and gt.flags.writeable
                       and not any(np.may_share_memory(gt, k) for k in kept)):
@@ -116,6 +125,27 @@ class Tape:
                     kept.append(gt)
                 else:
                     t.grad = np.array(gt, order="C")
+
+
+class Part:
+    """The grad of part of an op's input, as a pull hands it back to `Tape.backward`.
+
+    `key` is a tuple of slices or an int64 array of row ids (a repeated id
+    adds each of its rows), and `grad` has the shape of the input indexed
+    by it.
+    """
+
+    __slots__ = ("key", "grad")
+
+    def __init__(self, key, grad):
+        self.key, self.grad = key, grad
+
+    def add_into(self, acc: np.ndarray) -> None:
+        """acc[key] += grad, in place."""
+        if isinstance(self.key, np.ndarray):
+            np.add.at(acc, self.key, self.grad)
+        else:
+            acc[self.key] += self.grad
 
 
 class Tensor:
@@ -393,9 +423,7 @@ def take_rows(a: Tensor, ids) -> Tensor:
     rows = a.data[ids]
 
     def pull(g):
-        gt = np.zeros_like(a.data)
-        np.add.at(gt, ids, g)
-        return (gt,)
+        return (Part(ids, g),)
 
     return emit(rows, (a,), pull)
 
@@ -426,7 +454,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def slice_(a: Tensor, key) -> Tensor:
-    """Basic slicing only. The result is a copy; backward scatters into zeros."""
+    """Basic slicing only. The result is a copy; its grad goes back as a `Part`."""
     if not isinstance(key, tuple):
         key = (key,)
     for k in key:
@@ -437,9 +465,8 @@ def slice_(a: Tensor, key) -> Tensor:
     data = a.data[key]
 
     def pull(g):
-        gt = np.zeros_like(a.data)
-        gt[key] = g
-        return (gt,)
+        # rounded to the input's dtype, so a float32 input's grad sums float32 values
+        return (Part(key, g.astype(a.data.dtype, copy=False)),)
 
     return emit(data, (a,), pull)
 

@@ -235,6 +235,10 @@ def rmsnorm_rows(x, weight, eps):
     return x * inv[:, None] * weight, inv
 
 
+def rmsnorm_scale(x, inv, weight):
+    return x * inv[:, None] * weight
+
+
 def rmsnorm_rows_grad(x, weight, inv, gout):
     d = x.shape[1]
     proj = (gout * weight * x).sum(axis=1)

@@ -302,9 +302,9 @@ def test_optimizer_step_leaves_frozen_backbone_unchanged():
 def test_taped_block_keeps_only_what_its_pull_cannot_rebuild():
     # numpy buffers a taped block holds after its forward, beyond its output
     # and the per-row inverse norms: gate_out, up, h1, the head-major q, k,
-    # v, the probabilities, each delta's gated rank-r rows, and x and x2
-    # while a linear's grad reads them. The silu output, its product with
-    # up and the attention context are not kept; the pull forms them again.
+    # v, the probabilities and each delta's gated rank-r rows. x, x2, the
+    # silu output, its product with up and the attention context are not
+    # kept; the pull forms them again.
     cfg = small_cfg(heads=2, seed=44)
     block = Backbone(cfg).blocks[0]
     b, n, d, f, r = 3, 4, cfg.dim, cfg.ffn_dim, cfg.rank
@@ -322,12 +322,12 @@ def test_taped_block_keeps_only_what_its_pull_cannot_rebuild():
         assert tape_ops(tape) == ["transformer_block"]
         return kept - out.data.nbytes - 2 * 8 * b * n
 
-    states = b * n * d  # each of x, x2, h1, q, k, v
+    states = b * n * d  # each of h1, q, k, v
     adapters = make_adapters(block, r=r, seed=45)
     gates = {name: GATE_PATTERNS["mixed_rows"](j, b) for j, name in enumerate(MODULE_NAMES)}
-    kept = 6 * states + 2 * b * n * f + b * cfg.heads * n * n + len(MODULE_NAMES) * b * n * r
+    kept = 4 * states + 2 * b * n * f + b * cfg.heads * n * n + len(MODULE_NAMES) * b * n * r
     assert retained(adapters, gates) == 8 * kept
-    # a frozen trunk without adapters: no grad reads x or x2
+    # a frozen trunk without adapters: no deltas' rows
     assert retained(None, None) == 8 * (4 * states + 2 * b * n * f + b * cfg.heads * n * n)
 
 

@@ -56,6 +56,7 @@ def kernel_args(name, rows=9, width=7):
         "softmax_rows": (x,),
         "softmax_rows_grad": (O.softmax_rows(x), gout),
         "rmsnorm_rows": (x, weight, 1e-6),
+        "rmsnorm_scale": (x, inv, weight),
         "rmsnorm_rows_grad": (x, weight, inv, gout),
         "rmsnorm_gain_grad": (x, inv, gout),
         "sigmoid": (x.reshape(-1),),
@@ -65,8 +66,8 @@ def kernel_args(name, rows=9, width=7):
 
 
 @pytest.mark.parametrize("name", ["softmax_rows", "softmax_rows_grad", "rmsnorm_rows",
-                                  "rmsnorm_rows_grad", "rmsnorm_gain_grad", "sigmoid",
-                                  "silu", "silu_grad"])
+                                  "rmsnorm_scale", "rmsnorm_rows_grad", "rmsnorm_gain_grad",
+                                  "sigmoid", "silu", "silu_grad"])
 def test_kernels_match_their_plain_expressions(name):
     # the in-place passes perform the plain expressions' operations in their
     # order, so the bits are the same, the results are C-contiguous and the

@@ -154,11 +154,11 @@ def test_prediction_scales_with_input_level():
     np.testing.assert_allclose(shifted, base * 2.0 + 10.0, atol=1e-8)
 
 
-def perturbed_desk_model(variant):
+def perturbed_desk_model(variant, trunk_dtype="float64"):
     """A desk model whose routers are scaled up and whose adapter up factors
     are non-zero, so samples route apart and every open delta moves the
     output; and the generator that perturbed it."""
-    m = Forecaster(RunConfig(variant=variant, seed=3).validate())
+    m = Forecaster(RunConfig(variant=variant, seed=3, trunk_dtype=trunk_dtype).validate())
     gen = np.random.Generator(np.random.PCG64(5))
     for adapters in m.adapters:
         for ad in adapters.values():
@@ -168,11 +168,16 @@ def perturbed_desk_model(variant):
     return m, gen
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_predictions_bit_identical_across_batch_sizes(variant):
+@pytest.mark.parametrize("variant, trunk_dtype", [
+    *(pytest.param(v, "float64", id=v) for v in VARIANTS),
+    # a float32 v2_prefix_prompt forecast depends on the batch's row count
+    *(pytest.param(v, "float32", id=f"{v}-float32")
+      for v in VARIANTS if v != "v2_prefix_prompt"),
+])
+def test_predictions_bit_identical_across_batch_sizes(variant, trunk_dtype):
     # a window's forecast does not depend on the batch it is predicted in:
     # B=64 against 64 B=1 calls and two B=32 calls
-    m, gen = perturbed_desk_model(variant)
+    m, gen = perturbed_desk_model(variant, trunk_dtype)
     x = gen.normal(size=(64, m.cfg.channels, m.cfg.lookback))
     whole = m.predict(x)
     np.testing.assert_array_equal(np.concatenate([m.predict(x[i:i + 1]) for i in range(64)]),

@@ -683,6 +683,25 @@ def test_router_probs_bit_identical_to_unfused_records(batch, trainable):
             np.testing.assert_array_equal(a, b)
 
 
+def test_router_pull_allocates_no_state_sized_array():
+    # the pull forms the tanh rows again and hands back the grad of the last
+    # token rows alone, which the tape adds into the state's grad in place
+    b, n, d = 4, 256, 16
+    h = Tensor(rand((b, n, d), 93), requires_grad=True)
+    w = T.parameter(rand((d, 7), 94))
+    with Tape() as tape:
+        loss = T.total(T.square(dlora.router_probs(h, w)))
+    h.grad = np.zeros(h.shape)  # the block that reads h pulls before its router
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < h.data.nbytes // 4
+    assert not h.grad[:, :-1].any() and h.grad[:, -1].all()
+
+
 def test_router_probs_rejects_states_that_do_not_fit():
     w = Tensor(np.zeros((6, 7)))
     with pytest.raises(ShapeError):
