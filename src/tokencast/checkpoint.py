@@ -5,7 +5,7 @@ Layout, all integers little-endian:
     magic    4 bytes  b"DLF1"
     version  u32      currently 2; version 1 files, which also held a
                       zero bias per trunk linear, are rejected
-    header   u32 length + UTF-8 JSON: config dict, seed, step
+    header   u32 length + UTF-8 JSON: config dict, step
     count    u32      number of tensor records
     record   u16 name length + name bytes
              u8 ndim, then ndim * u32 dims
@@ -32,7 +32,8 @@ then reads its payload straight into the tensor's own buffer with one
 read; it restores every tensor or raises CheckpointError. A header config
 that `Forecaster` rejects (its one `RunConfig.validate()` call) is a
 CheckpointError too, as is one with a key RunConfig lacks, such as the
-`router_activation` that earlier builds wrote.
+`router_activation` that earlier builds wrote. The seed is the config's;
+the top-level `seed` that earlier builds also wrote is ignored.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _size_mismatch(name: str, plen: int, data: np.ndarray) -> CheckpointError:
 
 
 def save_checkpoint(path, model: Forecaster, *, step: int = 0) -> None:
-    header = {"config": dataclasses.asdict(model.cfg), "seed": model.cfg.seed, "step": int(step)}
+    header = {"config": dataclasses.asdict(model.cfg), "step": int(step)}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     tensors = model.named_parameters()
     path = Path(path)
@@ -156,7 +157,7 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
             # model is built without drawing its initialization.
             with rng.no_draws():
                 model = Forecaster(RunConfig(**header["config"]))
-            meta = {k: header[k] for k in ("seed", "step")}
+            meta = {"step": header["step"]}
         except (ConfigError, KeyError, TypeError) as exc:
             raise CheckpointError(
                 f"checkpoint header describes no valid model: {exc}"

@@ -60,7 +60,6 @@ from .model import Forecaster
 from .training import (
     NumericError,
     evaluate,
-    evaluate_mse,
     naive_repeat_last_mse,
     train,
     write_history_csv,
@@ -87,7 +86,7 @@ def standardize_by_train(series: MultivariateSeries, train_len: int) -> Multivar
         values=(series.values - mu) / sd,
         frequency=series.frequency,
         channel_names=list(series.channel_names),
-        meta={**series.meta, "standardized": True},
+        meta=dict(series.meta),
     )
 
 
@@ -138,12 +137,20 @@ def train_config(cfg: RunConfig) -> RunConfig:
 
 
 def routing_payload(model: Forecaster, stats: RoutingStats | None) -> dict:
-    if stats is None:
-        return {"routed": False, "variant": model.variant}
-    payload = stats.to_json_dict()
-    payload["routed"] = True
-    payload["variant"] = model.variant
-    return payload
+    """The one routing json shape: the stats, if any, `routed` and `variant`."""
+    payload = stats.to_json_dict() if stats is not None else {}
+    return {**payload, "routed": stats is not None, "variant": model.variant}
+
+
+def score(model: Forecaster, train_ws, test_ws) -> tuple[float, RoutingStats | None]:
+    """One scoring pass of a fitted model: its test mse (nan without test
+    windows) and `model.routing_stats` of that same pass. Without test
+    windows a routed model takes its routing from the training split, and
+    an unrouted one forwards nothing."""
+    if not (test_ws.count or model.uses_routers):
+        return float("nan"), None
+    mse, _, probs = evaluate(model.forward_array, test_ws if test_ws.count else train_ws)
+    return (mse if test_ws.count else float("nan")), model.routing_stats(probs)
 
 
 def check_finite_prediction(pred: np.ndarray, x: np.ndarray, channel_names) -> None:
@@ -225,11 +232,9 @@ def cmd_train(args) -> int:
     naive = naive_test_mse(test_ws)
     model = build_model(cfg, views[0])
     result = train(model, train_ws, val_ws, cfg)
+    test_mse, stats = score(model, train_ws, test_ws)
     if test_ws.count:  # scored before anything is written
-        test_mse = evaluate_mse(model, test_ws)
         check_finite_metrics({f"{cfg.variant}.test_mse": test_mse}, test_ws.view.array)
-    stats = (model.routing_stats(evaluate(model.forward_array, train_ws)[2])
-             if model.uses_routers else None)
 
     with _writing(out):
         save_checkpoint(out / "checkpoint.ckpt", model, step=result.steps_run)
@@ -332,10 +337,7 @@ def cmd_ablate(args) -> int:
     for vcfg, model in zip(vcfgs, build_models(vcfgs, views[0])):
         result = train(model, train_ws, val_ws, vcfg)
         report = model.parameter_report()
-        test_mse, stats = float("nan"), None
-        if test_ws.count:
-            test_mse, _, probs = evaluate(model.forward_array, test_ws)
-            stats = model.routing_stats(probs)
+        test_mse, stats = score(model, train_ws, test_ws)
         # constant gates carry no selection variability
         entropy = float(np.mean(stats.entropy_bits())) if stats is not None else 0.0
         rows.append({
@@ -379,16 +381,11 @@ def cmd_sweep_n(args) -> int:
 
     rows, payloads = [], []
     for ncfg, model in zip(ncfgs, build_models(ncfgs, views[0])):
-        n = ncfg.n_active
         train(model, train_ws, val_ws, ncfg)
-        if test_ws.count:
-            test_mse, _, probs = evaluate(model.forward_array, test_ws)
-        else:  # no test windows: the routing of the training split
-            test_mse, probs = float("nan"), evaluate(model.forward_array, train_ws)[2]
-        stats = model.routing_stats(probs)
-        payloads.append({**stats.to_json_dict(), "n_active": n})
+        test_mse, stats = score(model, train_ws, test_ws)
+        payloads.append(routing_payload(model, stats))
         rows.append({
-            "n_active": n,
+            "n_active": ncfg.n_active,
             "test_mse": test_mse,
             "mean_entropy_bits": float(np.mean(stats.entropy_bits())),
         })

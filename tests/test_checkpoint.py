@@ -50,7 +50,17 @@ def test_round_trip_bit_identical_forward(tmp_path):
     loaded, meta = load_checkpoint(path)
     x = np.random.Generator(np.random.PCG64(9)).normal(size=(4, 3, 12)) + 2.0
     np.testing.assert_array_equal(m.predict(x), loaded.predict(x))
-    assert meta == {"step": 42, "seed": 5}
+    assert meta == {"step": 42}
+
+
+def test_header_with_an_earlier_top_level_seed_loads(tmp_path):
+    # earlier builds also wrote the config's seed beside the config; the load ignores it
+    m = trained_model()
+    header = {"config": dataclasses.asdict(m.cfg), "seed": m.cfg.seed, "step": 3}
+    loaded, meta = load_checkpoint(with_header(tmp_path, json.dumps(header).encode()))
+    x = np.random.Generator(np.random.PCG64(9)).normal(size=(4, 3, 12))
+    np.testing.assert_array_equal(m.predict(x), loaded.predict(x))
+    assert meta == {"step": 3}
 
 
 def test_round_trip_every_tensor_bit_identical(tmp_path):
@@ -140,7 +150,7 @@ def test_corrupt_header_json_rejected(tmp_path):
 ], ids=["unknown_key", "heads_not_dividing_dim", "unknown_frequency", "float_n_active",
         "float_heads", "float_stride", "string_normalize", "removed_router_activation"])
 def test_invalid_header_config_rejected(tmp_path, config_edit, match):
-    header = {"config": {**dataclasses.asdict(tiny_cfg()), **config_edit}, "seed": 5, "step": 0}
+    header = {"config": {**dataclasses.asdict(tiny_cfg()), **config_edit}, "step": 0}
     path = with_header(tmp_path, json.dumps(header).encode())
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
@@ -149,11 +159,11 @@ def test_invalid_header_config_rejected(tmp_path, config_edit, match):
 # The bytes depend only on PCG64 normals and the header JSON, never on BLAS,
 # so they pin tensor names, shapes, order and initialization. Version 2
 # values: the trunk linears have no bias records, and the header holds
-# only the config, with "trunk_dtype": "float64", the seed and the step.
+# only the config, with "trunk_dtype": "float64", and the step.
 GOLDEN = {
-    "full": (2802787, "040002882bca9021895d41816214e1fe05b7be83e5ed540f2985779564ad7a7f"),
+    "full": (2802776, "c96f744680d2839ed698db584d9d2b27b5f8ef4c99374d28723d97529f4fe9e7"),
     "v2_prefix_prompt": (
-        2671619, "726605e591902bdcdfb95c4fdfbc2259af2f95c34d0b82664d0a345251afd11d"
+        2671608, "8c341fa956e787b27feb39037f142f12b916fc2bdaae6601e122d729f95ac2ca"
     ),
 }
 
@@ -338,7 +348,7 @@ def test_load_builds_no_generator(tmp_path, monkeypatch, variant):
 
 def test_failed_load_leaves_draws_on(tmp_path):
     # validate() raises inside the load's no-draws block
-    header = {"config": {**dataclasses.asdict(tiny_cfg()), "heads": 3}, "seed": 5, "step": 0}
+    header = {"config": {**dataclasses.asdict(tiny_cfg()), "heads": 3}, "step": 0}
     with pytest.raises(CheckpointError):
         load_checkpoint(with_header(tmp_path, json.dumps(header).encode()))
     assert golden_full_bytes(tmp_path / "after.ckpt") == GOLDEN["full"]

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tokencast import checkpoint, cli, model
+from tokencast import checkpoint, cli, model, training
 from tokencast.backbone import pretrain_then_freeze
 from tokencast.checkpoint import read_header
 from tokencast.config import RunConfig
@@ -539,6 +539,8 @@ def test_sweep_n_exports_balanced_frequencies(tmp_path):
     for n in (1, 4):
         payload = json.loads((out / f"routing_n{n}.json").read_text())
         assert payload["n_active"] == n
+        # the routing shape train and eval write
+        assert payload["routed"] is True and payload["variant"] == "full"
         for layer in payload["layers"]:
             total = sum(layer["frequency"].values())
             assert abs(total - 1.0) <= 1e-10
@@ -606,13 +608,13 @@ def test_multi_model_verbs_forward_the_test_split_once(tmp_path, monkeypatch, ve
 
 @pytest.mark.parametrize("verb, scored", [
     (["eval"], ["test"]),
-    (["train", "--variant", "full"], ["train", "test"]),
+    (["train", "--variant", "full"], ["test"]),
     (["train", "--variant", "v4_frozen"], ["test"]),
 ], ids=["eval", "train-full", "train-v4_frozen"])
 def test_single_model_verbs_forward_each_scored_split_once(tiny_run, tmp_path, monkeypatch,
                                                            verb, scored):
     # training is stubbed out, so every forward left scores a split: the
-    # test split, and for a routed model the training split's routing
+    # test split's one pass gives both the mse and the routing record
     forwarded = []
     forward_array = model.Forecaster.forward_array
 
@@ -630,6 +632,70 @@ def test_single_model_verbs_forward_each_scored_split_once(tiny_run, tmp_path, m
     counts = dict(zip(["train", "val", "test"], (ws.count for ws in windows)))
     assert counts["test"] > EVAL_BATCH and counts["train"] > EVAL_BATCH
     assert sum(forwarded) == sum(counts[split] for split in scored)
+
+
+@pytest.mark.parametrize("trunk_dtype", ["float64", "float32"])
+@pytest.mark.parametrize("variant", ["full", "v4_frozen"])
+def test_train_writes_the_routing_record_eval_writes(tmp_path, variant, trunk_dtype):
+    # train takes its routing record from its test pass, so eval of the
+    # checkpoint on the same data writes the same bytes
+    ckpt = train_tiny(tmp_path / "run", ["--variant", variant, "--trunk-dtype", trunk_dtype])
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")]) == 0
+    assert ((tmp_path / "run" / "routing_stats.json").read_bytes()
+            == (tmp_path / "eval" / "routing_stats.json").read_bytes())
+
+
+def test_train_scores_only_the_test_split_after_the_fit(tmp_path, monkeypatch):
+    # every scoring pass runs through training.evaluate: after the fit,
+    # train makes one, over the test split, for the mse and the routing record
+    scored = []
+
+    def counting_evaluate(forward, windows, *args, **kwargs):
+        scored.append(windows.count)
+        return training.evaluate(forward, windows, *args, **kwargs)
+
+    def fit_then_count(*args):
+        result = training.train(*args)
+        monkeypatch.setattr(cli, "evaluate", counting_evaluate)
+        return result
+
+    monkeypatch.setattr(cli, "train", fit_then_count)
+    assert cli.main(["train", *TINY, "--length", "400", "--out", str(tmp_path)]) == 0
+    _, _, (train_ws, _, test_ws) = cli.prepare_data(RunConfig(length=400, lookback=16, horizon=4))
+    assert test_ws.count and train_ws.count != test_ws.count
+    assert scored == [test_ws.count]
+    assert json.loads((tmp_path / "routing_stats.json").read_text())["samples"] == test_ws.count
+
+
+@pytest.mark.parametrize("verb, records", [
+    (["train"], ["routing_stats.json"]),
+    (["ablate"], []),
+    (["sweep-n", "--n-values", "1,2"], ["routing_n1.json", "routing_n2.json"]),
+], ids=["train", "ablate", "sweep-n"])
+def test_verbs_without_a_test_split_route_on_the_training_split(tmp_path, monkeypatch,
+                                                                verb, records):
+    # train_frac + val_frac = 1 leaves no test windows: a routed model's
+    # routing record is then the training split's, and ablate's entropy
+    # column is that record's mean entropy
+    scored = []
+    score = cli.score
+    monkeypatch.setattr(cli, "score", lambda *args: scored.append(score(*args)) or scored[-1])
+    split = ["--length", "400", "--train-frac", "0.9", "--val-frac", "0.1"]
+    assert cli.main([*verb, *TINY, *split, "--epochs", "1", "--out", str(tmp_path)]) == 0
+    _, _, (train_ws, _, test_ws) = cli.prepare_data(
+        RunConfig(length=400, lookback=16, horizon=4, train_frac=0.9, val_frac=0.1))
+    assert test_ws.count == 0 and train_ws.count
+    routed = [stats for _, stats in scored if stats is not None]
+    assert routed and all(stats.samples == train_ws.count for stats in routed)
+    for name in records:
+        assert json.loads((tmp_path / name).read_text())["samples"] == train_ws.count
+    if verb == ["ablate"]:
+        with open(tmp_path / "ablate.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        entropies = [float(row["routing_entropy_bits"]) for row in rows]
+        assert entropies == [float(np.mean(stats.entropy_bits())) if stats is not None else 0.0
+                             for _, stats in scored]
+        assert sum(e > 0 for e in entropies) == len(routed) == 3
 
 
 def test_sweep_n_rejects_bad_values(tmp_path, capsys):
@@ -887,12 +953,14 @@ def test_every_config_field_parses_as_a_flag(verb):
     assert cli.collect_overrides(args) == {name: f"v{i}" for i, name in enumerate(names)}
 
 
-@pytest.mark.parametrize("verb, n_flags", [
-    ("train", 45), ("eval", 47), ("forecast", 4), ("ablate", 45), ("sweep-n", 46), ("synth", 7),
-])
-def test_parser_builds_only_its_verbs_arguments(monkeypatch, verb, n_flags):
+@pytest.mark.parametrize("verb", ["train", "eval", "forecast", "ablate", "sweep-n", "synth"])
+def test_parser_builds_only_its_verbs_arguments(monkeypatch, verb):
     # counts, unlike timings on a shared host, are exact: the parser of a
-    # forecast call adds its 4 flags and none of the hidden RunConfig flags
+    # forecast call adds its 4 flags and none of the hidden RunConfig flags.
+    # The ids carry no count, so adding or deleting a RunConfig field renames none
+    n_fields = len(dataclasses.fields(RunConfig))
+    n_flags = {"train": 4 + n_fields, "eval": 6 + n_fields, "forecast": 4,
+               "ablate": 4 + n_fields, "sweep-n": 5 + n_fields, "synth": 7}[verb]
     added = []
     add_argument = argparse.ArgumentParser.add_argument
 
