@@ -3,8 +3,8 @@
 Each block is pre-norm: RMS-normalized multi-head self-attention over the
 token axis, then an RMS-normalized gated feed-forward, both residual. A
 whole block is one tape op (`transformer_block`) with a hand-written pull.
-Attention is bidirectional by default because channel tokens carry no
-temporal order; a causal flag exists for ablation. The seven linears have
+Attention is always bidirectional: channel tokens carry no temporal order,
+so no token is masked from another. The seven linears have
 no bias, as in LLaMA, and each can carry a low-rank adapter chosen per
 sample by a router: every one is x W + ((x A) g) B (`dlora.apply` and
 `dlora.apply_grads`, on arrays, called by the block op once per linear).
@@ -24,7 +24,7 @@ float32 state widened. The weights are drawn in float64 and rounded once,
 so a float32 trunk is the float64 trunk rounded.
 
 Every shape comes straight from the run's RunConfig (dim, heads, ffn_dim,
-layers, causal_mask, pretrain_mode, trunk_dtype; the linears' through
+layers, pretrain_mode, trunk_dtype; the linears' through
 `module_dims`) and the trunk draws from `cfg.seed`. Nothing here re-checks
 the config: `RunConfig.validate()` holds the bounds, and `Forecaster`
 calls it before building the trunk.
@@ -49,7 +49,6 @@ from .training import flat_views, train
 
 INIT_STD = 0.02
 NORM_EPS = 1e-6
-MASK_FILL = -1e30
 
 
 def module_dims(cfg: RunConfig) -> dict[str, tuple[int, int]]:
@@ -92,8 +91,8 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
     order, each with its adapter and gate from `adapters` and `gates`
     (dicts by module name, or None). Each runs through `dlora.apply`, and
     the down and up factors of each delta that ran join the op's inputs;
-    the pull forms each linear's grads with `dlora.apply_grads`. Heads and
-    the causal mask come from the block's config.
+    the pull forms each linear's grads with `dlora.apply_grads`. Heads come
+    from the block's config; every token attends to every token.
 
     Forward and backward run the numpy expressions of the composed rmsnorm,
     matmul, lora_linear, attention, add, silu and mul records
@@ -144,8 +143,6 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
         attn_norm, ffn_norm, *weights = [_cast(t, dt) for t in inputs[1:]]
     else:
         attn_norm, ffn_norm = block.attn_norm, block.ffn_norm
-    n = shape[-2]
-    mask = np.triu(np.full((n, n), MASK_FILL, dt), k=1) if cfg.causal_mask and n > 1 else None
     saved = []  # per linear: adapter, and apply's gated rank-r rows and mask
 
     def reads_input(i):
@@ -171,7 +168,7 @@ def transformer_block(block: TransformerBlock, h: Tensor, adapters=None, gates=N
     recording = T.recording()
     if recording:
         x = None  # the pull forms it again from hd and inv1
-    ctx, att = T.attend(q, k, v, cfg.heads, mask, recording)
+    ctx, att = T.attend(q, k, v, cfg.heads, recording)
     h1 = hd + linear(3, ctx)
     x2, inv2 = kernels.rmsnorm_rows(h1.reshape(-1, d), ffn_norm.data, NORM_EPS)
     x2 = x2.reshape(shape)

@@ -51,7 +51,6 @@ class RunConfig:
     prompt_buckets: int = 64
     prompt_max_tokens: int = 32
     prompt_template: str = "forecast {dataset} horizon {horizon} frequency {frequency}"
-    causal_mask: bool = False
     pretrain_mode: str = "random_frozen"
     pretrain_steps: int = 100
     trunk_dtype: str = "float64"

@@ -133,16 +133,17 @@ def load_csv(path, date_column: str | None = None, name: str | None = None,
         channel_names = [h for i, h in enumerate(header) if i != drop]
         if not channel_names:
             raise DataError(f"{path}: no value columns after dropping '{date_column}'")
-        width = len(header)
+        width, start = len(header), reader.line_num + 1  # a quoted header cell may span lines
         rows = []
         try:
             rows.extend(reader)  # keeps the rows read before a failure
         except DataError as exc:  # a fault in an earlier row comes first
-            raise _first_fault(path, rows, width, drop) or exc
+            raise _first_fault(path, rows, width, drop, start) or exc
         except csv.Error as exc:
-            raise _first_fault(path, rows, width, drop) or _csv_fault(path, reader, exc) from None
+            raise (_first_fault(path, rows, width, drop, start)
+                   or _csv_fault(path, reader, exc)) from None
     if not set(map(len, rows)) <= {0, width}:  # 0 is a blank line
-        raise _first_fault(path, rows, width, drop)
+        raise _first_fault(path, rows, width, drop, start)
     cells = list(itertools.chain.from_iterable(rows))
     if drop is not None:
         del cells[drop::width]
@@ -151,9 +152,9 @@ def load_csv(path, date_column: str | None = None, name: str | None = None,
     try:
         values = np.fromiter(map(float, cells), np.float64, len(cells))
     except ValueError:
-        raise _first_fault(path, rows, width, drop) from None
+        raise _first_fault(path, rows, width, drop, start) from None
     if not np.isfinite(values).all():
-        raise _first_fault(path, rows, width, drop)
+        raise _first_fault(path, rows, width, drop, start)
     return MultivariateSeries(
         name=name or path.stem,
         values=values.reshape(-1, len(channel_names)),
@@ -167,12 +168,15 @@ def _csv_fault(path, reader, exc: csv.Error) -> DataError:
     return DataError(f"{path}: line {reader.line_num}: {exc}")
 
 
-def _first_fault(path, rows, width: int, drop: int | None) -> DataError | None:
+def _first_fault(path, rows, width: int, drop: int | None, line: int) -> DataError | None:
     """The error for the first ragged row, non-numeric or non-finite cell.
 
-    `rows` are the csv records after the header, so the first is line 2.
+    `rows` are the csv records after the header, the first on line `line`;
+    the line breaks of a quoted cell move every later record down.
     """
-    for lineno, row in enumerate(rows, start=2):
+    for row in rows:
+        breaks = sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)  # \r\n is one
+        lineno, line = line, line + 1 + breaks
         if not row:
             continue
         if len(row) != width:

@@ -474,7 +474,7 @@ def slice_(a: Tensor, key) -> Tensor:
 # -------------------------------------------------------------- attention
 
 
-def attend(qd, kd, vd, heads, mask, keep):
+def attend(qd, kd, vd, heads, keep):
     """Multi-head attention over arrays; head h owns columns [h*dh, (h+1)*dh).
 
     Returns the context, shaped like qd, and what `attend_grads` needs, or
@@ -498,8 +498,6 @@ def attend(qd, kd, vd, heads, mask, keep):
     if not keep:
         del qp, kp
     scores *= c
-    if mask is not None:
-        scores += mask
     m = scores.shape[-1]
     probs = kernels.softmax_rows(scores.reshape(-1, m)).reshape(scores.shape)
     del scores
@@ -536,16 +534,15 @@ def attend_grads(saved, g, k_shape, v_shape):
             gvp.swapaxes(-3, -2).reshape(v_shape))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Tensor | None = None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention as one op; head h owns columns [h*dh, (h+1)*dh).
 
     q is (.., N, d) and k, v are (.., M, d) with broadcasting leading axes;
     the output has q's shape. All heads run as one batched scores product,
-    one softmax and one batched context product. An optional additive mask
-    is a constant that broadcasts against the (.., H, N, M) scores; 2-D k
-    and v are shared by every query row, and the scores are then
+    one softmax and one batched context product; no position is masked.
+    2-D k and v are shared by every query row, and the scores are then
     (H, rows of q, M). Forward and backward run the numpy expressions of the
-    equivalent reshape, transpose, matmul, scale, add and softmax records
+    equivalent reshape, transpose, matmul, scale and softmax records
     (tests/oracles.py) in their order, so values and grads match those records bit for bit
     whenever q, k and v are distinct tensors. The pull always forms all
     three grads. Outside a tape the head-major operands are dropped as soon
@@ -555,11 +552,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Tensor | None =
     if d % heads != 0 or k.shape[-1] != d or v.shape[-1] != d:
         raise ShapeError(f"attention: {heads} heads over q {q.shape}, k {k.shape}, v {v.shape}")
     try:
-        data, saved = attend(q.data, k.data, v.data, heads,
-                             None if mask is None else mask.data, recording())
+        data, saved = attend(q.data, k.data, v.data, heads, recording())
     except ValueError as e:
-        raise ShapeError(f"attention: leading axes of q {q.shape}, k {k.shape}, v {v.shape}"
-                         f" and mask {None if mask is None else mask.shape} do not fit") from e
+        raise ShapeError(f"attention: leading axes of q {q.shape}, k {k.shape} and v {v.shape}"
+                         " do not fit") from e
 
     def pull(g):
         return attend_grads(saved, g, k.shape, v.shape)

@@ -28,7 +28,7 @@ import numpy as np
 
 from tokencast import kernels, training
 from tokencast import tensor as T
-from tokencast.backbone import MASK_FILL, NORM_EPS, transformer_block
+from tokencast.backbone import NORM_EPS, transformer_block
 from tokencast.data import DataError, MultivariateSeries, _decoded_lines
 from tokencast.tensor import ShapeError, Tensor, emit, _unbroadcast
 
@@ -171,14 +171,9 @@ def composed_block(block, h: Tensor, adapters=None, gates=None) -> Tensor:
         return adapted_linear(x, block.weights[name], adapters.get(name) if adapters else None,
                               gates.get(name) if gates else None)
 
-    cfg = block.cfg
     x = rmsnorm(h, block.attn_norm, NORM_EPS)
     q, k, v = linear(x, "q_proj"), linear(x, "k_proj"), linear(x, "v_proj")
-    n = h.shape[-2]
-    mask = None
-    if cfg.causal_mask and n > 1:
-        mask = Tensor(np.triu(np.full((n, n), MASK_FILL), k=1))
-    h = T.add(h, linear(T.attention(q, k, v, cfg.heads, mask), "o_proj"))
+    h = T.add(h, linear(T.attention(q, k, v, block.cfg.heads), "o_proj"))
     x2 = rmsnorm(h, block.ffn_norm, NORM_EPS)
     gated = T.silu(linear(x2, "gate_proj"))
     ffn = linear(T.mul(gated, linear(x2, "up_proj")), "down_proj")
@@ -202,15 +197,13 @@ def widened_block(block, h: Tensor, adapters=None, gates=None) -> Tensor:
     return emit(out.data, (out,), pull)
 
 
-def np_attention(q, k, v, heads, mask=None):
+def np_attention(q, k, v, heads):
     """Multi-head attention as a per-head numpy loop; head h owns columns [h*dh, (h+1)*dh)."""
     dh = q.shape[-1] // heads
     out = []
     for i in range(heads):
         s = slice(i * dh, (i + 1) * dh)
         scores = q[..., s] @ np.swapaxes(k[..., s], -1, -2) / math.sqrt(dh)
-        if mask is not None:
-            scores = scores + mask
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         out.append(e / e.sum(axis=-1, keepdims=True) @ v[..., s])
     return np.concatenate(out, axis=-1)
@@ -295,7 +288,9 @@ def load_csv(path, date_column=None) -> MultivariateSeries:
         if not channel_names:
             raise DataError(f"{path}: no value columns after dropping '{date_column}'")
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        following = reader.line_num + 1  # the first line of the record read next
+        for row in reader:
+            lineno, following = following, reader.line_num + 1
             if not row:
                 continue
             if len(row) != len(header):

@@ -145,10 +145,12 @@ def test_corrupt_header_json_rejected(tmp_path):
     ({"heads": 2.0}, "heads must be of type int"),
     ({"stride": 1.0}, "stride must be of type int"),
     ({"normalize": "false"}, "normalize must be of type bool"),
-    # the key of a removed switch, which files of earlier builds hold
+    # the keys of removed switches, which files of earlier builds hold
     ({"router_activation": "tanh"}, "unexpected keyword argument 'router_activation'"),
+    ({"causal_mask": False}, "unexpected keyword argument 'causal_mask'"),
 ], ids=["unknown_key", "heads_not_dividing_dim", "unknown_frequency", "float_n_active",
-        "float_heads", "float_stride", "string_normalize", "removed_router_activation"])
+        "float_heads", "float_stride", "string_normalize", "removed_router_activation",
+        "removed_causal_mask"])
 def test_invalid_header_config_rejected(tmp_path, config_edit, match):
     header = {"config": {**dataclasses.asdict(tiny_cfg()), **config_edit}, "step": 0}
     path = with_header(tmp_path, json.dumps(header).encode())
@@ -161,9 +163,9 @@ def test_invalid_header_config_rejected(tmp_path, config_edit, match):
 # values: the trunk linears have no bias records, and the header holds
 # only the config, with "trunk_dtype": "float64", and the step.
 GOLDEN = {
-    "full": (2802776, "c96f744680d2839ed698db584d9d2b27b5f8ef4c99374d28723d97529f4fe9e7"),
+    "full": (2802754, "cc56a42b1401c6b6785c179dfe99a4fbd0892056a328aa4c4ffb4eb1008ea379"),
     "v2_prefix_prompt": (
-        2671608, "8c341fa956e787b27feb39037f142f12b916fc2bdaae6601e122d729f95ac2ca"
+        2671586, "766d55a201ec46a8e2cc431a49772edc0ad8c03d09822fda07bfb2c9882404ae"
     ),
 }
 

@@ -81,6 +81,25 @@ def test_load_csv_ragged_row_names_line(tmp_path):
         load_csv(p)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("fault, message", [
+    ("t5,x,2", "cell 'x' is not numeric"),
+    ("t5,2", "expected 3 cells, got 2"),
+], ids=["bad_cell", "ragged"])
+@pytest.mark.parametrize("spans", ["header", "row"])
+def test_load_csv_fault_line_counts_the_lines_of_a_quoted_cell(tmp_path, spans, fault, message,
+                                                               newline):
+    # a quoted cell that holds a line break spans two lines, so the fault
+    # after it sits on line 8, not on the csv record's count of 7
+    header = 'date,"a\nb",c' if spans == "header" else "date,a,c"
+    first = 't0,"1\n",2' if spans == "row" else "t0,1,2"
+    lines = [header, first] + [f"t{r},{r},2" for r in range(1, 5)] + [fault, "t6,6,2"]
+    p = write(tmp_path, ("\n".join(lines) + "\n").replace("\n", newline))
+    want = f"line 8: {message}"
+    for load in (load_csv, oracles.load_csv):
+        assert want in loaded(load, p, "date")
+
+
 BIG = "1" * 140000  # over the csv module's field size limit of 131072 characters
 
 

@@ -345,23 +345,22 @@ def test_backward_keeps_grads_on_leaves_only():
     assert x.grad.flags.writeable and w.grad.flags.writeable
 
 
-@pytest.mark.parametrize("kv_shape, causal", [
-    ((5, 4), False),  # (M, d) keys shared by the batch, as in alignment
-    ((2, 3, 4), True),  # per-sample keys under a causal mask, as in a block
+@pytest.mark.parametrize("masked", [False])  # one value: attention masks nothing
+@pytest.mark.parametrize("kv_shape", [
+    (5, 4),  # (M, d) keys shared by the batch, as in alignment
+    (2, 3, 4),  # per-sample keys, as in a block
 ])
-def test_attention_matches_per_head_loop_and_gradients(kv_shape, causal):
+def test_attention_matches_per_head_loop_and_gradients(kv_shape, masked):
     q = T.parameter(rand((2, 3, 4), 38))
     k = T.parameter(rand(kv_shape, 39))
     v = T.parameter(rand(kv_shape, 40))
-    mask = Tensor(np.triu(np.full((3, 3), -1e30), k=1)) if causal else None
-    out = T.attention(q, k, v, 2, mask)
-    ref = O.np_attention(q.data, k.data, v.data, 2, None if mask is None else mask.data)
-    np.testing.assert_allclose(out.data, ref, atol=1e-12)
-    assert_grads_match(lambda: T.total(T.square(T.attention(q, k, v, 2, mask))), [q, k, v])
+    out = T.attention(q, k, v, 2)
+    np.testing.assert_allclose(out.data, O.np_attention(q.data, k.data, v.data, 2), atol=1e-12)
+    assert_grads_match(lambda: T.total(T.square(T.attention(q, k, v, 2))), [q, k, v])
 
 
-def unfused_attention(q, k, v, heads, mask=None):
-    """Attention as reshape, transpose, matmul, scale, add and softmax records: the oracle."""
+def unfused_attention(q, k, v, heads):
+    """Attention as reshape, transpose, matmul, scale and softmax records: the oracle."""
 
     def permute_last3(x, order):
         lead = x.ndim - 3
@@ -373,18 +372,15 @@ def unfused_attention(q, k, v, heads, mask=None):
     q, k, v = (O.reshape(t, t.shape[:-1] + (heads, d // heads)) for t in (q, k, v))
     scores = O.matmul(permute_last3(q, (1, 0, 2)), permute_last3(k, (1, 2, 0)))
     scores = T.scale(scores, 1.0 / np.sqrt(d // heads))
-    if mask is not None:
-        scores = T.add(scores, mask)
     ctx = O.matmul(O.softmax(scores, axis=-1), permute_last3(v, (1, 0, 2)))
     return O.reshape(permute_last3(ctx, (1, 0, 2)), shape)
 
 
-# q shape, k and v shape, causal mask; two heads of width 3, so the scale
-# 1/sqrt(3) is not a power of two and rounds differently if moved
+# q shape, k and v shape; two heads of width 3, so the scale 1/sqrt(3) is
+# not a power of two and rounds differently if moved
 ATTENTION_CASES = {
-    "per_sample": ((2, 3, 6), (2, 3, 6), False),
-    "per_sample_causal": ((2, 3, 6), (2, 3, 6), True),
-    "shared_keys": ((2, 3, 6), (5, 6), False),  # the alignment case
+    "per_sample": ((2, 3, 6), (2, 3, 6)),
+    "shared_keys": ((2, 3, 6), (5, 6)),  # the alignment case
 }
 
 
@@ -392,14 +388,13 @@ ATTENTION_CASES = {
 @pytest.mark.parametrize("trainable", list(itertools.product([False, True], repeat=3)),
                          ids=lambda t: "".join(n if r else "-" for n, r in zip("qkv", t)))
 def test_attention_bit_identical_to_unfused_records(case, trainable):
-    q_shape, kv_shape, causal = ATTENTION_CASES[case]
-    mask = Tensor(np.triu(np.full((3, 3), -1e30), k=1)) if causal else None
+    q_shape, kv_shape = ATTENTION_CASES[case]
 
     def run(attend):
         q, k, v = (Tensor(rand(s, 80 + i), requires_grad=r)
                    for i, (s, r) in enumerate(zip((q_shape, kv_shape, kv_shape), trainable)))
         with Tape() as tape:
-            y = attend(q, k, v, 2, mask)
+            y = attend(q, k, v, 2)
             records = len(tape._records)
             if any(trainable):
                 tape.backward(T.total(T.square(y)))

@@ -78,12 +78,12 @@ def test_float32_trunk_is_the_float64_trunk_rounded():
         np.testing.assert_array_equal(t.data, wide[name].data.astype(np.float32), err_msg=name)
 
 
-def block_pass(dtype, causal, state=None):
+def block_pass(dtype, state=None):
     """Output and every grad of one block with a trainable trunk, open,
     closed and per-sample gates and non-zero adapters; the float64 block
     holds the float32 block's rounded weights. The input state holds
     float32 values, stored in `state`, the block's dtype by default."""
-    cfg = RunConfig(dim=16, heads=4, ffn_dim=32, rank=2, causal_mask=causal, trunk_dtype=dtype)
+    cfg = RunConfig(dim=16, heads=4, ffn_dim=32, rank=2, trunk_dtype=dtype)
     block = TransformerBlock(cfg, np.random.Generator(np.random.PCG64(1)))
     rounded = TransformerBlock(dataclasses.replace(cfg, trunk_dtype="float32"),
                                np.random.Generator(np.random.PCG64(1)))
@@ -107,9 +107,9 @@ def block_pass(dtype, causal, state=None):
     return [out.data] + [p.grad for p in learn]
 
 
-@pytest.mark.parametrize("causal", [False, True], ids=["bidirectional", "causal"])
-def test_float32_block_op_matches_float64_on_rounded_weights(monkeypatch, causal):
-    wide = block_pass("float64", causal)
+@pytest.mark.parametrize("attention", ["bidirectional"])  # the only kind there is
+def test_float32_block_op_matches_float64_on_rounded_weights(monkeypatch, attention):
+    wide = block_pass("float64")
     seen = set()  # dtypes of every array the linears of the float32 block compute with
     converted = []  # per linear with an adapter: (its delta ran, its factors were converted)
     apply, apply_grads = dlora.apply, dlora.apply_grads
@@ -129,7 +129,7 @@ def test_float32_block_op_matches_float64_on_rounded_weights(monkeypatch, causal
 
     monkeypatch.setattr(dlora, "apply", apply_spy)
     monkeypatch.setattr(dlora, "apply_grads", apply_grads_spy)
-    narrow = block_pass("float32", causal)
+    narrow = block_pass("float32")
     assert seen == {np.dtype(np.float32)}
     # the factors of the closed v_proj gate's adapter are left as they are
     assert converted == [(True, True)] * 2 + [(False, False)] + [(True, True)] * 4
@@ -144,7 +144,7 @@ def test_float32_block_op_matches_float64_on_rounded_weights(monkeypatch, causal
         assert close(got, want, BLOCK_RTOL), (i, np.abs(got - want).max())
     # block 0 reads a float64 state: the op converts it on entry and hands
     # its grad back in float64, every bit as for the float32 state
-    entry = block_pass("float32", causal, state="float64")
+    entry = block_pass("float32", state="float64")
     for i, (got, want) in enumerate(zip(entry, narrow)):
         if want is None:
             assert got is None, i
