@@ -5,6 +5,12 @@ Exit codes: 0 success, 2 configuration errors (including metric settings),
 them), 4 numeric failures: during training, or a non-finite prediction from
 `eval` or `forecast`, which then writes nothing.
 
+`train`, `ablate` and `sweep-n` share one fit loop (`fit_each`): one split,
+one trunk, one scoring pass per model, and every test mse checked before
+anything is written. `train` is its one-config case, so `ablate`'s `full`
+row is `train`'s test mse for the same config. Every table a verb writes
+goes through `write_csv`.
+
 Every RunConfig key is exposed three ways with identical meaning: a line in
 an INI config file (--config), a --set key=value override, and a direct
 --key-name flag. Precedence is preset < file < override, with --set and
@@ -57,13 +63,7 @@ from .data import (
 from .dlora import RoutingStats
 from .metrics import MetricError, build_report, naive_seasonal_forecast, seasonality_for
 from .model import Forecaster
-from .training import (
-    NumericError,
-    evaluate,
-    naive_repeat_last_mse,
-    train,
-    write_history_csv,
-)
+from .training import NumericError, TrainResult, evaluate, naive_repeat_last_mse, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,24 +111,21 @@ def prepare_data(cfg: RunConfig):
     )
 
 
-def build_model(cfg: RunConfig, train_view) -> Forecaster:
-    model = Forecaster(cfg)
-    if cfg.pretrain_mode == "pretrain_then_freeze":
-        pretrain_then_freeze(model.backbone, train_view, cfg.lookback, cfg.horizon,
-                             steps=cfg.pretrain_steps, seed=cfg.seed)
-    return model
-
-
 def build_models(cfgs, train_view):
     """Yield a model per config, in turn; all share the first one's trunk.
 
     The trunk is built and pretrained once: pretraining reads neither the
     variant nor n_active, and training never writes a frozen trunk.
     """
-    first = build_model(cfgs[0], train_view)
-    yield first
-    for cfg in cfgs[1:]:
-        yield Forecaster(cfg, backbone=first.backbone)
+    backbone = None
+    for cfg in cfgs:
+        model = Forecaster(cfg, backbone=backbone)
+        if backbone is None:
+            backbone = model.backbone
+            if cfg.pretrain_mode == "pretrain_then_freeze":
+                pretrain_then_freeze(backbone, train_view, cfg.lookback, cfg.horizon,
+                                     steps=cfg.pretrain_steps, seed=cfg.seed)
+        yield model
 
 
 def train_config(cfg: RunConfig) -> RunConfig:
@@ -179,15 +176,39 @@ def check_finite_metrics(metrics: dict[str, float], y: np.ndarray) -> None:
         )
 
 
-def naive_test_mse(test_ws) -> float | None:
-    """The repeat-last naive test mse, None without test windows, checked
-    finite before any model trains: it needs no model, so a test split
-    whose squared errors overflow exits 4 before the first fit."""
-    if not test_ws.count:
-        return None
-    naive = naive_repeat_last_mse(test_ws)
-    check_finite_metrics({"repeat_last.test_mse": naive}, test_ws.view.array)
-    return naive
+def fit_each(cfgs, row, name=lambda cfg: cfg.variant):
+    """Fit and score one model per config, in turn, on the first config's data.
+
+    Every model shares the first one's trunk (`build_models`) and is scored
+    by one pass (`score`). `row(cfg, model, result, test_mse, stats)` makes
+    what the verb keeps of each fit, so a verb keeps no more of a fitted
+    model than its row holds. Every test mse, named `name(cfg)`, is checked
+    finite before this returns, so before the verb writes anything; the
+    repeat-last naive one before the first fit. Returns that naive test mse
+    (None without test windows) and the rows.
+    """
+    _, views, (train_ws, val_ws, test_ws) = prepare_data(cfgs[0])
+    naive = None
+    if test_ws.count:  # needs no model: an overflowing test split exits 4 before any fit
+        naive = naive_repeat_last_mse(test_ws)
+        check_finite_metrics({"repeat_last.test_mse": naive}, test_ws.view.array)
+    rows, mses = [], {}
+    for cfg, model in zip(cfgs, build_models(cfgs, views[0])):
+        result = train(model, train_ws, val_ws, cfg)
+        test_mse, stats = score(model, train_ws, test_ws)
+        mses[f"{name(cfg)}.test_mse"] = test_mse
+        rows.append(row(cfg, model, result, test_mse, stats))
+    if naive is not None:
+        check_finite_metrics(mses, test_ws.view.array)
+    return naive, rows
+
+
+def history_table(result: TrainResult, layers: int) -> tuple[list[str], list[list]]:
+    """history.csv's header and its row per epoch; no val mse is a blank cell."""
+    header = ["epoch", "train_loss", "val_loss", "lb_loss",
+              *(f"entropy_layer_{i}" for i in range(layers))]
+    return header, [[r["epoch"], r["train_loss"], r["val_loss"], r["lb_loss"], *r["entropy"]]
+                    for r in result.history]
 
 
 # ------------------------------------------------------------------- verbs
@@ -218,27 +239,25 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    with _writing(path), open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+def write_csv(path: Path, header: list[str], rows) -> None:
+    """The one writer of the verbs' tables, making `path`'s directory first.
+    csv writes a float cell as its repr and None as an empty cell."""
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 def cmd_train(args) -> int:
     cfg = config_from_args(args)
     out = _output_dir(args.out)
-    _, views, (train_ws, val_ws, test_ws) = prepare_data(cfg)
-    naive = naive_test_mse(test_ws)
-    model = build_model(cfg, views[0])
-    result = train(model, train_ws, val_ws, cfg)
-    test_mse, stats = score(model, train_ws, test_ws)
-    if test_ws.count:  # scored before anything is written
-        check_finite_metrics({f"{cfg.variant}.test_mse": test_mse}, test_ws.view.array)
+    naive, [(model, result, test_mse, stats)] = fit_each([cfg], lambda _, *fit: fit)
 
     with _writing(out):
         save_checkpoint(out / "checkpoint.ckpt", model, step=result.steps_run)
-        write_history_csv(result, out / "history.csv", layers=cfg.layers)
+    write_csv(out / "history.csv", *history_table(result, cfg.layers))
     _write_json(out / "routing_stats.json", routing_payload(model, stats))
 
     last = result.history[-1]
@@ -247,7 +266,7 @@ def cmd_train(args) -> int:
     if result.best_val is not None:
         stopped = " (early stop)" if result.stopped_early else ""
         print(f"best val mse {result.best_val:.6f} at epoch {result.best_epoch}{stopped}")
-    if test_ws.count:
+    if naive is not None:
         print(f"test mse {test_mse:.6f} vs repeat-last naive {naive:.6f}")
     print(f"wrote {out / 'checkpoint.ckpt'}, {out / 'history.csv'}, "
           f"{out / 'routing_stats.json'}")
@@ -315,13 +334,8 @@ def cmd_forecast(args) -> int:
     pred = model.predict(x)[0]  # (channels, horizon)
     check_finite_prediction(pred, x, series.channel_names)
     out_path = Path(args.output)
-    with _writing(out_path):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step"] + list(series.channel_names))
-            for h in range(pred.shape[1]):
-                writer.writerow([h + 1] + [repr(float(v)) for v in pred[:, h]])
+    write_csv(out_path, ["step", *series.channel_names],
+              [[h, *values] for h, values in enumerate(pred.T.tolist(), 1)])
     print(f"wrote {out_path} ({pred.shape[1]} steps x {pred.shape[0]} channels)")
     return EXIT_OK
 
@@ -329,32 +343,24 @@ def cmd_forecast(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = config_from_args(args)
     out = _output_dir(args.out)
-    _, views, (train_ws, val_ws, test_ws) = prepare_data(cfg)
-    naive = naive_test_mse(test_ws)
 
-    rows = []
-    vcfgs = [dataclasses.replace(cfg, variant=variant) for variant in VARIANTS]
-    for vcfg, model in zip(vcfgs, build_models(vcfgs, views[0])):
-        result = train(model, train_ws, val_ws, vcfg)
+    def row(vcfg, model, result, test_mse, stats):
         report = model.parameter_report()
-        test_mse, stats = score(model, train_ws, test_ws)
         # constant gates carry no selection variability
         entropy = float(np.mean(stats.entropy_bits())) if stats is not None else 0.0
-        rows.append({
+        return {
             "variant": vcfg.variant,
             "test_mse": test_mse,
             "best_val_mse": result.best_val if result.best_val is not None else float("nan"),
             "trainable_params": report["trainable"],
             "adapter_params": report["adapters"],
             "routing_entropy_bits": entropy,
-        })
+        }
 
-    if test_ws.count:  # scored before anything is written
-        check_finite_metrics({f"{r['variant']}.test_mse": r["test_mse"] for r in rows},
-                             test_ws.view.array)
+    naive, rows = fit_each([dataclasses.replace(cfg, variant=v) for v in VARIANTS], row)
     path = out / "ablate.csv"
-    _write_csv(path, rows)
-    if test_ws.count:
+    write_csv(path, list(rows[0]), [r.values() for r in rows])
+    if naive is not None:
         print(f"repeat-last naive test mse: {naive:.6f}")
     header = f"{'variant':18}{'test_mse':>12}{'val_mse':>12}{'trainable':>12}{'adapters':>10}{'entropy':>10}"
     print(header)
@@ -376,26 +382,20 @@ def cmd_sweep_n(args) -> int:
     ncfgs = [dataclasses.replace(cfg, n_active=n).validate()
              for n in parse_n_values(args.n_values)]
     out = _output_dir(args.out)
-    _, views, (train_ws, val_ws, test_ws) = prepare_data(cfg)
-    naive_test_mse(test_ws)
 
-    rows, payloads = [], []
-    for ncfg, model in zip(ncfgs, build_models(ncfgs, views[0])):
-        train(model, train_ws, val_ws, ncfg)
-        test_mse, stats = score(model, train_ws, test_ws)
-        payloads.append(routing_payload(model, stats))
-        rows.append({
+    def row(ncfg, model, result, test_mse, stats):
+        return routing_payload(model, stats), {
             "n_active": ncfg.n_active,
             "test_mse": test_mse,
             "mean_entropy_bits": float(np.mean(stats.entropy_bits())),
-        })
-    if test_ws.count:  # scored before anything is written
-        check_finite_metrics({f"n_active={r['n_active']}.test_mse": r["test_mse"] for r in rows},
-                             test_ws.view.array)
-    for payload in payloads:
+        }
+
+    _, fits = fit_each(ncfgs, row, name=lambda ncfg: f"n_active={ncfg.n_active}")
+    for payload, _ in fits:
         _write_json(out / f"routing_n{payload['n_active']}.json", payload)
+    rows = [r for _, r in fits]
     path = out / "sweep_n.csv"
-    _write_csv(path, rows)
+    write_csv(path, list(rows[0]), [r.values() for r in rows])
     for r in rows:
         print(f"n={r['n_active']}  test_mse={r['test_mse']:.6f}  "
               f"entropy={r['mean_entropy_bits']:.4f}")

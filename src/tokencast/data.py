@@ -109,7 +109,8 @@ def load_csv(path, date_column: str | None = None, name: str | None = None,
     one vectorised test; on any fault a per-cell scan names the first
     ragged row, non-numeric cell or non-finite cell in reading order, with
     its line number. A record the csv module refuses, such as a cell over
-    its field size limit, is a fault on its line in the same order.
+    its field size limit, is a fault on the line it starts on, in the same
+    order.
     """
     path = Path(path)
     try:
@@ -123,7 +124,7 @@ def load_csv(path, date_column: str | None = None, name: str | None = None,
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
         except csv.Error as exc:
-            raise _csv_fault(path, reader, exc) from None
+            raise _first_fault(path, [], 0, None, 1, exc) from None  # the header is line 1
         header = [h.strip() for h in header]
         drop = None
         if date_column is not None:
@@ -140,8 +141,7 @@ def load_csv(path, date_column: str | None = None, name: str | None = None,
         except DataError as exc:  # a fault in an earlier row comes first
             raise _first_fault(path, rows, width, drop, start) or exc
         except csv.Error as exc:
-            raise (_first_fault(path, rows, width, drop, start)
-                   or _csv_fault(path, reader, exc)) from None
+            raise _first_fault(path, rows, width, drop, start, exc) from None
     if not set(map(len, rows)) <= {0, width}:  # 0 is a blank line
         raise _first_fault(path, rows, width, drop, start)
     cells = list(itertools.chain.from_iterable(rows))
@@ -163,16 +163,14 @@ def load_csv(path, date_column: str | None = None, name: str | None = None,
     )
 
 
-def _csv_fault(path, reader, exc: csv.Error) -> DataError:
-    """The error for a record the csv module refused, such as an over-long cell."""
-    return DataError(f"{path}: line {reader.line_num}: {exc}")
-
-
-def _first_fault(path, rows, width: int, drop: int | None, line: int) -> DataError | None:
-    """The error for the first ragged row, non-numeric or non-finite cell.
+def _first_fault(path, rows, width: int, drop: int | None, line: int,
+                 refused: csv.Error | None = None) -> DataError | None:
+    """The error for the first ragged row, non-numeric or non-finite cell,
+    else for the record after `rows` that the csv module `refused`, if any.
 
     `rows` are the csv records after the header, the first on line `line`;
-    the line breaks of a quoted cell move every later record down.
+    the line breaks of a quoted cell move every later record down, and a
+    cell's own line breaks are escaped, so that the message stays one line.
     """
     for row in rows:
         breaks = sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)  # \r\n is one
@@ -187,10 +185,11 @@ def _first_fault(path, rows, width: int, drop: int | None, line: int) -> DataErr
             try:
                 v = float(cell)
             except ValueError:
-                return DataError(f"{path}: line {lineno}: cell '{cell.strip()}' is not numeric")
+                shown = cell.strip().replace("\r", "\\r").replace("\n", "\\n")
+                return DataError(f"{path}: line {lineno}: cell '{shown}' is not numeric")
             if not math.isfinite(v):
                 return DataError(f"{path}: line {lineno}: non-finite value '{cell.strip()}'")
-    return None
+    return None if refused is None else DataError(f"{path}: line {line}: {refused}")
 
 
 @dataclass

@@ -31,7 +31,6 @@ batch, so its batch size enters the last bits of each mse.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import functools
 from dataclasses import dataclass, field
@@ -357,17 +356,3 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
     result.steps_run = opt.step_count
     return result
 
-
-def write_history_csv(result: TrainResult, path, layers: int) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["epoch", "train_loss", "val_loss", "lb_loss"]
-            + [f"entropy_layer_{i}" for i in range(layers)]
-        )
-        for row in result.history:
-            val = "" if row["val_loss"] is None else repr(row["val_loss"])
-            writer.writerow(
-                [row["epoch"], repr(row["train_loss"]), val, repr(row["lb_loss"])]
-                + [repr(e) for e in row["entropy"]]
-            )

@@ -304,8 +304,9 @@ def load_csv(path, date_column=None) -> MultivariateSeries:
                 try:
                     v = float(cell)
                 except ValueError:
+                    shown = cell.strip().replace("\r", "\\r").replace("\n", "\\n")
                     raise DataError(
-                        f"{path}: line {lineno}: cell '{cell.strip()}' is not numeric"
+                        f"{path}: line {lineno}: cell '{shown}' is not numeric"
                     ) from None
                 if not math.isfinite(v):
                     raise DataError(f"{path}: line {lineno}: non-finite value '{cell.strip()}'")

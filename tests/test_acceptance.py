@@ -260,7 +260,7 @@ def test_criterion_06_end_to_end_learning():
     assert (cfg.layers, cfg.dim, cfg.n_active, cfg.rank) == (4, 64, 4, 8)
     assert cfg.channels == 3 and cfg.noise == 0.0
     _, views, windows = cli.prepare_data(cfg)
-    model = cli.build_model(cfg, views[0])
+    model = next(cli.build_models([cfg], views[0]))
     result = training.train(model, windows[0], windows[1], cfg)
     assert result.epochs_run <= 20
     test_mse = training.evaluate_mse(model, windows[2])
@@ -287,7 +287,7 @@ def test_criterion_07_ablation_ordering():
                 "seed": str(seed), "epochs": "6", "variant": variant,
             })
             _, views, windows = cli.prepare_data(cfg)
-            model = cli.build_model(cfg, views[0])
+            model = next(cli.build_models([cfg], views[0]))
             training.train(model, windows[0], windows[1], cfg)
             scores[variant] = training.evaluate_mse(model, windows[2])
         wins += scores["v4_frozen"] >= scores["full"]

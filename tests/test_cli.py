@@ -698,6 +698,27 @@ def test_verbs_without_a_test_split_route_on_the_training_split(tmp_path, monkey
         assert sum(e > 0 for e in entropies) == len(routed) == 3
 
 
+@pytest.mark.parametrize("trunk_dtype", ["float64", "float32"])
+def test_fitting_verbs_agree_on_the_default_configs_test_mse(tmp_path, trunk_dtype):
+    # train, ablate and sweep-n run one fit loop on one split: ablate's
+    # `full` row and sweep-n's n=4 row are train's own fit, bit for bit
+    tiny = [*TINY, "--length", "400", "--trunk-dtype", trunk_dtype]
+    for verb in (["train"], ["ablate"], ["sweep-n", "--n-values", "4"]):
+        assert cli.main([*verb, *tiny, "--out", str(tmp_path / verb[0])]) == 0
+    trained, _ = checkpoint.load_checkpoint(tmp_path / "train" / "checkpoint.ckpt")
+    _, _, (_, _, test_ws) = cli.prepare_data(trained.cfg)
+    test_mse = evaluate_mse(trained, test_ws)
+
+    def rows(table):
+        with open(tmp_path / table) as fh:
+            return list(csv.DictReader(fh))
+
+    full = next(r for r in rows("ablate/ablate.csv") if r["variant"] == "full")
+    [swept] = rows("sweep-n/sweep_n.csv")
+    assert swept["n_active"] == "4"
+    assert float(full["test_mse"]) == float(swept["test_mse"]) == test_mse
+
+
 def test_sweep_n_rejects_bad_values(tmp_path, capsys):
     assert cli.main(["sweep-n", *TINY, "--n-values", "0,9"]) == 2
     assert cli.main(["sweep-n", *TINY, "--n-values", "abc"]) == 2

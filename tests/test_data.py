@@ -100,6 +100,17 @@ def test_load_csv_fault_line_counts_the_lines_of_a_quoted_cell(tmp_path, spans, 
         assert want in loaded(load, p, "date")
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_load_csv_escapes_the_line_break_of_a_non_numeric_cell(tmp_path, newline):
+    # the message stays one line: the cell's line break is shown escaped
+    p = write(tmp_path, f'a,b{newline}1,"2{newline}3"{newline}')
+    shown = newline.replace("\r", "\\r").replace("\n", "\\n")
+    for load in (load_csv, oracles.load_csv):
+        message = loaded(load, p, None)
+        assert message.endswith(f"line 2: cell '2{shown}3' is not numeric")
+        assert "\n" not in message and "\r" not in message
+
+
 BIG = "1" * 140000  # over the csv module's field size limit of 131072 characters
 
 
@@ -108,9 +119,11 @@ BIG = "1" * 140000  # over the csv module's field size limit of 131072 character
     (f"a,{BIG}\n1,2\n", "line 1: field larger than field limit"),
     (f"a,b\n1,oops\n5,{BIG}\n", "line 2: cell 'oops' is not numeric"),
     (f"a,b\n1,2,3\n5,{BIG}\n", "line 2: expected 2 cells, got 3"),
-], ids=["cell", "header", "earlier_cell", "earlier_ragged"])
+    (f'a,b\n1,"2\n{BIG}"\n3,4\n', "line 2: field larger than field limit"),
+], ids=["cell", "header", "earlier_cell", "earlier_ragged", "spanning_cell"])
 def test_load_csv_over_long_cell_is_a_data_error(tmp_path, text, fault):
-    # the csv module refuses the record; a fault in an earlier row comes first
+    # the csv module refuses the record; a fault in an earlier row comes
+    # first, and a refused record is named by the line it starts on
     with pytest.raises(DataError, match=fault):
         load_csv(write(tmp_path, text))
 
@@ -134,7 +147,7 @@ GOOD_CELLS = st.one_of(
                      ".5", "5.", "1E-3", "1_000", "\t4\t"]),
 )
 BAD_CELLS = st.sampled_from(["nan", " NaN ", "inf", "-Infinity", "1e309", "oops", '"1,5"',
-                             "", " ", ' "3.25"', "--1"])
+                             "", " ", ' "3.25"', "--1", '"1\n2"', '"2\r\n3"'])
 DATE_CELLS = st.sampled_from(["2024-01-01", '"Jan 1, 2024"', "", "t7", "3"])
 
 
@@ -187,8 +200,10 @@ def csv_path(tmp_path_factory):
 def test_load_csv_matches_the_per_cell_oracle(csv_path, case):
     raw, date_column = case
     csv_path.write_bytes(raw)
-    assert loaded(load_csv, csv_path, date_column) == loaded(oracles.load_csv, csv_path,
-                                                             date_column)
+    got = loaded(load_csv, csv_path, date_column)
+    assert got == loaded(oracles.load_csv, csv_path, date_column)
+    if isinstance(got, str):  # a message is one line, whatever its cells hold
+        assert "\n" not in got and "\r" not in got
 
 
 @pytest.mark.parametrize("bad_line", [3, 900, 1500])

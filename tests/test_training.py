@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tokencast import cli
 from tokencast import training as tr
 from tokencast import tensor as T
 from tokencast.backbone import pretrain_then_freeze
@@ -484,7 +485,7 @@ def test_history_csv_roundtrip(tmp_path):
          "entropy": [2.6, 2.5]},
     ])
     path = tmp_path / "history.csv"
-    tr.write_history_csv(result, path, layers=2)
+    cli.write_csv(path, *cli.history_table(result, layers=2))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss,lb_loss,entropy_layer_0,entropy_layer_1"
     assert lines[1].split(",") == ["0", "0.5", "0.25", "2.0", "2.8", "2.7"]
