@@ -335,8 +335,7 @@ def pretrain_then_freeze(backbone: Backbone, corpus_view, lookback: int,
         xn, stats = instance_normalize(x)
         return denormalize(head.project(backbone.forward(emb.embed(Tensor(xn)))), stats), []
 
-    model = SimpleNamespace(cfg=cfg, uses_routers=False, forward_array=forward_array,
-                            trainable=lambda: params)
+    model = SimpleNamespace(cfg=cfg, forward_array=forward_array, trainable=lambda: params)
     for t in backbone.tensors().values():
         t.requires_grad = True
     try:

@@ -136,7 +136,7 @@ def train_config(cfg: RunConfig) -> RunConfig:
 def routing_payload(model: Forecaster, stats: RoutingStats | None) -> dict:
     """The one routing json shape: the stats, if any, `routed` and `variant`."""
     payload = stats.to_json_dict() if stats is not None else {}
-    return {**payload, "routed": stats is not None, "variant": model.variant}
+    return {**payload, "routed": stats is not None, "variant": model.cfg.variant}
 
 
 def score(model: Forecaster, train_ws, test_ws) -> tuple[float, RoutingStats | None]:
@@ -144,7 +144,7 @@ def score(model: Forecaster, train_ws, test_ws) -> tuple[float, RoutingStats | N
     windows) and `model.routing_stats` of that same pass. Without test
     windows a routed model takes its routing from the training split, and
     an unrouted one forwards nothing."""
-    if not (test_ws.count or model.uses_routers):
+    if not (test_ws.count or model.routers):
         return float("nan"), None
     mse, _, probs = evaluate(model.forward_array, test_ws if test_ws.count else train_ws)
     return (mse if test_ws.count else float("nan")), model.routing_stats(probs)
@@ -453,6 +453,9 @@ def parse_n_values(text: str) -> list[int]:
         raise ConfigError(f"--n-values must be comma-separated integers, got '{text}'")
     if not values:
         raise ConfigError("--n-values lists no values")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:  # a second fit of one n would write its row twice and its json again
+        raise ConfigError(f"--n-values lists {repeated[0]} more than once, got '{text}'")
     return values
 
 

@@ -15,8 +15,18 @@ class ConfigError(Exception):
     """Unknown keys, unparsable values, or inconsistent settings."""
 
 
-VARIANTS = ("full", "v1_no_align", "v2_prefix_prompt", "v3_static_lora", "v4_frozen")
-ROUTED_VARIANTS = ("full", "v1_no_align", "v2_prefix_prompt")  # adapters gated by routers
+# The one table of what each variant holds: how the prompt reaches the trunk
+# (cross-attention, prefix rows or not at all) and how its adapters are gated
+# (per-sample router top-n, always open, or no adapters).
+VARIANT_PARTS = {
+    "full": ("cross", "routed"),
+    "v1_no_align": ("none", "routed"),
+    "v2_prefix_prompt": ("prefix", "routed"),
+    "v3_static_lora": ("cross", "static"),
+    "v4_frozen": ("cross", "none"),
+}
+VARIANTS = tuple(VARIANT_PARTS)
+ROUTED_VARIANTS = tuple(v for v, (_, gating) in VARIANT_PARTS.items() if gating == "routed")
 PRETRAIN_MODES = ("random_frozen", "pretrain_then_freeze")
 TRUNK_DTYPES = ("float64", "float32")  # what the frozen trunk stores and computes in
 

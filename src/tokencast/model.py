@@ -2,13 +2,8 @@
 
 Pipeline: per-window channel normalization, channel-as-token embedding,
 prompt alignment, the frozen adapted trunk, linear projection to the
-horizon, de-normalization. Variants switch parts of that pipeline:
-
-  full              everything
-  v1_no_align       alignment removed, tokens go straight to the trunk
-  v2_prefix_prompt  no cross-attention; prompt rows prepended as a prefix
-  v3_static_lora    adapters always on for every module, no routers
-  v4_frozen         trunk only, no adapters at all
+horizon, de-normalization. Each variant builds the parts that
+`config.VARIANT_PARTS` lists for it, and the forward runs the parts built.
 
 Every component draws its initialization from a generator keyed by the run
 seed and the component's name, so two variants built from the same seed
@@ -23,7 +18,7 @@ from . import rng
 from . import tensor as T
 from .alignment import CrossAttention, PromptEmbedding
 from .backbone import Backbone, module_dims
-from .config import ROUTED_VARIANTS, RunConfig
+from .config import VARIANT_PARTS, RunConfig
 from .dlora import (
     MODULE_NAMES,
     LoraAdapter,
@@ -47,28 +42,23 @@ class Forecaster:
         """`backbone`, when given, is a trunk built from a config whose trunk
         fields equal cfg's; models of one ablation share it."""
         self.cfg = cfg.validate()  # the one check of every shape below
-        self.variant = cfg.variant
         self.backbone = Backbone(cfg) if backbone is None else backbone
         self.embedder = TsEmbedder(cfg.lookback, cfg.dim, cfg.seed)
         self.head = OutputHead(cfg.dim, cfg.horizon, cfg.seed)
-
-        self.uses_alignment = self.variant in ("full", "v3_static_lora", "v4_frozen")
-        self.uses_prompt = self.variant != "v1_no_align"
-        self.uses_adapters = self.variant in (*ROUTED_VARIANTS, "v3_static_lora")
-        self.uses_routers = self.variant in ROUTED_VARIANTS
+        prompt_path, gating = VARIANT_PARTS[cfg.variant]
 
         self.cross = (
             CrossAttention(cfg.dim, cfg.align_heads, cfg.seed)
-            if self.uses_alignment else None
+            if prompt_path == "cross" else None
         )
         self.prompt = (
             PromptEmbedding(cfg.dim, cfg.prompt_buckets, cfg.seed,
                             cfg.prompt_text(), cfg.prompt_max_tokens)
-            if self.uses_prompt else None
+            if prompt_path != "none" else None
         )
 
         self.adapters: list[dict[str, LoraAdapter]] = []
-        if self.uses_adapters:
+        if gating != "none":
             for layer in range(cfg.layers):
                 gen = rng.generator(cfg.seed, f"adapters:{layer}")
                 self.adapters.append({
@@ -76,7 +66,7 @@ class Forecaster:
                     for name, (d_in, d_out) in module_dims(cfg).items()
                 })
         self.routers: list[LoraRouter] = []
-        if self.uses_routers:
+        if gating == "routed":
             self.routers = [LoraRouter(cfg.dim, layer, cfg.seed) for layer in range(cfg.layers)]
 
     # ------------------------------------------------------------- forward
@@ -97,33 +87,30 @@ class Forecaster:
         tokens = self.embedder.embed(Tensor(xn))  # (B, N, dim)
 
         prefix_len = 0
-        if self.variant == "v2_prefix_prompt":
+        if self.cross is not None:
+            h = self.cross.align(tokens, self.prompt.encode())
+        elif self.prompt is not None:  # prompt rows enter the trunk as a prefix
             rows = self.prompt.encode()  # (P, dim)
             prefix_len = rows.shape[0]
             b = tokens.shape[0]
             lift = Tensor(np.zeros((b, prefix_len, self.cfg.dim)))
             prompt_b = T.add(lift, rows)  # broadcast rows across the batch
             h = T.concat([prompt_b, tokens], axis=1)
-        elif self.uses_alignment:
-            h = self.cross.align(tokens, self.prompt.encode())
         else:
             h = tokens
 
         probs_by_layer: list[Tensor] = []
 
-        def route(layer: int, state: Tensor) -> dict:
+        def gates(layer: int, state: Tensor) -> dict:
+            """Each module's gate: the router's top-n_active rows, or open without routers."""
+            if not self.routers:
+                return dict.fromkeys(MODULE_NAMES, 1.0)
             probs = self.routers[layer].probs(state)  # (B, 7)
             gate_rows = top_n_gates_rows(probs.data, self.cfg.n_active)
             probs_by_layer.append(probs)
             return {name: gate_rows[:, j] for j, name in enumerate(MODULE_NAMES)}
 
-        if self.uses_routers:
-            gates = route
-        elif self.variant == "v3_static_lora":
-            gates = lambda layer, state: dict.fromkeys(MODULE_NAMES, 1.0)
-        else:
-            gates = None
-        h = self.backbone.forward(h, self.adapters, gates)
+        h = self.backbone.forward(h, self.adapters, gates if self.adapters else None)
 
         if prefix_len:
             h = h[:, prefix_len:, :]
@@ -144,7 +131,7 @@ class Forecaster:
         Each batch's stats weigh by its window count, so the merge equals
         the stats of one batch holding every window.
         """
-        if not self.uses_routers:
+        if not self.routers:
             return None
         sizes = [probs[0].shape[0] for probs in batch_probs]
         f, phat = merge_stats([batch_stats(probs) for probs in batch_probs], sizes)

@@ -319,11 +319,11 @@ def train(model, train_windows, val_windows, cfg: RunConfig) -> TrainResult:
             "val_loss": None,
             "lb_loss": epoch_lb / steps,
         }
-        if model.uses_routers:
-            f, phat = merge_stats(routing, [1] * steps)
+        f, phat = merge_stats(routing, [1] * steps)
+        if len(f):
             ent = RoutingStats(f=f, phat=phat, samples=train_windows.count,
                                n_active=model.cfg.n_active).entropy_bits()
-        else:
+        else:  # a routing record with no layers: the model has no routers
             ent = np.zeros(model.cfg.layers)
         row["entropy"] = [float(e) for e in ent]
 

@@ -345,7 +345,7 @@ def test_load_builds_no_generator(tmp_path, monkeypatch, variant):
     loaded, _ = load_checkpoint(path)
     monkeypatch.undo()
     np.testing.assert_array_equal(m.predict(x), loaded.predict(x))
-    assert loaded.variant == variant
+    assert loaded.cfg.variant == variant
 
 
 def test_failed_load_leaves_draws_on(tmp_path):

@@ -725,6 +725,12 @@ def test_sweep_n_rejects_bad_values(tmp_path, capsys):
     assert cli.main(["sweep-n", *TINY, "--variant", "v4_frozen",
                      "--n-values", "1"]) == 2
     assert "routed variant" in capsys.readouterr().err
+    # a repeated n would be fitted twice; the check comes before --out is made
+    out = tmp_path / "sweep"
+    for repeated in ("4,4", "4,04", "1,4,2,4"):
+        assert cli.main(["sweep-n", *TINY, "--n-values", repeated, "--out", str(out)]) == 2
+        assert "lists 4 more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_deterministic_and_sidecar(tmp_path):

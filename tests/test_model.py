@@ -1,6 +1,7 @@
 """Composed forecaster: variants, shared init, gradients, parameter budget."""
 
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,14 @@ from tokencast import backbone, dlora
 from tokencast import tensor as T
 from tokencast import training
 from tokencast.backbone import TransformerBlock, pretrain_then_freeze
-from tokencast.config import ConfigError, RunConfig, build_config
+from tokencast.config import (
+    ROUTED_VARIANTS,
+    VARIANT_PARTS,
+    VARIANTS,
+    ConfigError,
+    RunConfig,
+    build_config,
+)
 from tokencast.data import SplitSpec, WindowSet, chronological_split, synth_generate
 from tokencast.dlora import N_MODULES, batch_stats, load_balance_loss
 from tokencast.model import Forecaster
@@ -41,9 +49,6 @@ def tiny_cfg(**kw):
 def batch(cfg, b=3, n=2, seed=0):
     g = np.random.Generator(np.random.PCG64(seed))
     return g.normal(size=(b, n, cfg.lookback)) + 3.0
-
-
-VARIANTS = ["full", "v1_no_align", "v2_prefix_prompt", "v3_static_lora", "v4_frozen"]
 
 
 @pytest.mark.parametrize("bad", [
@@ -80,13 +85,23 @@ def test_variants_share_component_initialization():
         np.testing.assert_array_equal(m.head.weight.data, ref.head.weight.data)
 
 
+def test_readme_variant_table_matches_config():
+    # the README's table is read as written, so the tests that take their
+    # variants and parts from config's table do not check it against itself
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Variants\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    cells = [[c.strip().strip("`") for c in line.split("|")[1:4]] for line in lines]
+    assert cells[0] == ["variant", "prompt", "adapters"]
+    assert cells[2:] == [[v, *parts] for v, parts in VARIANT_PARTS.items()]
+
+
 def test_routing_variants_only():
-    routed = {"full", "v1_no_align", "v2_prefix_prompt"}
     for v in VARIANTS:
         m = Forecaster(tiny_cfg(variant=v))
         x = batch(m.cfg)
         _, probs = m.forward_array(x)
-        assert len(probs) == (m.cfg.layers if v in routed else 0)
+        assert len(probs) == (m.cfg.layers if v in ROUTED_VARIANTS else 0)
         for p in probs:
             assert p.shape == (x.shape[0], N_MODULES)
 
@@ -183,7 +198,7 @@ def test_predictions_bit_identical_across_batch_sizes(variant, trunk_dtype):
     np.testing.assert_array_equal(np.concatenate([m.predict(x[i:i + 1]) for i in range(64)]),
                                   whole)
     np.testing.assert_array_equal(np.concatenate([m.predict(x[:32]), m.predict(x[32:])]), whole)
-    if m.uses_routers:  # the samples do not all open the same modules
+    if m.routers:  # the samples do not all open the same modules
         _, probs = m.forward_array(x)
         gates = dlora.top_n_gates_rows(probs[0].data, m.cfg.n_active)
         assert len({tuple(row) for row in gates}) > 1
@@ -277,7 +292,7 @@ def test_forecaster_bit_identical_with_composed_blocks(monkeypatch, variant, b, 
 FUSED_STATE_INPUTS = {"transformer_block": 1, "router_probs": 1, "attention": 3}
 
 
-@pytest.mark.parametrize("run", VARIANTS + ["pretrain_then_freeze"])
+@pytest.mark.parametrize("run", [*VARIANTS, "pretrain_then_freeze"])
 def test_fused_ops_only_see_states_that_require_grad(monkeypatch, run):
     # the transformer_block, router_probs and attention pulls always form the
     # grads of their state inputs; that costs nothing only while every
@@ -307,8 +322,8 @@ def test_fused_ops_only_see_states_that_require_grad(monkeypatch, run):
     training.train(m, windows, None, cfg)
     ops = [op for op, _ in seen]
     assert ops.count("transformer_block") == cfg.layers * (1 + pretrain)
-    assert ops.count("router_probs") == (cfg.layers if m.uses_routers else 0)
-    assert ops.count("attention") == (1 if m.uses_alignment else 0)
+    assert ops.count("router_probs") == (cfg.layers if m.routers else 0)
+    assert ops.count("attention") == (1 if m.cross is not None else 0)
     assert all(all(needs) for _, needs in seen), seen
 
 

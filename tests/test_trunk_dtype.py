@@ -21,14 +21,13 @@ from tokencast.checkpoint import (
     read_header,
     save_checkpoint,
 )
-from tokencast.config import PRESETS, RunConfig, build_config
+from tokencast.config import PRESETS, VARIANTS, RunConfig, build_config
 from tokencast.data import SplitSpec, chronological_split, synth_generate
 from tokencast.dlora import MODULE_NAMES, LoraAdapter
 from tokencast.model import Forecaster
 from tokencast.tensor import Tensor
 
 F32 = {"trunk_dtype": "float32"}
-VARIANTS = ["full", "v1_no_align", "v2_prefix_prompt", "v3_static_lora", "v4_frozen"]
 # float32 carries 24 bits: a block pass and its pull stay within 1e-5 of
 # the float64 ones, about 80 float32 ulps (5.6e-7 measured); a short desk
 # fit accumulates no more than 1e-6 (1.7e-8 measured)
